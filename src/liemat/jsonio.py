@@ -155,7 +155,7 @@ def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
         _expect(isinstance(row, list) and len(row) == cols, "entry grid does not match 'cols'")
         try:
             parsed.append([field.parse_scalar(str(v)) for v in row])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise MalformedJSON(f"bad scalar text: {exc}") from exc
     return Matrix(field, parsed)
 
@@ -213,6 +213,7 @@ def algebra_map_from_json(obj: Any) -> AlgebraMap:
         field = field_from_json(obj["field"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJSON(f"bad map object: {exc}") from exc
+    _expect(n > 0, f"map size n must be positive, got {n}")
     twist = automorphism_from_json(obj.get("twist"))
     raw_images = obj.get("images")
     _expect(isinstance(raw_images, dict), "map needs an 'images' object")

@@ -1,16 +1,17 @@
 """Commutator brackets, left-normed products, and subalgebra closure.
 
-The closure engine computes the smallest subspace containing a generator
-set that is closed under the chosen product (commutator bracket or plain
-matrix product) by a worklist sweep: every element added in the previous
-sweep is combined with all generators and all current basis elements, and
-new directions are spanned in.  Dimension is bounded by n^2, so the sweep
-count is too.  A final full-pairs pass certifies the fixpoint.
+The closure engine grows a list of independent products of a generator
+set X sweep by sweep.  Each sweep pairs the elements added by the previous
+sweep with every element before them (one order per pair for the bracket,
+both orders and the square for the associative product), and stops as
+soon as the span is the whole matrix space.  Before each sweep the span V
+is tested against the generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the
+spanning lemma a pass proves that V is the closure (see
+``_certify_closed``), so no sweep that adds nothing is ever run.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -41,6 +42,19 @@ ProductKind = Literal["lie", "associative"]
 
 @dataclass(frozen=True)
 class ClosureResult:
+    """The closure of a generator set X under one product.
+
+    ``rounds`` counts the sweeps B_k = B_{k-1} + [B_{k-1}, B_{k-1}] (with
+    B_{k-1}·B_{k-1} for the associative kind), starting from B_0 = span(X),
+    until B_k is the whole matrix space or equals B_{k-1}.  It is 0 when
+    span(X) is already full or zero, and 1 when span(X) is a proper, nonzero
+    closed subspace.
+
+    A closure that is not the whole space was certified before it was
+    returned: [V, X] ⊆ V (V·X ⊆ V) holds for V = ``subspace``, which is
+    spanned by products of generators and contains X.
+    """
+
     subspace: Subspace
     rounds: int
     product_kind: ProductKind
@@ -70,49 +84,70 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     for g in gens:
         if builder.insert(g.vectorize()):
             basis.append(g)
+    independent_gens = list(basis)
 
     full_dim = n * n
     rounds = 0
     frontier_start = 0
-    while frontier_start < len(basis) and builder.dim < full_dim:
+    while basis and builder.dim < full_dim:
         rounds += 1
+        subspace = Subspace(field, (n, n), builder.sorted_rows())
+        if _certify_closed(subspace, basis, independent_gens, kind):
+            return ClosureResult(subspace=subspace, rounds=rounds, product_kind=kind)
         frontier_end = len(basis)
-        for u in basis[frontier_start:frontier_end]:
-            for v in itertools.chain(gens, basis[:frontier_end]):
-                for prod in _products(u, v, kind):
-                    if builder.insert(prod.vectorize()):
-                        basis.append(prod)
+        for prod in _sweep(basis, frontier_start, frontier_end, kind):
+            if builder.insert(prod.vectorize()):
+                basis.append(prod)
+                if builder.dim == full_dim:
+                    break
         if len(basis) == frontier_end:
-            break
+            raise AssertionError("a sweep after a failed certificate added nothing")
         frontier_start = frontier_end
 
     subspace = Subspace(field, (n, n), builder.sorted_rows())
-    _certify_closed(subspace, basis, kind)
     return ClosureResult(subspace=subspace, rounds=rounds, product_kind=kind)
 
 
-def _products(u: Matrix, v: Matrix, kind: ProductKind):
-    if kind == "lie":
-        yield bracket(u, v)
-    else:
-        yield u * v
-        yield v * u
+def _sweep(basis: list[Matrix], start: int, end: int, kind: ProductKind):
+    """Products of each frontier element basis[i], start <= i < end, with
+    basis[j] for j < i, and for the associative kind also j = i.
 
-
-def _certify_closed(subspace: Subspace, basis: list[Matrix], kind: ProductKind) -> None:
-    """Re-check the fixpoint on every basis pair.
-
-    Trivial when the subspace is the whole matrix space.  A failure here
-    would mean the worklist logic is broken, hence the hard error.
+    Every other product of two elements of basis[:end] is zero, the
+    negative of one of these, or was formed by an earlier sweep.
     """
-    if subspace.is_full:
-        return
-    for i, u in enumerate(basis):
-        start = i + 1 if kind == "lie" else 0  # brackets are antisymmetric
-        for v in basis[start:]:
-            for prod in _products(u, v, kind):
-                if not subspace.contains_vec(prod.vectorize()):
-                    raise AssertionError("closure fixpoint certification failed")
+    for i in range(start, end):
+        u = basis[i]
+        if kind == "lie":
+            for v in basis[:i]:
+                yield bracket(u, v)
+        else:
+            for v in basis[:i]:
+                yield u * v
+                yield v * u
+            yield u * u
+
+
+def _certify_closed(
+    subspace: Subspace, basis: list[Matrix], generators: list[Matrix], kind: ProductKind
+) -> bool:
+    """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
+    ``subspace``, spanned by ``basis``, and X is ``generators``.
+
+    Spanning lemma: Lie(X) is spanned by the left-normed brackets
+    [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
+    closure engine builds V from products of generators, so V lies in the
+    closure, and V contains X.  If the test passes, induction on k puts
+    every left-normed bracket (every word) in V, so V is the closure.
+
+    The newest elements are tested first, so a span that is not yet closed
+    fails fast.
+    """
+    for u in reversed(basis):
+        for x in generators:
+            prod = bracket(u, x) if kind == "lie" else u * x
+            if not subspace.contains_vec(prod.vectorize()):
+                return False
+    return True
 
 
 def leibniz_expansion_check(r: Matrix, s: Matrix, xs: Sequence[Matrix]) -> bool:

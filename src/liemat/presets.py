@@ -31,7 +31,13 @@ from .recovery import AlgebraMap
 _UNIT_RE = re.compile(r"^E([1-9])([1-9])$")
 
 
+def _check_size(n: int) -> None:
+    if n <= 0:
+        raise MalformedJSON(f"matrix size n must be positive, got {n}")
+
+
 def preset_matrix(token: str, field: Field, n: int) -> Matrix:
+    _check_size(n)
     token = token.strip()
     if token == "I":
         return Matrix.identity(field, n)
@@ -52,6 +58,7 @@ def preset_matrices(tokens: str, field: Field, n: int) -> list[Matrix]:
 
 
 def preset_map(token: str, field: Field, n: int) -> AlgebraMap:
+    _check_size(n)
     token = token.strip()
     if token == "identity":
         return AlgebraMap.from_function(n, field, lambda u: u)

@@ -2,7 +2,8 @@
 
 A trimmed, dependency-free version of the pytest suite: every module's
 core invariants at sizes that finish in a few seconds.  Each check either
-returns quietly or raises, and the runner prints one line per check.
+returns (optionally with an informational note) or raises, and the runner
+passes one line per check, note included, to its ``out`` callback.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def _check_recovery(rng):
 def _check_char2_probe(rng):
     dims = char2_generation_dims(3)
     assert all(isinstance(d, int) and d >= 1 for _, d in dims)
-    print(f"    (informational) GF(2) Lie-closure dims of {{P, E11}}: {dims}")
+    return f"informational: GF(2) Lie-closure dims of {{P, E11}}: {dims}"
 
 
 CHECKS: list[tuple[str, Callable]] = [
@@ -200,10 +201,10 @@ def run(seed: int = 0, out=print) -> bool:
     for name, check in CHECKS:
         rng = random.Random(seed)
         try:
-            check(rng)
+            note = check(rng)
         except Exception as exc:  # report every failure, keep going
             ok = False
             out(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
-            out(f"ok   {name}")
+            out(f"ok   {name}" + (f" ({note})" if note else ""))
     return ok

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import random
 
-from liemat import ExtensionField, Matrix, PrimeField, Rationals
+from liemat import ExtensionField, Matrix, PrimeField, Rationals, Subspace, bracket
 from liemat.sampling import random_invertible, random_matrix
+from liemat.subspaces import SpanBuilder
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -22,6 +24,50 @@ def mat(field, rows) -> Matrix:
     return Matrix(field, rows)
 
 
+def _products(u, v, kind):
+    if kind == "lie":
+        yield bracket(u, v)
+    else:
+        yield u * v
+        yield v * u
+
+
+def reference_closure(gens, kind):
+    """Closure by exhaustive sweeps, as ``(subspace, rounds)``.
+
+    Each sweep multiplies every element added by the previous sweep with
+    every generator and every element present when the sweep began, and
+    the sweeps stop when the span is full or a sweep adds nothing; that
+    count is ``rounds``.  A pairwise check of all basis products then
+    certifies the fixpoint.  Slow and simple: the oracle for ``closure``.
+    """
+    field = gens[0].field
+    n = gens[0].nrows
+    builder = SpanBuilder(field, n * n)
+    basis = [g for g in gens if builder.insert(g.vectorize())]
+    rounds = 0
+    frontier_start = 0
+    while frontier_start < len(basis) and builder.dim < n * n:
+        rounds += 1
+        frontier_end = len(basis)
+        for u in basis[frontier_start:frontier_end]:
+            for v in itertools.chain(gens, basis[:frontier_end]):
+                for prod in _products(u, v, kind):
+                    if builder.insert(prod.vectorize()):
+                        basis.append(prod)
+        if len(basis) == frontier_end:
+            break
+        frontier_start = frontier_end
+    subspace = Subspace(field, (n, n), builder.sorted_rows())
+    if not subspace.is_full:
+        for i, u in enumerate(basis):
+            start = i + 1 if kind == "lie" else 0  # brackets are antisymmetric
+            for v in basis[start:]:
+                for prod in _products(u, v, kind):
+                    assert subspace.contains(prod), "reference closure is not closed"
+    return subspace, rounds
+
+
 __all__ = [
     "GF2",
     "GF4",
@@ -32,5 +78,6 @@ __all__ = [
     "mat",
     "random_invertible",
     "random_matrix",
+    "reference_closure",
     "rng_for",
 ]

@@ -159,6 +159,27 @@ def test_bad_argument_values_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_division_by_zero_scalar_is_malformed(tmp_path, capsys):
+    entry = jsonio.matrix_to_json(matrix_unit(Q, 2, 1, 1))
+    entry["entries"][0][1] = "1/0"
+    bad = tmp_path / "div0.json"
+    bad.write_text(json.dumps([entry]))
+    assert dispatch(["closure", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("MalformedJSON:")
+
+
+def test_nonpositive_sizes_exit_2(tmp_path, capsys):
+    for n in ("0", "-3"):
+        assert dispatch(["closure", "--n", n, "--preset", "I"]) == 2
+        assert capsys.readouterr().err.startswith("MalformedJSON:")
+        assert dispatch(["recover-auto", "--n", n, "--preset", "identity"]) == 2
+        assert capsys.readouterr().err.startswith("MalformedJSON:")
+    empty_map = tmp_path / "empty_map.json"
+    empty_map.write_text(json.dumps({"n": 0, "field": {"kind": "Q"}, "images": {}}))
+    assert dispatch(["recover-auto", "--in", str(empty_map)]) == 2
+    assert capsys.readouterr().err.startswith("MalformedJSON:")
+
+
 def test_symplectic_preset_odd_size_is_domain_error(capsys):
     code = dispatch(["recover-anti", "--preset", "symplectic", "--n", "3"])
     assert code == 1
@@ -182,7 +203,9 @@ def test_nilpotency_accepts_subspace_file(tmp_path, capsys):
 def test_selftest_command(capsys):
     code, out = run_cli(["selftest"], capsys)
     assert code == 0
-    assert last_json_line(out)["outcome"]["ok"] is True
+    report = json.loads(out)  # stdout is exactly one JSON document
+    assert report["outcome"]["ok"] is True
+    assert any("GF(2) Lie-closure dims" in line for line in report["outcome"]["checks"])
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

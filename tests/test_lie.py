@@ -17,7 +17,7 @@ from liemat import (
 )
 from liemat.errors import EmptySequence, MixedShapes
 
-from support import GF5, GF7, Q, random_matrix, rng_for
+from support import GF2, GF5, GF7, GF9, Q, random_matrix, reference_closure, rng_for
 
 
 def E(n, i, j, field=Q):
@@ -164,6 +164,52 @@ def test_closure_matches_word_span_oracle(kind):
         cases.append([random_matrix(GF5, 3, 3, rng) for _ in range(2)])
     for gens in cases:
         assert closure(gens, kind).subspace == _word_span_oracle(gens, kind)
+
+
+def _reference_cases():
+    """Generator sets, by id, for the comparison with ``reference_closure``."""
+    P, S = cyclic_permutation, upper_shift
+    cases = []
+    for field in (Q, GF2, GF5, GF9):
+        for n in range(2, 7 if field != GF9 else 5):
+            cases.append((f"P,E11 n={n} {field!r}", [P(field, n), E(n, 1, 1, field)]))
+        for n in (3, 4):
+            cases.append((f"S,E21 n={n} {field!r}", [S(field, n), E(n, 2, 1, field)]))
+            cases.append((f"S,En1 n={n} {field!r}", [S(field, n), E(n, n, 1, field)]))
+            cases.append((f"P,E12 n={n} {field!r}", [P(field, n), E(n, 1, 2, field)]))
+        zero = Matrix.zeros(field, 3)
+        units = [E(2, i, j, field) for i in (1, 2) for j in (1, 2)]
+        cases += [
+            (f"zero {field!r}", [zero]),
+            (f"zero,E11 {field!r}", [zero, E(3, 1, 1, field)]),
+            (f"all units {field!r}", units),
+            (f"E11 {field!r}", [E(3, 1, 1, field)]),
+            (f"P,E11,P duplicate {field!r}", [P(field, 3), E(3, 1, 1, field), P(field, 3)]),
+            (f"S,E31,S+E31 dependent {field!r}",
+             [S(field, 3), E(3, 3, 1, field), S(field, 3) + E(3, 3, 1, field)]),
+        ]
+        rng = rng_for("reference-closure", repr(field))
+        for n in (2, 3, 4):
+            pair = [random_matrix(field, n, n, rng) for _ in range(2)]
+            cases.append((f"random n={n} {field!r}", pair))
+    return [pytest.param(gens, id=case_id) for case_id, gens in cases]
+
+
+@pytest.mark.parametrize("kind", ["lie", "associative"])
+@pytest.mark.parametrize("gens", _reference_cases())
+def test_closure_matches_reference_sweep(gens, kind):
+    result = closure(gens, kind)
+    subspace, rounds = reference_closure(gens, kind)
+    assert result.subspace.rows == subspace.rows
+    assert result.rounds == rounds
+
+
+def test_closure_rounds_edge_cases():
+    assert closure([Matrix.zeros(Q, 3)], "lie").rounds == 0
+    units = [E(2, i, j) for i in (1, 2) for j in (1, 2)]
+    assert closure(units, "associative").rounds == 0
+    for kind in ("lie", "associative"):
+        assert closure([E(3, 1, 1)], kind).rounds == 1
 
 
 def test_closure_rejects_mixed_input():
