@@ -11,8 +11,12 @@ matrices or as a subspace; in the subspace case the brackets are
 multilinear in each slot, so quantifying over a basis is exact.
 
 Levels are computed iteratively: r lies in L_{k+1}(H) exactly when every
-[r, h] lies in L_k(H), so each level is a fold of linear preimages under
-the maps r -> [r, h].
+[r, h] lies in L_k(H).  Each member h acts through its sparse operator
+ad_h : r -> [r, h], built once per chain, and each level is one stacked
+kernel: the images of the unit matrices under every ad_h, reduced modulo
+the RREF rows of L_k, are the linear constraints that cut out L_{k+1}
+(``lie.ad_kernel``).  Hereditary centralizers stack the composed
+operators of the admissible tuples in the same way.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from typing import Sequence, Union
 from .errors import (
     EnumerationTooLarge,
     InvalidComposition,
+    InvalidIndex,
+    MalformedJSON,
     MixedShapes,
     PreconditionViolated,
 )
-from .lie import bracket, closure, left_normed
+from .lie import ad_kernel, ad_operator, closure, left_normed
 from .matrices import Matrix, matrix_unit
-from .subspaces import Subspace, preimage
+from .subspaces import Subspace
 
 SubsetLike = Union[Sequence[Matrix], Subspace]
 
@@ -54,20 +60,10 @@ def _ambient_of(mats: Sequence[Matrix]):
     return field, n
 
 
-def _restrict_by_ad(domain: Subspace, h: Matrix, target: Subspace) -> Subspace:
-    """{v in domain : [v, h] in target}; one kernel call."""
-    basis = domain.basis
-    images = [bracket(b, h) for b in basis]
-    return preimage(basis, images, target)
-
-
-def _next_level(members: Sequence[Matrix], full: Subspace, prev: Subspace | None) -> Subspace:
-    """prev=None computes L_1; otherwise the level above prev."""
-    target = prev if prev is not None else Subspace.zero(full.field, full.shape)
-    level = full
-    for h in members:
-        level = _restrict_by_ad(level, h, target)
-    return level
+def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
+    """prev=None computes L_1; otherwise the level above prev.  ``ops`` are
+    the ad operators of the members."""
+    return ad_kernel(field, n, [(op,) for op in ops], prev)
 
 
 def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | None]:
@@ -76,14 +72,19 @@ def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | N
     Returns (levels, t) where t is the 1-based stabilization index if the
     repeat was reached (levels then ends with L_{t+1} = L_t).
     """
-    full = Subspace.full(field, (n, n))
-    levels = [_next_level(members, full, None)]
+    ops = [ad_operator(h) for h in dict.fromkeys(members)]
+    levels = [_next_level(ops, field, n, None)]
     while len(levels) < upto:
-        nxt = _next_level(members, full, levels[-1])
+        nxt = _next_level(ops, field, n, levels[-1])
         levels.append(nxt)
         if nxt == levels[-2]:
             return levels, len(levels) - 1
     return levels, None
+
+
+def _check_index(k: int) -> None:
+    if k < 1:
+        raise InvalidIndex(f"centralizer index must be at least 1, got {k}")
 
 
 def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
@@ -94,13 +95,12 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     """
     members = _members(H)
     field, n = _ambient_of(members)
-    return _next_level(members, Subspace.full(field, (n, n)), target)
+    return _next_level([ad_operator(h) for h in members], field, n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
     """The k-th Lie centralizer of H."""
-    if k < 1:
-        raise ValueError("centralizer index must be at least 1")
+    _check_index(k)
     members = _members(H)
     field, n = _ambient_of(members)
     levels, t = _levels_until(members, field, n, k)
@@ -122,8 +122,7 @@ class CentralizerChain:
 
     def level(self, k: int) -> Subspace:
         """L_k(H) for any k >= 1 (constant from the stabilization on)."""
-        if k < 1:
-            raise ValueError("centralizer index must be at least 1")
+        _check_index(k)
         return self.levels[min(k, len(self.levels)) - 1]
 
 
@@ -133,12 +132,14 @@ def centralizer_chain(H: SubsetLike, max_k: int | None = None) -> CentralizerCha
     Stabilization is guaranteed no later than the ambient dimension n^2,
     which is the default cap.
     """
+    if max_k is not None and max_k < 1:
+        raise InvalidIndex(f"max_k must be at least 1, got {max_k}")
     members = _members(H)
     field, n = _ambient_of(members)
     cap = (n * n if max_k is None else max_k) + 1
     levels, t = _levels_until(members, field, n, cap)
     if t is None:
-        raise ValueError(
+        raise InvalidIndex(
             f"no stabilization within max_k={cap - 1} levels; "
             f"the chain is guaranteed to stabilize by n^2 = {n * n}"
         )
@@ -183,7 +184,7 @@ def centralizer_product_check(
     many random pairs of subspace elements (for larger ambients).
     """
     if p < 1 or q < 1:
-        raise ValueError("levels must be at least 1")
+        raise InvalidIndex(f"levels must be at least 1, got p={p}, q={q}")
     members = _members(H)
     field, n = _ambient_of(members)
     levels, _ = _levels_until(members, field, n, p + q - 1)
@@ -236,8 +237,7 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         prop = _HEREDITARY_PROPS[prop]
     except KeyError:
         raise ValueError(f"unknown hereditary property {prop!r}") from None
-    if k < 1:
-        raise ValueError("centralizer index must be at least 1")
+    _check_index(k)
     members = _members(H)
     field, n = _ambient_of(members)
     if len(members) ** k > ENUMERATION_GUARD:
@@ -253,15 +253,13 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    space = Subspace.full(field, (n, n))
-    zero = Subspace.zero(field, (n, n))
-    for tup in itertools.product(members, repeat=k):
-        if not admissible(tup):
-            continue
-        basis = space.basis
-        images = [left_normed([b, *tup]) for b in basis]
-        space = preimage(basis, images, zero)
-    return space
+    ops = {x: ad_operator(x) for x in members}
+    chains = [
+        [ops[x] for x in tup]
+        for tup in itertools.product(members, repeat=k)
+        if admissible(tup)
+    ]
+    return ad_kernel(field, n, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +438,8 @@ def associative_closure_probe(V: Subspace) -> ClosureIndexProbe:
 
 def bounds_table(max_n: int) -> list[tuple[int, int, int, int]]:
     """Rows (n, k, index-k dimension bound, conjectured omega bound)."""
+    if max_n < 1:
+        raise MalformedJSON(f"table size max_n must be positive, got {max_n}")
     return [
         (n, k, nilpotent_subalgebra_dim_bound(n, k), conjectured_dim_bound(n))
         for n in range(1, max_n + 1)

@@ -19,7 +19,8 @@ class FieldMismatch(LiematError):
 
 
 class IncompatibleAutomorphism(LiematError):
-    """A Frobenius twist was requested on a field that has none."""
+    """A Frobenius twist was requested on a field that has none, or with a
+    power outside ``[0, m)`` on GF(p^m)."""
 
 
 class DimensionMismatch(LiematError):
@@ -48,6 +49,11 @@ class EmptySequence(LiematError):
 
 class PreconditionViolated(LiematError):
     """A checked precondition (e.g. centralizer membership) failed."""
+
+
+class InvalidIndex(LiematError, ValueError):
+    """A centralizer level, product level or chain cap below 1, or a chain
+    that does not stabilize within the requested cap."""
 
 
 class EnumerationTooLarge(LiematError):

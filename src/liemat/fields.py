@@ -600,9 +600,11 @@ class FieldAutomorphism:
     def is_identity_kind(self) -> bool:
         return self.kind == "identity"
 
-    def apply(self, field: Field, value):
+    def check_field(self, field: Field) -> None:
+        """Raise unless this automorphism exists on ``field``: a Frobenius
+        power needs an extension field GF(p^m) and a power in [0, m)."""
         if self.kind == "identity":
-            return value
+            return
         if self.kind != "frobenius":
             raise ValueError(f"unknown automorphism kind {self.kind!r}")
         if not isinstance(field, ExtensionField):
@@ -610,9 +612,14 @@ class FieldAutomorphism:
                 f"Frobenius twist is not available on {field!r}"
             )
         if not 0 <= self.power < field.m:
-            raise ValueError(
+            raise IncompatibleAutomorphism(
                 f"Frobenius power {self.power} outside [0, {field.m})"
             )
+
+    def apply(self, field: Field, value):
+        if self.kind == "identity":
+            return value
+        self.check_field(field)
         return field.pow_int(value, field.p**self.power)
 
 

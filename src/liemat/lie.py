@@ -1,4 +1,10 @@
-"""Commutator brackets, left-normed products, and subalgebra closure.
+"""Commutator brackets, left-normed products, sparse ad operators, and
+subalgebra closure.
+
+``ad_operator`` applies r -> [r, h] to sparse row-major vectors, and
+``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
+stacked kernel; centralizer levels and centralizer intersections are
+both such kernels.
 
 The closure engine grows a list of independent products of a generator
 set X sweep by sweep.  Each sweep pairs the elements added by the previous
@@ -16,8 +22,9 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import DimensionMismatch, EmptySequence, MixedShapes
-from .matrices import Matrix
-from .subspaces import SpanBuilder, Subspace, preimage
+from .fields import Field
+from .matrices import Matrix, _kernel_from_rref
+from .subspaces import SpanBuilder, Subspace
 
 
 def bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -35,6 +42,92 @@ def left_normed(xs: Sequence[Matrix]) -> Matrix:
     for x in xs[1:]:
         acc = bracket(acc, x)
     return acc
+
+
+SparseVec = dict  # row-major coordinate i*n + k -> nonzero raw value
+SparseMap = dict  # coordinate -> [(coordinate, raw coefficient)], its image
+
+
+def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
+    """op(vec); a coordinate that op does not list maps to itself."""
+    add, mul = field.add, field.mul
+    out: SparseVec = {}
+    for idx, a in vec.items():
+        for key, b in op.get(idx, ((idx, field.one),)):
+            out[key] = add(out[key], mul(a, b)) if key in out else mul(a, b)
+    return {key: a for key, a in out.items() if not field.is_zero(a)}
+
+
+def ad_operator(h: Matrix) -> SparseMap:
+    """The map r -> [r, h] on sparse row-major vectors, stored as the image
+    of each unit matrix: [E_ik, h] has h[k][l] at (i, l) and -h[m][i] at
+    (m, k), so only the nonzero entries of row k and column i of h appear.
+    """
+    F = h.field
+    n = h.nrows
+    e = h.entries
+    rows = [[(l, a) for l, a in enumerate(e[k]) if not F.is_zero(a)] for k in range(n)]
+    cols = [[(m, F.neg(e[m][i])) for m in range(n) if not F.is_zero(e[m][i])] for i in range(n)]
+    return {
+        i * n + k: [(i * n + l, a) for l, a in rows[k]] + [(m * n + k, a) for m, a in cols[i]]
+        for i in range(n)
+        for k in range(n)
+    }
+
+
+def ad_kernel(
+    field: Field,
+    n: int,
+    chains: Sequence[Sequence[SparseMap]],
+    target: Subspace | None = None,
+) -> Subspace:
+    """{r : [r, x1, ..., xk] in target for every chain}, as one kernel.
+
+    Each chain lists the ``ad_operator`` of x1, ..., xk (chains may differ
+    in length); ``target=None`` means the zero subspace.  Every chain is
+    applied to the n² unit vectors, and each image is reduced by the RREF
+    rows of the target, which leaves its coordinates outside the target's
+    pivots: r meets the chain exactly when those vanish.  The transposed
+    images are the constraint rows, gathered in a ``SpanBuilder`` until
+    their rank reaches n², and the answer is their parametric kernel,
+    canonicalized into RREF like any other subspace.
+    """
+    if target is not None and (target.field != field or target.shape != (n, n)):
+        raise MixedShapes("target subspace outside the ambient space of the chains")
+    N = n * n
+    # reduction by the target: v -> v - sum_p v[p]·row_p, kept at the
+    # non-pivot coordinates (each other coordinate maps to itself)
+    reduce: SparseMap = {}
+    if target is not None:
+        pivots = set(target.pivots)
+        for p, row in zip(target.pivots, target.rows):
+            reduce[p] = [
+                (j, field.neg(a)) for j, a in enumerate(row)
+                if j not in pivots and not field.is_zero(a)
+            ]
+
+    constraints = SpanBuilder(field, N)
+    for chain in chains:
+        rows: dict[int, dict[int, object]] = {}  # non-pivot coordinate -> {unit: value}
+        for c in range(N):
+            img = {c: field.one}
+            for op in chain:
+                img = _apply(field, op, img)
+            for j, a in _apply(field, reduce, img).items():
+                rows.setdefault(j, {})[c] = a
+        for entries in rows.values():
+            dense = [field.zero] * N
+            for c, a in entries.items():
+                dense[c] = a
+            constraints.insert(dense)
+            if constraints.dim == N:
+                return Subspace.zero(field, (n, n))
+
+    kernel = _kernel_from_rref(constraints.sorted_rows(), sorted(constraints.pivots), N, field)
+    builder = SpanBuilder(field, N)
+    for vec in kernel:
+        builder.insert(vec)
+    return Subspace(field, (n, n), builder.sorted_rows())
 
 
 ProductKind = Literal["lie", "associative"]
@@ -188,12 +281,7 @@ def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspa
     n = gens[0].nrows
     if any(g.field != field or not g.is_square or g.nrows != n for g in gens):
         raise MixedShapes("matrices do not share one ambient space")
-    ambient = Subspace.full(field, (n, n))
-    zero = Subspace.zero(field, (n, n))
-    inter = ambient
-    for g in gens:
-        images = [bracket(b, g) for b in inter.basis]
-        inter = preimage(inter.basis, images, zero)
+    inter = ad_kernel(field, n, [(ad_operator(g),) for g in gens])
     generates = closure(gens, "associative").subspace.is_full
     scalars = Subspace.span([Matrix.identity(field, n)])
     return inter, generates and inter == scalars

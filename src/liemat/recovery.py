@@ -75,6 +75,7 @@ class AlgebraMap:
         self.field = field
         self.images = images
         self.twist = twist if twist is not None else FieldAutomorphism.identity()
+        self.twist.check_field(field)
 
     @staticmethod
     def from_function(

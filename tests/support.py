@@ -3,7 +3,16 @@
 import itertools
 import random
 
-from liemat import ExtensionField, Matrix, PrimeField, Rationals, Subspace, bracket
+from liemat import (
+    ExtensionField,
+    Matrix,
+    PrimeField,
+    Rationals,
+    Subspace,
+    bracket,
+    left_normed,
+    preimage,
+)
 from liemat.sampling import random_invertible, random_matrix
 from liemat.subspaces import SpanBuilder
 
@@ -68,6 +77,28 @@ def reference_closure(gens, kind):
     return subspace, rounds
 
 
+def reference_ad_kernel(chains, field, n, target=None):
+    """{r : [r, x1, ..., xk] in target for every chain (x1, ..., xk)}, by a
+    fold over the chains: each step keeps the preimage of the target under
+    r -> [r, x1, ..., xk] inside the current space, with the images formed
+    as dense bracket products.  ``target=None`` means zero.  The oracle for
+    ``lie.ad_kernel``."""
+    if target is None:
+        target = Subspace.zero(field, (n, n))
+    space = Subspace.full(field, (n, n))
+    for chain in chains:
+        basis = space.basis
+        space = preimage(basis, [left_normed([b, *chain]) for b in basis], target)
+    return space
+
+
+def reference_next_level(members, prev=None):
+    """The centralizer level above ``prev`` (L_1 for None) as a fold of
+    per-member preimages over bracket images."""
+    field, n = members[0].field, members[0].nrows
+    return reference_ad_kernel([(h,) for h in members], field, n, prev)
+
+
 __all__ = [
     "GF2",
     "GF4",
@@ -78,6 +109,8 @@ __all__ = [
     "mat",
     "random_invertible",
     "random_matrix",
+    "reference_ad_kernel",
     "reference_closure",
+    "reference_next_level",
     "rng_for",
 ]

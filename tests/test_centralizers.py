@@ -25,6 +25,8 @@ from liemat import (
 from liemat.errors import (
     EnumerationTooLarge,
     InvalidComposition,
+    InvalidIndex,
+    MixedShapes,
     PreconditionViolated,
 )
 from liemat.experiments import (
@@ -33,7 +35,18 @@ from liemat.experiments import (
     conjecture_evidence,
 )
 
-from support import GF5, GF7, Q, mat, random_matrix, rng_for
+from support import (
+    GF2,
+    GF5,
+    GF7,
+    GF9,
+    Q,
+    mat,
+    random_matrix,
+    reference_ad_kernel,
+    reference_next_level,
+    rng_for,
+)
 
 
 def E(n, i, j, field=Q):
@@ -119,6 +132,128 @@ def test_chain_over_extension_field():
 def test_chain_user_cap_too_small():
     with pytest.raises(ValueError):
         centralizer_chain([E(2, 1, 2), E(2, 2, 1)], max_k=0)
+
+
+def test_index_errors_are_typed():
+    h = [E(2, 1, 2), E(2, 2, 1)]
+    for call in (
+        lambda: lie_centralizer(h, 0),
+        lambda: centralizer_chain(h).level(0),
+        lambda: hereditary_centralizer(h, 0, "D"),
+        lambda: centralizer_product_check(h, 0, 1),
+        lambda: centralizer_product_check(h, 1, -1),
+        lambda: centralizer_chain(h, max_k=0),
+        lambda: centralizer_chain(h, max_k=-2),
+    ):
+        with pytest.raises(InvalidIndex):
+            call()
+    # the levels of {E12} have dimensions 2, 3, 4, 4: a cap of two levels
+    # cannot see the repeat
+    assert [lvl.dim for lvl in centralizer_chain([E(2, 1, 2)]).levels] == [2, 3, 4, 4]
+    with pytest.raises(InvalidIndex, match="no stabilization"):
+        centralizer_chain([E(2, 1, 2)], max_k=2)
+    assert issubclass(InvalidIndex, ValueError)
+
+
+# -- the stacked kernel against the fold of per-member preimages -------------
+
+ORACLE_FIELDS = [Q, GF2, GF5, GF9]
+
+
+def _reference_chain(H):
+    """Levels up to and including the first repeat, level by level."""
+    members = H.basis if isinstance(H, Subspace) else list(H)
+    levels = [reference_next_level(members)]
+    while len(levels) < 2 or levels[-1] != levels[-2]:
+        levels.append(reference_next_level(members, levels[-1]))
+    return levels
+
+
+def _oracle_subjects(field):
+    """Named quantifier sets H, each a list of matrices or a Subspace."""
+    def e(n, i, j):
+        return matrix_unit(field, n, i, j)
+
+    subjects = {
+        "E11,E12 n=3": [e(3, 1, 1), e(3, 1, 2)],
+        "zero,identity,duplicates n=3": [
+            Matrix.zeros(field, 3), Matrix.identity(field, 3), e(3, 1, 2), e(3, 1, 2), e(3, 2, 3)
+        ],
+        "strictly upper n=3": [e(3, 1, 2), e(3, 1, 3), e(3, 2, 3)],
+        "E12,E21 n=2": [e(2, 1, 2), e(2, 2, 1)],
+        "only zero n=2": [Matrix.zeros(field, 2)],
+        "subspace n=3": Subspace.span([e(3, 1, 1) + e(3, 1, 2), e(3, 2, 3), e(3, 3, 3)]),
+        "block algebra (2,2) n=4": extremal_block_algebra(4, [2, 2], field),
+    }
+    rng = rng_for("oracle-levels", repr(field))
+    for n in range(1, 5):
+        for trial in range(2):
+            subjects[f"random n={n} #{trial}"] = [
+                random_matrix(field, n, n, rng) for _ in range(rng.randint(1, 3))
+            ]
+    return subjects
+
+
+ORACLE_CASES = [
+    (field, name) for field in ORACLE_FIELDS for name in _oracle_subjects(field)
+]
+
+
+@pytest.mark.parametrize(
+    "field,name", ORACLE_CASES, ids=[f"{f!r}-{name}" for f, name in ORACLE_CASES]
+)
+def test_levels_match_reference_fold(field, name):
+    H = _oracle_subjects(field)[name]
+    chain = centralizer_chain(H)
+    assert [lvl.rows for lvl in chain.levels] == [lvl.rows for lvl in _reference_chain(H)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_centralizer_step_matches_reference_on_arbitrary_targets(field):
+    rng = rng_for("oracle-step", repr(field))
+    for n in range(1, 5):
+        for _ in range(3):
+            members = [random_matrix(field, n, n, rng) for _ in range(rng.randint(1, 3))]
+            gens = [random_matrix(field, n, n, rng) for _ in range(rng.randint(0, n * n))]
+            target = Subspace.span(gens, field=field, shape=(n, n))
+            expected = reference_next_level(members, target)
+            assert centralizer_step(members, target).rows == expected.rows
+    with pytest.raises(MixedShapes):
+        centralizer_step([Matrix.identity(field, 2)], Subspace.zero(field, (3, 3)))
+
+
+def _reference_hereditary(H, k, prop):
+    field, n = H[0].field, H[0].nrows
+
+    def admissible(tup):
+        if prop == "D":
+            return len(set(tup)) == k
+        return Subspace.span(list(tup)).dim == k
+
+    chains = [tup for tup in itertools.product(H, repeat=k) if admissible(tup)]
+    return reference_ad_kernel(chains, field, n)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("prop", ["D", "L"])
+def test_hereditary_matches_reference(field, prop):
+    rng = rng_for("oracle-hereditary", repr(field), prop)
+    subjects = [
+        [matrix_unit(field, 3, a, a) for a in (1, 2, 3)],
+        [matrix_unit(field, 2, 1, 2), matrix_unit(field, 2, 2, 1), matrix_unit(field, 2, 1, 2)],
+    ]
+    subjects += [
+        [random_matrix(field, n, n, rng) for _ in range(rng.randint(2, 3))] for n in (2, 3)
+    ]
+    for H in subjects:
+        for k in (1, 2, 3):
+            expected = _reference_hereditary(H, k, prop)
+            assert hereditary_centralizer(H, k, prop).rows == expected.rows
+    # no admissible tuple: the quantifier is vacuous
+    single = [matrix_unit(field, 2, 1, 1)]
+    for k in (2, 3):
+        space = hereditary_centralizer(single, k, prop)
+        assert space.is_full and space == _reference_hereditary(single, k, prop)
 
 
 def test_permuted_insertion():

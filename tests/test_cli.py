@@ -153,10 +153,29 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_argument_values_exit_2(capsys):
-    code = dispatch(["chain", "--n", "2", "--preset", "E12,E21", "--max-k", "0"])
-    assert code == 2
-    capsys.readouterr()
+def test_index_errors_exit_1(capsys):
+    for argv in (
+        ["chain", "--n", "2", "--preset", "E12,E21", "--max-k", "0"],
+        ["hereditary", "--n", "2", "--preset", "E11", "--k", "0", "--prop", "D"],
+    ):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("InvalidIndex:")
+
+
+def test_bounds_nonpositive_max_n_exit_2(capsys):
+    for max_n in ("0", "-2"):
+        assert dispatch(["bounds", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("MalformedJSON:") and captured.out == ""
+
+
+def test_frobenius_twist_outside_field_exit_1(tmp_path, capsys):
+    identity_map = jsonio.algebra_map_to_json(conjugation_map(Matrix.identity(Q, 2)))
+    for twist in ({"kind": "frobenius", "e": -3}, {"kind": "frobenius", "e": 1}):
+        map_file = tmp_path / "twisted.json"
+        map_file.write_text(json.dumps({**identity_map, "twist": twist}))
+        assert dispatch(["recover-auto", "--in", str(map_file)]) == 1
+        assert capsys.readouterr().err.startswith("IncompatibleAutomorphism:")
 
 
 def test_division_by_zero_scalar_is_malformed(tmp_path, capsys):

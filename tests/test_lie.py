@@ -17,7 +17,17 @@ from liemat import (
 )
 from liemat.errors import EmptySequence, MixedShapes
 
-from support import GF2, GF5, GF7, GF9, Q, random_matrix, reference_closure, rng_for
+from support import (
+    GF2,
+    GF5,
+    GF7,
+    GF9,
+    Q,
+    random_matrix,
+    reference_ad_kernel,
+    reference_closure,
+    rng_for,
+)
 
 
 def E(n, i, j, field=Q):
@@ -246,3 +256,17 @@ def test_centralizer_intersection_examples():
     assert not central and intersection.is_full
     intersection, central = centralizer_intersection_check([E(2, 1, 1)])
     assert intersection.dim == 2 and not central
+
+
+@pytest.mark.parametrize("field", [Q, GF2, GF5, GF9], ids=repr)
+def test_centralizer_intersection_matches_reference(field):
+    cases = [
+        [upper_shift(field, 3), matrix_unit(field, 3, 3, 1)],
+        [Matrix.identity(field, 3)],
+        [matrix_unit(field, 2, 1, 1)],
+    ]
+    for gens in cases:
+        n = gens[0].nrows
+        intersection, _ = centralizer_intersection_check(gens)
+        expected = reference_ad_kernel([(g,) for g in gens], field, n)
+        assert intersection.rows == expected.rows

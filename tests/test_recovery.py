@@ -24,6 +24,7 @@ from liemat import (
 )
 from liemat.errors import (
     CharacteristicDividesN,
+    IncompatibleAutomorphism,
     NotAnAntiAutomorphism,
     NotAnAutomorphism,
     NotAnAutomorphismImagePair,
@@ -116,6 +117,15 @@ def test_recover_automorphism_rejects_twisted_input():
     )
     with pytest.raises(NotAnAutomorphism):
         recover_automorphism(twisted)
+
+
+def test_map_rejects_twist_the_field_does_not_have():
+    for field, e in [(Q, -3), (Q, 0), (GF5, 1), (GF4, 2), (GF4, -1), (GF9, 5)]:
+        with pytest.raises(IncompatibleAutomorphism):
+            conjugation_map(Matrix.identity(field, 2), FieldAutomorphism.frobenius(e))
+    for field, e in [(GF4, 0), (GF4, 1), (GF9, 1)]:
+        m = conjugation_map(Matrix.identity(field, 2), FieldAutomorphism.frobenius(e))
+        assert m.twist.power == e
 
 
 def test_recover_twisted_reduces_to_plain_on_identity_twist():
