@@ -33,6 +33,7 @@ from .errors import (
     MixedShapes,
     PreconditionViolated,
 )
+from .fields import Field
 from .lie import ad_kernel, ad_operator, closure, left_normed
 from .matrices import Matrix, matrix_unit
 from .subspaces import Subspace
@@ -40,24 +41,25 @@ from .subspaces import Subspace
 SubsetLike = Union[Sequence[Matrix], Subspace]
 
 
-def _members(H: SubsetLike) -> list[Matrix]:
-    """Matrices to quantify over: the elements of a finite set, or a basis
-    of a subspace (sufficient by multilinearity of the bracket)."""
+def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
+    """Matrices to quantify over, with the field and size n of the square
+    matrix space they live in: the elements of a finite set, or a basis of
+    a subspace (sufficient by multilinearity of the bracket).  A subspace
+    names its ambient space itself, so the zero subspace quantifies over
+    nothing and every level is the whole space."""
     if isinstance(H, Subspace):
-        return H.basis
+        rows, cols = H.shape
+        if rows != cols:
+            raise MixedShapes("H does not live in one square matrix space")
+        return H.basis, H.field, rows
     mats = list(H)
     if not mats:
         raise MixedShapes("H must contain at least one matrix")
-    return mats
-
-
-def _ambient_of(mats: Sequence[Matrix]):
-    field = mats[0].field
-    n = mats[0].nrows
+    field, n = mats[0].field, mats[0].nrows
     for m in mats:
         if m.field != field or not m.is_square or m.nrows != n:
             raise MixedShapes("H does not live in one square matrix space")
-    return field, n
+    return mats, field, n
 
 
 def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
@@ -93,16 +95,14 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     Feeding a level back in computes the level above it; useful for
     checking persistence past the stabilization point directly.
     """
-    members = _members(H)
-    field, n = _ambient_of(members)
+    members, field, n = _members(H)
     return _next_level([ad_operator(h) for h in members], field, n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
     """The k-th Lie centralizer of H."""
     _check_index(k)
-    members = _members(H)
-    field, n = _ambient_of(members)
+    members, field, n = _members(H)
     levels, t = _levels_until(members, field, n, k)
     return levels[min(k, len(levels)) - 1]
 
@@ -134,8 +134,7 @@ def centralizer_chain(H: SubsetLike, max_k: int | None = None) -> CentralizerCha
     """
     if max_k is not None and max_k < 1:
         raise InvalidIndex(f"max_k must be at least 1, got {max_k}")
-    members = _members(H)
-    field, n = _ambient_of(members)
+    members, field, n = _members(H)
     cap = (n * n if max_k is None else max_k) + 1
     levels, t = _levels_until(members, field, n, cap)
     if t is None:
@@ -185,8 +184,7 @@ def centralizer_product_check(
     """
     if p < 1 or q < 1:
         raise InvalidIndex(f"levels must be at least 1, got p={p}, q={q}")
-    members = _members(H)
-    field, n = _ambient_of(members)
+    members, field, n = _members(H)
     levels, _ = _levels_until(members, field, n, p + q - 1)
 
     def level(k: int) -> Subspace:
@@ -238,8 +236,7 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
     except KeyError:
         raise ValueError(f"unknown hereditary property {prop!r}") from None
     _check_index(k)
-    members = _members(H)
-    field, n = _ambient_of(members)
+    members, field, n = _members(H)
     if len(members) ** k > ENUMERATION_GUARD:
         raise EnumerationTooLarge(
             f"{len(members)}^{k} tuples exceed the guard of {ENUMERATION_GUARD}"
@@ -298,8 +295,7 @@ def nilpotency_report(subject: SubsetLike) -> NilpotencyReport:
     some index <= d, so "not found by stabilization" means "not
     Lie-nilpotent".
     """
-    members = _members(subject)
-    field, n = _ambient_of(members)
+    members, field, n = _members(subject)
     chain = centralizer_chain(subject)
     index: int | None = None
     for k in range(1, chain.stabilization_index + 1):

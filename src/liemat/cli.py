@@ -2,12 +2,15 @@
 
 Every subcommand prints a run report to stdout:
 
-    {"command": ..., "inputs": [...], "outcome": {...}, "timing_ms": ...}
+    {"command": ..., "inputs": [...], "outcome": {...}, "timing_ms": ...,
+     "warnings": [...]}
 
-and, with ``--out FILE``, writes the primary artifact (matrix, subspace,
-recovery result, ...) as plain JSON that the same tool accepts back as
-input.  Exit codes: 0 success, 1 domain error (the typed error name is
-printed), 2 malformed input or usage.
+where ``warnings`` holds the text of every warning the command raised
+(on failure they follow the error line on stderr), and, with ``--out
+FILE``, writes the primary artifact (matrix, subspace, recovery result,
+...) as plain JSON that the same tool accepts back as input.  Exit
+codes: 0 success, 1 domain error (the typed error name is printed), 2
+malformed input or usage.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from . import jsonio
 from .centralizers import (
@@ -338,26 +342,31 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.perf_counter()
-    try:
-        outcome, artifact = _HANDLERS[args.command](args)
-    except MalformedJSON as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except LiematError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"MalformedJSON: cannot read input: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    error = None
+    # warnings go into the report, so stdout stays one JSON document
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome, artifact = _HANDLERS[args.command](args)
+        except MalformedJSON as exc:
+            error, code = f"{type(exc).__name__}: {exc}", 2
+        except LiematError as exc:
+            error, code = f"{type(exc).__name__}: {exc}", 1
+        except FileNotFoundError as exc:
+            error, code = f"MalformedJSON: cannot read input: {exc}", 2
+        except (TypeError, ValueError) as exc:
+            error, code = f"{type(exc).__name__}: {exc}", 2
+    notes = [str(w.message) for w in caught]
+    if error is not None:
+        print("\n".join([error] + notes), file=sys.stderr)
+        return code
     elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
     report = {
         "command": args.command,
         "inputs": [p for p in [getattr(args, "infile", None)] if p],
         "outcome": outcome,
         "timing_ms": elapsed_ms,
+        "warnings": notes,
     }
     print(json.dumps(report, sort_keys=True))
     if getattr(args, "outfile", None):

@@ -6,7 +6,12 @@ Every field is an immutable descriptor object whose methods operate on
 * ``Rationals``       -- :class:`fractions.Fraction` (always lowest terms),
 * ``PrimeField(p)``   -- residues ``int`` in ``[0, p)``,
 * ``ExtensionField``  -- coefficient tuples of length ``m`` over GF(p),
-  ascending degree, reduced modulo a monic irreducible polynomial.
+  ascending degree, reduced modulo a monic irreducible polynomial.  Up to
+  order ``TABLE_MAX_ORDER`` = 2^16 the arithmetic is lookups in log,
+  antilog and Zech tables built once per (p, modulus), with packed-int
+  dot products; larger extension fields use the polynomial kernels of
+  :mod:`liemat.polynomials`.  The tables map tuples, so raw values are
+  tuples either way.
 
 Matrix and subspace code calls the field methods directly on raw values;
 :class:`Scalar` wraps a ``(field, value)`` pair with operator overloading
@@ -21,6 +26,15 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
+from .polynomials import (
+    _poly_invmod,
+    _poly_mod,
+    _poly_mulmod,
+    _poly_powmod,
+    _prime_divisors,
+    is_irreducible,
+    smallest_irreducible,
+)
 
 _FRAC_ZERO = Fraction(0)
 _FRAC_ONE = Fraction(1)
@@ -40,148 +54,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficient tuples in ascending degree
-# ---------------------------------------------------------------------------
-
-def _poly_trim(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim([c % p for c in out])
-
-
-def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
-    # mod is monic
-    a = list(c % p for c in a)
-    dm = len(mod) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k] % p
-        if c:
-            for i in range(dm + 1):
-                a[k - dm + i] = (a[k - dm + i] - c * mod[i]) % p
-    return _poly_trim(a[:dm])
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _poly_trim([c % p for c in out])
-
-
-def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [c % p for c in a]
-    quo = [0] * max(1, len(a) - len(b) + 1)
-    lead_inv = pow(b[-1], -1, p)
-    for k in range(len(rem) - 1, len(b) - 2, -1):
-        c = (rem[k] * lead_inv) % p
-        if c:
-            quo[k - len(b) + 1] = c
-            for i, bi in enumerate(b):
-                rem[k - len(b) + 1 + i] = (rem[k - len(b) + 1 + i] - c * bi) % p
-    return _poly_trim(quo), _poly_trim(rem)
-
-
-def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    while b:
-        lead_inv = pow(b[-1], -1, p)
-        monic_b = tuple((c * lead_inv) % p for c in b)
-        a, b = b, _poly_mod(a, monic_b, p)
-    if a:
-        lead_inv = pow(a[-1], -1, p)
-        a = tuple((c * lead_inv) % p for c in a)
-    return a
-
-
-def _poly_powmod(base: tuple[int, ...], e: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = _poly_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p).
-
-    Degree 2 and 3 are settled by a root search; in general the
-    Frobenius-gcd criterion is used: f of degree m is irreducible iff
-    x^(p^m) = x mod f and gcd(x^(p^(m/q)) - x, f) = 1 for every prime
-    divisor q of m.
-    """
-    m = len(modulus) - 1
-    if m < 1 or modulus[-1] % p != 1:
-        return False
-    mod = tuple(c % p for c in modulus)
-    if m == 1:
-        return True
-    if m <= 3:
-        for a in range(p):
-            acc = 0
-            for c in reversed(mod):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
-        return True
-    x = (0, 1)
-    if _poly_powmod(x, p**m, mod, p) != _poly_mod(x, mod, p):
-        return False
-    for q in _prime_divisors(m):
-        h = _poly_powmod(x, p ** (m // q), mod, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        if _poly_gcd(_poly_trim(diff), mod, p) != (1,):
-            return False
-    return True
-
-
-def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Deterministic default modulus: the first monic irreducible of degree m,
-    enumerating the low coefficients (c0, ..., c_{m-1}) as base-p digits."""
-    for k in range(p**m):
-        coeffs = []
-        kk = k
-        for _ in range(m):
-            coeffs.append(kk % p)
-            kk //= p
-        candidate = tuple(coeffs) + (1,)
-        if is_irreducible(candidate, p):
-            return candidate
-    raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +300,54 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
+# Extension fields up to this order compute by lookup tables (O(q) memory
+# and set-up time); larger ones keep the polynomial kernels.
+TABLE_MAX_ORDER = 1 << 16
+# A packed dot-product word holds the coefficients of at least this many
+# products without a carry between slots.
+_PACK_TERMS = 1 << 10
+# (p, modulus) -> the table attributes of an ExtensionField, built once
+_TABLES: dict[tuple, dict] = {}
+
+
+def _packed_multiples(vec, p: int, width: int) -> list[int]:
+    """c * vec mod p as one int with ``width``-bit slots, for each digit c."""
+    return [sum((c * t % p) << (width * i) for i, t in enumerate(vec)) for c in range(p)]
+
+
 class ExtensionField(Field):
     """GF(p^m), m >= 2, as GF(p)[x] modulo a monic irreducible polynomial.
 
     Elements are coefficient tuples of length m in ascending degree.  When
     no modulus is supplied, the lexicographically smallest irreducible one
     is chosen so that runs are reproducible.
+
+    Up to order ``TABLE_MAX_ORDER`` all arithmetic is table lookups,
+    after Huber, "Some comments on Zech's logarithms", IEEE Trans. IT
+    1990.  The tables are keyed by the tuples themselves and built once
+    per (p, modulus); g is the first primitive element in ``elements()``
+    order.
+
+    * ``_log`` maps g^k to k and zero to the sentinel Z = 2q - 3, which
+      exceeds every sum of two true logarithms.  ``_exp[k]`` is g^k below
+      Z and zero from Z to 2Z, so a product is ``_exp[log a + log b]``
+      with no test for zero.
+    * ``_zech[d] = log(1 + g^d)`` gives a + b = g^(log a + _zech[log b -
+      log a]).  It repeats with period q - 1 over twice that length, so
+      every difference that arises indexes it directly.
+    * ``_pack`` maps a to the int a(2^w), so ``dot`` sums whole products
+      as ints and reduces once per word.
+
+    Larger fields compute with polynomial kernels on the same tuples.
     """
 
     order: int
+
+    def __new__(cls, p: int, m: int, modulus: Sequence[int] | None = None):
+        # m > 16 means q > 2^16 without building p**m for a huge m
+        if cls is ExtensionField and (m > 16 or p**m > TABLE_MAX_ORDER):
+            cls = _PolynomialExtensionField
+        return super().__new__(cls)
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -463,52 +374,118 @@ class ExtensionField(Field):
             red = _poly_mod([0] * k + [1], modulus, p)
             table.append(tuple(red) + (0,) * (m - len(red)))
         self._xpow = tuple(table)
+        key = (p, modulus)
+        if key not in _TABLES:
+            _TABLES[key] = self._build_tables()
+        vars(self).update(_TABLES[key])
+
+    def _build_tables(self) -> dict:
+        """The attributes behind the table-driven arithmetic (see above)."""
+        p, m, q = self.p, self.m, self.order
+        cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+        g = next(
+            e for e in self.elements()
+            if any(e) and all(_poly_powmod(e, k, self.modulus, p) != (1,) for k in cofactors)
+        )
+        # times g is GF(p)-linear, g*a = sum_i a_i (g x^i), so with every
+        # c (g x^i) packed into an int a power costs m lookups
+        w = (m * p).bit_length()
+        x_powers = [self.zero[:i] + (1,) + self.zero[i + 1:] for i in range(m)]
+        steps = [_packed_multiples(_poly_mulmod(g, x, p, m, self._xpow), p, w) for x in x_powers]
+        mask = (1 << w) - 1
+        powers = [self.one]
+        for _ in range(q - 2):
+            s = sum([step[c] for step, c in zip(steps, powers[-1])])
+            powers.append(tuple([((s >> (w * j)) & mask) % p for j in range(m)]))
+
+        zlog = 2 * q - 3
+        log = {e: k for k, e in enumerate(powers)}
+        log[self.zero] = zlog
+        # a word of ``terms`` products plus the folded-in reductions of
+        # x^m .. x^(2m-2) keeps every slot below 2^width
+        slot, spill = m * (p - 1) ** 2, (m - 1) * (p - 1)
+        width = (slot * _PACK_TERMS + spill).bit_length()
+        return {
+            "_log": log,
+            "_exp": (powers * 2)[:zlog] + [self.zero] * (zlog + 1),
+            "_zech": [log[((e[0] + 1) % p,) + e[1:]] for e in powers] * 2,
+            "_zlog": zlog,
+            # log(-1): -1 = g^((q-1)/2) in odd characteristic, 1 in characteristic 2
+            "_neg_log": 0 if p == 2 else (q - 1) // 2,
+            "_pack": {e: sum(c << (width * i) for i, c in enumerate(e)) for e in log},
+            "_width": width,
+            "_terms": ((1 << width) - 1 - spill) // slot,
+            # c x^k mod modulus, packed, for k = m .. 2m-2 and every digit c
+            "_folds": tuple(_packed_multiples(red, p, width) for red in self._xpow),
+            "_text": {self.format_scalar(e): e for e in log},
+        }
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        log, z = self._log, self._zlog
+        la, lb = log[a], log[b]
+        if la == z:
+            return b
+        if lb == z:
+            return a
+        return self._exp[la + self._zech[lb - la]]
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        log, z = self._log, self._zlog
+        lb = log[b]
+        if lb == z:
+            return a
+        lnb = lb + self._neg_log
+        la = log[a]
+        if la == z:
+            return self._exp[lnb]
+        return self._exp[la + self._zech[lnb - la]]
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self._exp[self._log[a] + self._neg_log]
 
     def mul(self, a, b):
-        p, m = self.p, self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:m]
-        for k in range(m, 2 * m - 1):
-            ck = conv[k] % p
-            if ck:
-                t = self._xpow[k - m]
-                for i in range(m):
-                    ti = t[i]
-                    if ti:
-                        out[i] += ck * ti
-        return tuple(v % p for v in out)
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a):
-        if not any(a):
+        la = self._log[a]
+        if la == self._zlog:
             raise DivisionByZero(f"1/0 over {self!r}")
-        p, m = self.p, self.m
-        # extended Euclid in GF(p)[x]: track r_i = s_i * a (mod modulus)
-        r0, s0 = _poly_trim(list(a)), (1,)
-        r1, s1 = self.modulus, ()
-        while r1:
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        # r0 is a nonzero constant because the modulus is irreducible
-        c_inv = pow(r0[0], -1, p)
-        out = _poly_mod(tuple((c * c_inv) % p for c in s0), self.modulus, p)
-        return tuple(out) + (0,) * (m - len(out))
+        return self._exp[self.order - 1 - la]
+
+    def dot(self, u, v):
+        terms = self._terms
+        if len(u) > terms:  # one packed word per ``terms`` products
+            acc = self.zero
+            for i in range(0, len(u), terms):
+                acc = self.add(acc, self.dot(u[i:i + terms], v[i:i + terms]))
+            return acc
+        pack = self._pack.__getitem__
+        word = sum(map(int.__mul__, map(pack, u), map(pack, v)))
+        p, m, w = self.p, self.m, self._width
+        mask = (1 << w) - 1
+        low = word & ((1 << (w * m)) - 1)
+        for k, fold in enumerate(self._folds, m):
+            low += fold[((word >> (w * k)) & mask) % p]
+        return tuple([((low >> (w * i)) & mask) % p for i in range(m)])
+
+    def vec_scale(self, u, c):
+        exp, lc = self._exp, self._log[c]
+        return [exp[k + lc] for k in map(self._log.__getitem__, u)]
+
+    def vec_submul(self, u, c, v):
+        log, exp, zech, z = self._log, self._exp, self._zech, self._zlog
+        lc = log[c]
+        if lc == z:
+            return list(u)
+        lnc = (lc + self._neg_log) % (self.order - 1)  # log(-c)
+        # a - c*b = a + g^t with t = log b + log(-c)
+        return [
+            a if (lb := log[b]) == z
+            else exp[lb + lnc] if (la := log[a]) == z
+            else exp[la + zech[lb + lnc - la]]
+            for a, b in zip(u, v)
+        ]
 
     def is_zero(self, a) -> bool:
         return not any(a)
@@ -517,6 +494,10 @@ class ExtensionField(Field):
         return (k % self.p,) + (0,) * (self.m - 1)
 
     def coerce(self, value):
+        if isinstance(value, tuple):
+            k = self._log.get(value)
+            if k is not None:
+                return self._exp[k]
         if isinstance(value, (tuple, list)):
             vals = [int(v) % self.p for v in value]
             if len(vals) > self.m:
@@ -546,6 +527,9 @@ class ExtensionField(Field):
         return "[" + ",".join(str(c) for c in a) + "]"
 
     def parse_scalar(self, text: str):
+        hit = self._text.get(text)
+        if hit is not None:
+            return hit
         text = text.strip()
         if text.startswith("["):
             if not text.endswith("]"):
@@ -573,8 +557,48 @@ class ExtensionField(Field):
     def __hash__(self):
         return hash(("GFext", self.p, self.m, self.modulus))
 
+    def __reduce__(self):
+        # copies and pickles go through the constructor and its table cache
+        return (ExtensionField, (self.p, self.m, self.modulus))
+
     def __repr__(self):
         return f"GF({self.p}^{self.m})"
+
+
+class _PolynomialExtensionField(ExtensionField):
+    """GF(p^m) above ``TABLE_MAX_ORDER``: the same tuples, computed by
+    polynomial kernels.  Its empty tables make the ``coerce`` and
+    ``parse_scalar`` fast paths miss."""
+
+    _log: dict = {}
+    _text: dict = {}
+
+    def _build_tables(self) -> dict:
+        return {}
+
+    def add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def neg(self, a):
+        p = self.p
+        return tuple((-x) % p for x in a)
+
+    def mul(self, a, b):
+        return _poly_mulmod(a, b, self.p, self.m, self._xpow)
+
+    def inv(self, a):
+        if not any(a):
+            raise DivisionByZero(f"1/0 over {self!r}")
+        return _poly_invmod(a, self.modulus, self.p)
+
+    dot = Field.dot
+    vec_scale = Field.vec_scale
+    vec_submul = Field.vec_submul
 
 
 # ---------------------------------------------------------------------------

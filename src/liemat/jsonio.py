@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import MalformedJSON
+from .errors import DimensionMismatch, MalformedJSON
 from .fields import ExtensionField, Field, FieldAutomorphism, PrimeField, Rationals
 from .matrices import Matrix
 from .recovery import AlgebraMap
@@ -154,10 +154,13 @@ def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
     for row in entries:
         _expect(isinstance(row, list) and len(row) == cols, "entry grid does not match 'cols'")
         try:
-            parsed.append([field.parse_scalar(str(v)) for v in row])
+            parsed.append(tuple([field.parse_scalar(str(v)) for v in row]))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise MalformedJSON(f"bad scalar text: {exc}") from exc
-    return Matrix(field, parsed)
+    if not (rows and cols):
+        raise DimensionMismatch("matrices must have positive dimensions")
+    # parse_scalar already returns canonical raw values
+    return Matrix._make(field, tuple(parsed))
 
 
 def matrix_list_from_json(obj: Any) -> list[Matrix]:

@@ -177,14 +177,16 @@ def _conjugate_unit(a: Matrix, a_inv: Matrix, i: int, j: int) -> Matrix:
 
 
 def conjugator_from_images(
-    phi_s: Matrix, phi_en1: Matrix, n: int
-) -> RecoveryResult:
+    phi_s: Matrix, phi_en1: Matrix, n: int, *, return_inverse: bool = False
+) -> RecoveryResult | tuple[RecoveryResult, Matrix]:
     """Rebuild a conjugator from the images of the shift S and of E(n,1).
 
     Fails with NotAnAutomorphismImagePair when I - phi(S)^(n-1) phi(E_{n,1})
     has full rank or the assembled matrix is singular; either way the
     inputs cannot be generator images of an automorphism.  ``verified``
     reports whether conjugation reproduces the two inputs themselves.
+    With ``return_inverse`` the result comes paired with the conjugator's
+    inverse, which the check has computed anyway.
     """
     if phi_s.nrows != n or phi_s.ncols != n:
         raise DimensionMismatch("phi(S) is not n-by-n")
@@ -217,7 +219,8 @@ def conjugator_from_images(
         conjugator * s * conj_inv == phi_s
         and conjugator * en1 * conj_inv == phi_en1
     )
-    return RecoveryResult(conjugator=conjugator, kernel_vector=a_vec, verified=verified)
+    result = RecoveryResult(conjugator=conjugator, kernel_vector=a_vec, verified=verified)
+    return (result, conj_inv) if return_inverse else result
 
 
 def _extract_shift_image(m: AlgebraMap, transposed: bool) -> Matrix:
@@ -261,11 +264,12 @@ def _recover(
         phi_gen_shift = _extract_shift_image(m, transposed=False)
         phi_gen_unit = m.image(n, 1)
     try:
-        result = conjugator_from_images(phi_gen_shift, phi_gen_unit, n)
+        result, conj_inv = conjugator_from_images(
+            phi_gen_shift, phi_gen_unit, n, return_inverse=True
+        )
     except NotAnAutomorphismImagePair as exc:
         raise pair_error(str(exc)) from exc
     conjugator = result.conjugator
-    conj_inv = conjugator.inverse()
     if not _verify_all_units(m, conjugator, conj_inv, transposed):
         raise verify_error("conjugation does not reproduce all unit images")
     return RecoveryResult(

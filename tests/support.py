@@ -99,6 +99,44 @@ def reference_next_level(members, prev=None):
     return reference_ad_kernel([(h,) for h in members], field, n, prev)
 
 
+def oracle_mul(field, a, b):
+    """Product in GF(p^m) by schoolbook convolution and long division by
+    the monic modulus, independent of the library's kernels and tables."""
+    p, m, mod = field.p, field.m, field.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k] % p
+        for i, f in enumerate(mod):
+            prod[k - m + i] -= c * f
+    return tuple(c % p for c in prod[:m])
+
+
+def oracle_inv(field, a):
+    """a^(q-2) by repeated squaring with ``oracle_mul``."""
+    result, e = field.one, field.order - 2
+    while e:
+        if e & 1:
+            result = oracle_mul(field, result, a)
+        a = oracle_mul(field, a, a)
+        e >>= 1
+    return result
+
+
+def oracle_add(field, a, b, sign=1):
+    """a + sign*b, coefficientwise."""
+    return tuple((x + sign * y) % field.p for x, y in zip(a, b))
+
+
+def oracle_dot(field, u, v):
+    acc = field.zero
+    for a, b in zip(u, v):
+        acc = oracle_add(field, acc, oracle_mul(field, a, b))
+    return acc
+
+
 __all__ = [
     "GF2",
     "GF4",
@@ -107,6 +145,10 @@ __all__ = [
     "GF9",
     "Q",
     "mat",
+    "oracle_add",
+    "oracle_dot",
+    "oracle_inv",
+    "oracle_mul",
     "random_invertible",
     "random_matrix",
     "reference_ad_kernel",

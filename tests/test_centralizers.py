@@ -116,6 +116,21 @@ def test_chain_accepts_subspace_quantifier():
     assert lie_centralizer(other, 2) == lie_centralizer(space, 2)
 
 
+def test_zero_subspace_is_vacuous():
+    # no member to bracket with: every level is the whole ambient space
+    zero = Subspace.zero(GF5, (3, 3))
+    chain = centralizer_chain(zero)
+    assert [lvl.dim for lvl in chain.levels] == [9, 9]
+    assert chain.stabilization_index == 1 and chain.omega.is_full
+    assert lie_centralizer(zero, 4).is_full
+    report = nilpotency_report(zero)
+    assert report.is_lie_nilpotent and report.index == 1 and report.dim == 0
+    with pytest.raises(MixedShapes):
+        centralizer_chain([])
+    with pytest.raises(MixedShapes):
+        centralizer_chain(Subspace.zero(Q, (2, 3)))
+
+
 def test_chain_over_extension_field():
     from support import GF4
 

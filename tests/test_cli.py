@@ -1,12 +1,16 @@
 """CLI dispatch: exit codes, report shapes, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from liemat import Matrix, conjugation_map, matrix_unit
 from liemat import jsonio
 from liemat.cli import dispatch
 
-from support import Q, random_invertible, rng_for
+from support import GF5, Q, random_invertible, rng_for
 
 
 def run_cli(argv, capsys):
@@ -235,3 +239,43 @@ def test_reports_are_deterministic(tmp_path, capsys):
     r1, r2 = last_json_line(out1), last_json_line(out2)
     r1.pop("timing_ms"), r2.pop("timing_ms")
     assert r1 == r2
+
+
+def test_zero_subspace_chain_and_nilpotency(tmp_path, capsys):
+    z = tmp_path / "z.json"
+    z.write_text(
+        json.dumps({"ambient": {"field": {"kind": "Q"}, "rows": 2, "cols": 2}, "basis": []})
+    )
+    code, out = run_cli(["chain", "--in", str(z)], capsys)
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    assert outcome["level_dims"] == [4, 4] and outcome["stabilization_index"] == 1
+    code, out = run_cli(["nilpotency", "--in", str(z)], capsys)
+    assert code == 0
+    outcome = json.loads(out)["outcome"]
+    assert outcome["is_lie_nilpotent"] and outcome["index"] == 1 and outcome["dim"] == 0
+
+
+def test_decompose_warnings_go_into_the_report(tmp_path, capsys):
+    # GF(5) has order 5 < 2^(n-1) = 8, which decompose warns about
+    b = random_invertible(GF5, 4, rng_for("cli-decompose-warning"))
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(jsonio.algebra_map_to_json(conjugation_map(b))))
+    code = dispatch(["decompose", "--in", str(map_file)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)  # stdout is exactly one JSON document
+    assert report["outcome"]["sigma_kind"] == "automorphism"
+    assert len(report["warnings"]) == 1
+    assert "field order 5 is below 2^(n-1) = 8" in report["warnings"][0]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "liemat", "bounds", "--max-n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outcome"]["rows"][0]["n"] == 1

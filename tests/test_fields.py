@@ -1,5 +1,7 @@
 """Field arithmetic: exactness, canonical forms, automorphisms."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,9 +17,9 @@ from liemat import (
     smallest_irreducible,
 )
 from liemat.errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
-from liemat.fields import _poly_mul, _poly_mod
+from liemat.polynomials import _poly_mod, _poly_mul
 
-from support import GF4, GF5, GF9, Q, rng_for
+from support import GF4, GF5, GF9, Q, oracle_add, oracle_dot, oracle_inv, oracle_mul, rng_for
 
 
 def test_rational_examples():
@@ -178,3 +180,108 @@ def test_scalar_wrapper_hash_and_repr():
     assert repr(s) == "[1,1]"
     assert hash(s) == hash(GF4.scalar([1, 1]))
     assert Scalar(Q, Fraction(2)) == Q.scalar(2)
+
+
+# -- table-driven GF(p^m) against the independent oracle in support.py ------
+
+GF81 = ExtensionField(3, 4)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF4, ExtensionField(2, 3), GF9, ExtensionField(5, 2), GF81],
+    ids=lambda f: repr(f),
+)
+def test_extension_arithmetic_exhaustive_against_oracle(field):
+    elements = list(field.elements())
+    for a in elements:
+        assert field.neg(a) == oracle_add(field, field.zero, a, -1)
+        if any(a):
+            assert field.inv(a) == oracle_inv(field, a)
+        for b in elements:
+            assert field.add(a, b) == oracle_add(field, a, b)
+            assert field.sub(a, b) == oracle_add(field, a, b, -1)
+            assert field.mul(a, b) == oracle_mul(field, a, b)
+    # the vector kernels: shift k pairs every element with every other
+    for k, c in enumerate(elements):
+        shifted = elements[k:] + elements[:k]
+        assert field.dot(elements, shifted) == oracle_dot(field, elements, shifted)
+        assert field.vec_scale(elements, c) == [oracle_mul(field, c, a) for a in elements]
+        assert field.vec_submul(shifted, c, elements) == [
+            oracle_add(field, a, oracle_mul(field, c, b), -1)
+            for a, b in zip(shifted, elements)
+        ]
+
+
+@pytest.mark.parametrize("field", [GF4, ExtensionField(5, 2), GF81], ids=lambda f: repr(f))
+def test_dot_at_packing_width_boundary(field):
+    # every coefficient p - 1 fills the slots of a packed word the most
+    top = (field.p - 1,) * field.m
+    square = oracle_mul(field, top, top)
+    for length in (field._terms, field._terms + 1):
+        expected = tuple(length * c % field.p for c in square)
+        assert field.dot([top] * length, [top] * length) == expected
+
+
+def test_field_above_table_limit_agrees_with_oracle():
+    from liemat.fields import TABLE_MAX_ORDER
+
+    field = ExtensionField(2, 17)
+    assert field.order > TABLE_MAX_ORDER
+    rng = rng_for("polynomial-kernels", repr(field))
+    for _ in range(20):
+        a, b, c = (field.random_scalar(rng) for _ in range(3))
+        assert field.add(a, b) == oracle_add(field, a, b)
+        assert field.sub(a, b) == oracle_add(field, a, b, -1)
+        assert field.neg(a) == oracle_add(field, field.zero, a, -1)
+        assert field.mul(a, b) == oracle_mul(field, a, b)
+        if any(a):
+            assert field.mul(a, field.inv(a)) == field.one
+        u = [field.random_scalar(rng) for _ in range(5)]
+        v = [field.random_scalar(rng) for _ in range(5)]
+        assert field.dot(u, v) == oracle_dot(field, u, v)
+        assert field.vec_scale(u, c) == [oracle_mul(field, c, x) for x in u]
+        assert field.vec_submul(u, c, v) == [
+            oracle_add(field, x, oracle_mul(field, c, y), -1) for x, y in zip(u, v)
+        ]
+    assert field.coerce([1, 1]) == (1, 1) + (0,) * 15
+    assert field.parse_scalar("[0,1]") == (0, 1) + (0,) * 15
+
+
+@pytest.mark.parametrize("field", [GF9, ExtensionField(2, 17)], ids=lambda f: repr(f))
+def test_extension_fields_pickle_and_copy(field):
+    for twin in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+        assert twin == field and type(twin) is type(field)
+        a = field.random_scalar(rng_for("pickle", repr(field)))
+        assert twin.mul(a, a) == field.mul(a, a)
+
+
+def test_noncanonical_coerce_and_parse_inputs():
+    cases = [
+        (GF9.coerce([1, 2]), (1, 2)),
+        (GF9.coerce((1,)), (1, 0)),
+        (GF9.coerce(()), (0, 0)),
+        (GF9.coerce((-1, 4)), (2, 1)),
+        (GF9.coerce([5, -7]), (2, 2)),
+        (GF9.coerce((True, False)), (1, 0)),
+        (GF9.coerce((1.0, 2)), (1, 2)),
+        (GF9.coerce(7), (1, 0)),
+        (GF9.coerce("[1, 2]"), (1, 2)),
+        (GF81.coerce((2, 1)), (2, 1, 0, 0)),
+        (GF9.parse_scalar("[1, 2]"), (1, 2)),
+        (GF9.parse_scalar(" [1,2] "), (1, 2)),
+        (GF9.parse_scalar("[4,-1]"), (1, 2)),
+        (GF9.parse_scalar("[]"), (0, 0)),
+        (GF9.parse_scalar("7"), (1, 0)),
+        (GF9.parse_scalar("-1"), (2, 0)),
+        (GF9.parse_scalar("[1,2]"), (1, 2)),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert type(got) is tuple and all(type(c) is int for c in got)
+    with pytest.raises(TypeError):
+        GF9.coerce(True)
+    with pytest.raises(ValueError):
+        GF9.coerce((1, 2, 0))
+    with pytest.raises(ValueError):
+        GF9.parse_scalar("[1,2")

@@ -1,14 +1,15 @@
 """JSON interchange round-trips and schema validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from liemat import AlgebraMap, FieldAutomorphism, Subspace, conjugation_map
-from liemat.errors import MalformedJSON
+from liemat.errors import DimensionMismatch, MalformedJSON
 from liemat import jsonio
 
-from support import GF4, GF5, Q, random_invertible, random_matrix, rng_for
+from support import GF4, GF5, GF9, Q, random_invertible, random_matrix, rng_for
 
 
 def test_field_round_trip():
@@ -60,6 +61,32 @@ def test_matrix_schema_errors():
         )
     with pytest.raises(MalformedJSON):
         jsonio.loads("{not json")
+
+
+def test_matrix_grid_errors():
+    field = {"kind": "Q"}
+    for grid in (
+        {"field": field, "rows": 0, "cols": 2, "entries": []},
+        {"field": field, "rows": 0, "entries": []},
+        {"field": field, "entries": []},
+        {"field": field, "rows": 2, "cols": 2, "entries": [["1", "2"], ["3"]]},
+        {"field": field, "entries": [["1", "2"], ["3"]]},
+    ):
+        with pytest.raises(MalformedJSON):
+            jsonio.matrix_from_json(grid)
+    for grid in (
+        {"field": field, "rows": 1, "cols": 0, "entries": [[]]},
+        {"field": field, "entries": [[]]},
+    ):
+        with pytest.raises(DimensionMismatch, match="positive dimensions"):
+            jsonio.matrix_from_json(grid)
+
+
+def test_matrix_entries_parse_to_canonical_values():
+    blob = {"field": jsonio.field_to_json(GF9), "entries": [["[4,-1]", "7", "[ 0, 2 ]"]]}
+    assert jsonio.matrix_from_json(blob).entries == (((1, 2), (1, 0), (0, 2)),)
+    blob = {"field": {"kind": "Q"}, "entries": [["2/4", " -3 "]]}
+    assert jsonio.matrix_from_json(blob).entries == ((Fraction(1, 2), Fraction(-3)),)
 
 
 def test_subspace_round_trip_canonicalizes():

@@ -74,6 +74,16 @@ def test_conjugator_from_hand_computed_images():
     assert result.conjugator == b
 
 
+def test_conjugator_from_images_can_return_the_inverse():
+    b = random_invertible(GF7, 4, rng_for("return-inverse"))
+    bm = conjugation_map(b)
+    phi_s = bm.image(1, 2) + bm.image(2, 3) + bm.image(3, 4)
+    plain = conjugator_from_images(phi_s, bm.image(4, 1), 4)
+    result, inverse = conjugator_from_images(phi_s, bm.image(4, 1), 4, return_inverse=True)
+    assert result == plain
+    assert result.conjugator * inverse == Matrix.identity(GF7, 4)
+
+
 def test_conjugator_from_images_rejects_garbage():
     with pytest.raises(NotAnAutomorphismImagePair):
         # shift images of a non-automorphism: I - M has zero kernel
