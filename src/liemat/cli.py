@@ -35,10 +35,7 @@ from .matrices import Matrix, basis_unit_vector
 from .presets import preset_map, preset_matrices
 from .recovery import (
     decompose_lie_automorphism,
-    recover_antiautomorphism,
-    recover_automorphism,
-    recover_twisted_antiautomorphism,
-    recover_twisted_automorphism,
+    recover,
     residual_trace_form_check,
 )
 from .selftest import run as run_selftest
@@ -234,24 +231,12 @@ def _cmd_bounds(args):
 
 
 def _cmd_recover_auto(args):
-    m = _load_map(args)
-    result = (
-        recover_automorphism(m)
-        if m.twist.is_identity_kind
-        else recover_twisted_automorphism(m)
-    )
-    outcome = _recovery_outcome(result)
+    outcome = _recovery_outcome(recover(_load_map(args), anti=False))
     return outcome, outcome
 
 
 def _cmd_recover_anti(args):
-    m = _load_map(args)
-    result = (
-        recover_antiautomorphism(m)
-        if m.twist.is_identity_kind
-        else recover_twisted_antiautomorphism(m)
-    )
-    outcome = _recovery_outcome(result)
+    outcome = _recovery_outcome(recover(_load_map(args), anti=True))
     return outcome, outcome
 
 
@@ -278,7 +263,7 @@ def _cmd_verify_example(args):
     ok = True
     for field in (Rationals(), PrimeField(7)):
         m = AlgebraMap.from_function(8, field, symplectic_involution)
-        result = recover_antiautomorphism(m)
+        result = recover(m, anti=True)
         expected = Matrix(
             field,
             [[0] * 4 + [-1 if j == i else 0 for j in range(4)] for i in range(4)]

@@ -144,12 +144,16 @@ def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
     try:
         entries = obj["entries"]
         rows = int(obj.get("rows", len(entries)))
-        cols = int(obj.get("cols", len(entries[0])))
-    except (KeyError, TypeError, IndexError) as exc:
+        cols = int(obj["cols"]) if "cols" in obj else None
+    except (KeyError, TypeError) as exc:
         raise MalformedJSON(f"bad matrix object: {exc}") from exc
     _expect(
         isinstance(entries, list) and len(entries) == rows, "entry grid does not match 'rows'"
     )
+    _expect(rows > 0, "entry grid is empty: a matrix needs at least one row")
+    if cols is None:
+        _expect(isinstance(entries[0], list), "entry grid does not match 'cols'")
+        cols = len(entries[0])
     parsed = []
     for row in entries:
         _expect(isinstance(row, list) and len(row) == cols, "entry grid does not match 'cols'")

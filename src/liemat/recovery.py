@@ -14,10 +14,26 @@ and then phi(X) = A X A^(-1) throughout.  Anti-automorphisms run the same
 pipeline on the transposed generators S^T and E_{1,n} and conjugate X^T.
 Since S, E_{n,1}, S^T, E_{1,n} have only 0/1 entries, an entrywise twist
 is invisible on the inputs and the construction carries over verbatim.
+``recover`` is that one pipeline; the four ``recover_*`` functions are
+thin aliases that fix the direction and the typed error.
 
 Every recovery re-verifies the conjugation formula on all n^2 units; the
 ``verified`` flag is never assumed.  Conjugators are unique only up to a
 nonzero scalar.
+
+Verification is also the certificate for classification and
+decomposition.  A map is an automorphism iff the untransposed recovery
+verifies and an anti-automorphism iff the transposed one does (by
+Skolem-Noether, over every field and for every n).  A Lie automorphism
+psi is split as sigma + c*tr(.)*I by recovering sigma from the shifted
+unit images psi(E(i,j)) - c*delta_ij*I, for sigma an automorphism
+(eps = 1) or the negative of an anti-automorphism (eps = -1); a branch
+that verifies proves that form, and every map of that form preserves
+brackets.  It is bijective iff psi(I) = (eps + n*c)*I = tr(psi(E(1,1)))*I
+is nonzero.  The form covers every bracket-preserving bijection when
+n >= 3, the characteristic is neither 2 nor 3 nor a divisor of n, and the
+field has at least 2^(n-1) elements; outside that range ``classify_map``
+falls back to checking every pair of unit images.
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import Field, FieldAutomorphism, Scalar
-from .matrices import Matrix, matrix_unit, scalar_multiple_of_identity, upper_shift
+from .matrices import Matrix, matrix_unit, scalar_multiple_of_identity
 
 SCALAR_CLASS_NOTE = "any nonzero scalar multiple of the conjugator verifies identically"
 
@@ -213,12 +229,14 @@ def conjugator_from_images(
         conj_inv = conjugator.inverse()
     except SingularMatrix as exc:
         raise NotAnAutomorphismImagePair("assembled conjugator is singular") from exc
-    s = upper_shift(field, n)
-    en1 = matrix_unit(field, n, n, 1)
-    verified = (
-        conjugator * s * conj_inv == phi_s
-        and conjugator * en1 * conj_inv == phi_en1
+    # With A invertible, A S A^(-1) = phi(S) iff phi(S) A = A S, and A S,
+    # A E(n,1) only move A's columns.
+    zero = field.zero
+    a_s = Matrix._make(field, tuple((zero,) + row[:-1] for row in conjugator.entries))
+    a_en1 = Matrix._make(
+        field, tuple((row[-1],) + (zero,) * (n - 1) for row in conjugator.entries)
     )
+    verified = phi_s * conjugator == a_s and phi_en1 * conjugator == a_en1
     result = RecoveryResult(conjugator=conjugator, kernel_vector=a_vec, verified=verified)
     return (result, conj_inv) if return_inverse else result
 
@@ -250,31 +268,43 @@ def _verify_all_units(
     return True
 
 
-def _recover(
-    m: AlgebraMap,
-    transposed: bool,
-    pair_error,
-    verify_error,
-) -> RecoveryResult:
+def _recover(m: AlgebraMap, anti: bool, error: type[Exception]) -> RecoveryResult:
     n = m.n
-    if transposed:
-        phi_gen_shift = _extract_shift_image(m, transposed=True)
-        phi_gen_unit = m.image(1, n)
-    else:
-        phi_gen_shift = _extract_shift_image(m, transposed=False)
-        phi_gen_unit = m.image(n, 1)
+    phi_gen_shift = _extract_shift_image(m, transposed=anti)
+    phi_gen_unit = m.image(1, n) if anti else m.image(n, 1)
     try:
         result, conj_inv = conjugator_from_images(
             phi_gen_shift, phi_gen_unit, n, return_inverse=True
         )
     except NotAnAutomorphismImagePair as exc:
-        raise pair_error(str(exc)) from exc
+        raise error(str(exc)) from exc
     conjugator = result.conjugator
-    if not _verify_all_units(m, conjugator, conj_inv, transposed):
-        raise verify_error("conjugation does not reproduce all unit images")
+    if not _verify_all_units(m, conjugator, conj_inv, anti):
+        raise error("conjugation does not reproduce all unit images")
     return RecoveryResult(
         conjugator=conjugator, kernel_vector=result.kernel_vector, verified=True
     )
+
+
+# (anti, identity twist) -> the typed error of a failed recovery
+_RECOVERY_ERRORS = {
+    (False, True): NotAnAutomorphism,
+    (False, False): NotATwistedAutomorphism,
+    (True, True): NotAnAntiAutomorphism,
+    (True, False): NotATwistedAntiAutomorphism,
+}
+_RECOVERY_FAILURES = tuple(_RECOVERY_ERRORS.values())
+
+
+def recover(m: AlgebraMap, anti: bool) -> RecoveryResult:
+    """Conjugator A with phi(X) = A X_f A^(-1), or A X_f^T A^(-1) if ``anti``.
+
+    The one recovery pipeline behind the CLI, the decomposition and the
+    ``recover_*`` aliases.  A failure raises NotAnAutomorphism or
+    NotAnAntiAutomorphism for an untwisted map, and the NotATwisted...
+    error of the same direction for a twisted one.
+    """
+    return _recover(m, anti, _RECOVERY_ERRORS[anti, m.twist.is_identity_kind])
 
 
 def recover_automorphism(m: AlgebraMap) -> RecoveryResult:
@@ -283,7 +313,7 @@ def recover_automorphism(m: AlgebraMap) -> RecoveryResult:
         raise NotAnAutomorphism(
             "map carries a twist; use recover_twisted_automorphism"
         )
-    return _recover(m, False, NotAnAutomorphism, NotAnAutomorphism)
+    return recover(m, False)
 
 
 def recover_twisted_automorphism(m: AlgebraMap) -> RecoveryResult:
@@ -293,7 +323,7 @@ def recover_twisted_automorphism(m: AlgebraMap) -> RecoveryResult:
     and the unit verification only ever see 0/1-entried matrices, on which
     the twist acts trivially.
     """
-    return _recover(m, False, NotATwistedAutomorphism, NotATwistedAutomorphism)
+    return _recover(m, False, NotATwistedAutomorphism)
 
 
 def recover_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
@@ -302,12 +332,12 @@ def recover_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
         raise NotAnAntiAutomorphism(
             "map carries a twist; use recover_twisted_antiautomorphism"
         )
-    return _recover(m, True, NotAnAntiAutomorphism, NotAnAntiAutomorphism)
+    return recover(m, True)
 
 
 def recover_twisted_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
     """Conjugator for a twisted anti-automorphism, phi(X) = A X_f^T A^(-1)."""
-    return _recover(m, True, NotATwistedAntiAutomorphism, NotATwistedAntiAutomorphism)
+    return _recover(m, True, NotATwistedAntiAutomorphism)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +347,25 @@ def recover_twisted_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
 MapKind = Literal["automorphism", "anti-automorphism", "lie-automorphism"]
 
 
-def _is_bijective(m: AlgebraMap) -> bool:
-    rows = tuple(img.vectorize() for img in m.images)
-    return Matrix._make(m.field, rows).rank() == m.n * m.n
+def _two_form_guaranteed(n: int, F: Field) -> bool:
+    """Is every bracket-preserving bijection of M_n(F) of the form
+    sigma + c*tr(.)*I, sigma an automorphism or a negative
+    anti-automorphism?"""
+    p = F.characteristic
+    return (
+        n >= 3
+        and p not in (2, 3)
+        and not (p and n % p == 0)
+        and (F.order is None or F.order >= 2 ** (n - 1))
+    )
 
 
-def classify_map(m: AlgebraMap) -> MapKind | None:
-    """The strongest structure the unit-image table satisfies.
-
-    Checks multiplicativity, anti-multiplicativity, and bracket
-    preservation on all pairs of matrix units (0/1 entries, so the twist
-    is irrelevant), plus bijectivity.  Returns None when even brackets are
-    not preserved or the map is not bijective.
-    """
-    if not _is_bijective(m):
-        return None
+def _classify_by_unit_pairs(m: AlgebraMap) -> MapKind | None:
+    """Bijectivity, then (anti-)multiplicativity and bracket preservation
+    on all n^4 pairs of unit images: O(n^7) field operations."""
     n = m.n
+    if Matrix._make(m.field, tuple(img.vectorize() for img in m.images)).rank() < n * n:
+        return None
     zero = Matrix.zeros(m.field, n)
     mult = True
     anti = True
@@ -365,6 +398,36 @@ def classify_map(m: AlgebraMap) -> MapKind | None:
     return None
 
 
+def classify_map(m: AlgebraMap) -> MapKind | None:
+    """The strongest structure the unit-image table satisfies.
+
+    Certificates, in order of precedence: "automorphism" if the
+    untransposed recovery verifies, "anti-automorphism" if the transposed
+    one does, "lie-automorphism" if ``decompose_lie_automorphism``
+    verifies a branch sigma + c*tr(.)*I whose bijectivity scalar
+    tr(psi(E(1,1))) is nonzero, and None otherwise (brackets not
+    preserved, or not bijective).  The last certificate is complete only
+    where every bracket-preserving bijection has that form.  For n <= 2,
+    characteristic 2, 3 or a divisor of n, or fewer than 2^(n-1) field
+    elements, the map is classified instead by bijectivity and by checking
+    (anti-)multiplicativity and brackets on all pairs of unit images (0/1
+    entries, so the twist is irrelevant), which costs O(n^7).
+    """
+    if not _two_form_guaranteed(m.n, m.field):
+        return _classify_by_unit_pairs(m)
+    for anti, kind in ((False, "automorphism"), (True, "anti-automorphism")):
+        try:
+            recover(m, anti)
+        except _RECOVERY_FAILURES:
+            continue
+        return kind
+    try:
+        _decompose(m)
+    except NotDecomposable:
+        return None
+    return "lie-automorphism"
+
+
 @dataclass(frozen=True)
 class LieDecomposition:
     """psi = sigma + tau, with sigma conjugation-shaped and tau = c * tr.
@@ -372,8 +435,9 @@ class LieDecomposition:
     ``sigma_kind`` records whether sigma is an automorphism or the
     negative of an anti-automorphism; ``sigma_conjugator`` is the
     recovered conjugating matrix for sigma (for the negative kind, for
-    -sigma); ``residual_zero`` certifies that the reassembled
-    sigma + c*tr(.)*I reproduces psi on every matrix unit.
+    -sigma); ``residual_zero`` certifies that sigma + c*tr(.)*I
+    reproduces psi on every matrix unit, which the recovery of sigma
+    verified, so a returned decomposition always has it set.
     """
 
     sigma_kind: Literal["automorphism", "negative-anti-automorphism"]
@@ -414,19 +478,23 @@ def decompose_lie_automorphism(m: AlgebraMap) -> LieDecomposition:
     """Split a bracket-preserving bijection as sigma + c*tr(.)*I.
 
     The trace of psi(E(1,1)) determines c for each shape of sigma
-    (conjugation has trace-1 unit images; negated transpose-conjugation
-    trace -1), so both candidates are tried in a fixed order and fully
-    verified; a candidate only survives if the recovered conjugator
-    reproduces psi exactly.
+    (conjugation has trace-1 unit images, eps = 1; negated
+    transpose-conjugation trace -1, eps = -1): c = (tr psi(E(1,1)) - eps)/n.
+    Both candidates are tried in that order, and a candidate survives only
+    if the conjugator recovered from psi(E(i,j)) - c*delta_ij*I (negated
+    for eps = -1) reproduces every one of them; that verification is the
+    certificate, and a map of this form preserves brackets.  Such a map is
+    bijective iff psi(I) = (eps + n*c)*I = tr(psi(E(1,1)))*I is nonzero,
+    so a zero trace raises NotDecomposable without trying a branch, as
+    does a map on which neither branch verifies.  The hypothesis
+    warnings (small field, characteristic 2 with n = 2) and the twist
+    warning are emitted first.
     """
     n, F = m.n, m.field
     if F.characteristic and n % F.characteristic == 0:
         raise CharacteristicDividesN(
             f"characteristic {F.characteristic} divides n = {n}"
         )
-    kind = classify_map(m)
-    if kind is None:
-        raise NotDecomposable("map does not preserve brackets or is not bijective")
     _warn_classification_hypotheses(m)
     if not m.twist.is_identity_kind:
         warnings.warn(
@@ -434,67 +502,44 @@ def decompose_lie_automorphism(m: AlgebraMap) -> LieDecomposition:
             "linear only up to that field automorphism",
             stacklevel=2,
         )
-    eye = Matrix.identity(F, n)
-    n_inv = F.inv(F.from_int(n))
+    return _decompose(m)
+
+
+def _decompose(m: AlgebraMap) -> LieDecomposition:
+    """``decompose_lie_automorphism`` after its characteristic check and
+    its warnings."""
+    n, F = m.n, m.field
     trace_e11 = m.image(1, 1).trace_raw()
-    for eps, sigma_kind in ((F.one, "automorphism"), (F.neg(F.one), "negative-anti-automorphism")):
+    if F.is_zero(trace_e11):
+        raise NotDecomposable(
+            "tr psi(E(1,1)) = 0: any sigma + c*tr(.)*I with that trace sends I "
+            "to 0, so it is not bijective"
+        )
+    n_inv = F.inv(F.from_int(n))
+    for anti, sigma_kind in ((False, "automorphism"), (True, "negative-anti-automorphism")):
+        eps = F.neg(F.one) if anti else F.one
         c = F.mul(F.sub(trace_e11, eps), n_inv)
-        # sigma's unit images: psi(E(i,j)) - c * delta_ij * I
+        # sigma's unit images: psi(E(i,j)) - c * delta_ij * I, negated when anti
         sigma_images = list(m.images)
         if not F.is_zero(c):
-            shift = eye.scale(c)
+            shift = Matrix.identity(F, n).scale(c)
             for i in range(n):
                 sigma_images[i * n + i] = sigma_images[i * n + i] - shift
+        if anti:
+            sigma_images = [-img for img in sigma_images]
         try:
-            if sigma_kind == "automorphism":
-                candidate = AlgebraMap(n, F, tuple(sigma_images), m.twist)
-                rec = (
-                    recover_automorphism(candidate)
-                    if m.twist.is_identity_kind
-                    else recover_twisted_automorphism(candidate)
-                )
-            else:
-                negated = tuple(-img for img in sigma_images)
-                candidate = AlgebraMap(n, F, negated, m.twist)
-                rec = (
-                    recover_antiautomorphism(candidate)
-                    if m.twist.is_identity_kind
-                    else recover_twisted_antiautomorphism(candidate)
-                )
-        except (
-            NotAnAutomorphism,
-            NotAnAutomorphismImagePair,
-            NotATwistedAutomorphism,
-            NotAnAntiAutomorphism,
-            NotATwistedAntiAutomorphism,
-        ):
+            rec = recover(AlgebraMap(n, F, tuple(sigma_images), m.twist), anti)
+        except _RECOVERY_FAILURES:
             continue
-        decomposition = LieDecomposition(
+        return LieDecomposition(
             sigma_kind=sigma_kind,
             sigma_conjugator=rec.conjugator,
             tau_coefficient=Scalar(F, c),
-            residual_zero=False,
+            residual_zero=True,
             n=n,
             field=F,
             twist=m.twist,
         )
-        sigma = decomposition.sigma_map()
-        residual_zero = all(
-            m.image(i, j)
-            == sigma.image(i, j) + (eye.scale(c) if i == j else Matrix.zeros(F, n))
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        )
-        if residual_zero:
-            return LieDecomposition(
-                sigma_kind=sigma_kind,
-                sigma_conjugator=rec.conjugator,
-                tau_coefficient=Scalar(F, c),
-                residual_zero=True,
-                n=n,
-                field=F,
-                twist=m.twist,
-            )
     raise NotDecomposable("neither decomposition branch verified")
 
 

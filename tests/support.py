@@ -99,6 +99,34 @@ def reference_next_level(members, prev=None):
     return reference_ad_kernel([(h,) for h in members], field, n, prev)
 
 
+def reference_classify(m):
+    """Classification of an AlgebraMap by brute force: bijectivity from the
+    rank of the unit images, then (anti-)multiplicativity and bracket
+    preservation on every pair of unit images, O(n^7) in all.  The oracle
+    for ``classify_map``."""
+    n, field = m.n, m.field
+    rows = [img.vectorize() for img in m.images]
+    if Matrix(field, rows).rank() < n * n:
+        return None
+    zero = Matrix.zeros(field, n)
+    mult = anti = lie = True
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        pij, pkl = m.image(i, j), m.image(k, l)
+        prod_img = m.image(i, l) if j == k else zero  # E(i,j) E(k,l)
+        rev_img = m.image(k, j) if l == i else zero  # E(k,l) E(i,j)
+        ab, ba = pij * pkl, pkl * pij
+        mult = mult and ab == prod_img
+        anti = anti and ba == prod_img
+        lie = lie and ab - ba == prod_img - rev_img
+        if not (mult or anti or lie):
+            return None
+    if mult:
+        return "automorphism"
+    if anti:
+        return "anti-automorphism"
+    return "lie-automorphism" if lie else None
+
+
 def oracle_mul(field, a, b):
     """Product in GF(p^m) by schoolbook convolution and long division by
     the monic modulus, independent of the library's kernels and tables."""
@@ -152,6 +180,7 @@ __all__ = [
     "random_invertible",
     "random_matrix",
     "reference_ad_kernel",
+    "reference_classify",
     "reference_closure",
     "reference_next_level",
     "rng_for",

@@ -6,11 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-from liemat import Matrix, conjugation_map, matrix_unit
+from liemat import (
+    FieldAutomorphism,
+    Matrix,
+    conjugation_map,
+    matrix_unit,
+    transpose_conjugation_map,
+)
 from liemat import jsonio
 from liemat.cli import dispatch
 
-from support import GF5, Q, random_invertible, rng_for
+from support import GF4, GF5, Q, random_invertible, rng_for
 
 
 def run_cli(argv, capsys):
@@ -123,6 +129,21 @@ def test_recover_auto_file_and_error_path(tmp_path, capsys):
     assert code == 1
 
 
+def test_recover_commands_on_twisted_maps(tmp_path, capsys):
+    b = random_invertible(GF4, 3, rng_for("cli-twisted"))
+    frob = FieldAutomorphism.frobenius(1)
+    for command, make, other in (
+        ("recover-auto", conjugation_map, "recover-anti"),
+        ("recover-anti", transpose_conjugation_map, "recover-auto"),
+    ):
+        map_file = tmp_path / f"{command}.json"
+        map_file.write_text(json.dumps(jsonio.algebra_map_to_json(make(b, frob))))
+        assert dispatch([command, "--in", str(map_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"]["verified"] is True
+        assert dispatch([other, "--in", str(map_file)]) == 1
+        assert capsys.readouterr().err.startswith("NotATwisted")
+
+
 def test_recover_anti_symplectic(capsys):
     code, out = run_cli(["recover-anti", "--preset", "symplectic", "--n", "8"], capsys)
     assert code == 0
@@ -155,6 +176,12 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["no-such-command"]) == 2
     capsys.readouterr()
+    empty_grid = tmp_path / "empty_grid.json"
+    empty_grid.write_text(
+        json.dumps([{"field": {"kind": "Q"}, "rows": 0, "cols": 2, "entries": []}])
+    )
+    assert dispatch(["closure", "--in", str(empty_grid)]) == 2
+    assert capsys.readouterr().err.startswith("MalformedJSON: entry grid is empty")
 
 
 def test_index_errors_exit_1(capsys):

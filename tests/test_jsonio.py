@@ -69,10 +69,15 @@ def test_matrix_grid_errors():
         {"field": field, "rows": 0, "cols": 2, "entries": []},
         {"field": field, "rows": 0, "entries": []},
         {"field": field, "entries": []},
+    ):
+        with pytest.raises(MalformedJSON, match="entry grid is empty"):
+            jsonio.matrix_from_json(grid)
+    for grid in (
         {"field": field, "rows": 2, "cols": 2, "entries": [["1", "2"], ["3"]]},
         {"field": field, "entries": [["1", "2"], ["3"]]},
+        {"field": field, "entries": ["1"]},
     ):
-        with pytest.raises(MalformedJSON):
+        with pytest.raises(MalformedJSON, match="entry grid does not match 'cols'"):
             jsonio.matrix_from_json(grid)
     for grid in (
         {"field": field, "rows": 1, "cols": 0, "entries": [[]]},

@@ -4,8 +4,10 @@ import pytest
 
 from liemat import (
     AlgebraMap,
+    ExtensionField,
     FieldAutomorphism,
     Matrix,
+    PrimeField,
     basis_unit_vector,
     classify_map,
     conjugation_map,
@@ -16,6 +18,7 @@ from liemat import (
     recover_automorphism,
     recover_twisted_antiautomorphism,
     recover_twisted_automorphism,
+    recovery,
     residual_trace_form_check,
     scalar_multiple_of_identity,
     symplectic_involution,
@@ -28,12 +31,28 @@ from liemat.errors import (
     NotAnAntiAutomorphism,
     NotAnAutomorphism,
     NotAnAutomorphismImagePair,
+    NotATwistedAntiAutomorphism,
     NotATwistedAutomorphism,
     NotDecomposable,
     ResidualNotScalar,
 )
+from liemat.recovery import recover
 
-from support import GF4, GF5, GF7, GF9, Q, mat, random_invertible, rng_for
+from support import (
+    GF2,
+    GF4,
+    GF5,
+    GF7,
+    GF9,
+    Q,
+    mat,
+    random_invertible,
+    random_matrix,
+    reference_classify,
+    rng_for,
+)
+
+GF3 = PrimeField(3)
 
 
 def E(n, i, j, field=Q):
@@ -51,6 +70,25 @@ def transpose_map(n, field=Q):
 def trace_shift_map(n, field=Q):
     eye = Matrix.identity(field, n)
     return AlgebraMap.from_function(n, field, lambda u: u + eye.scale(u.trace_raw()))
+
+
+def plus_trace(sigma, c):
+    """sigma + c*tr(.)*I, keeping sigma's twist."""
+    n = sigma.n
+    shift = Matrix.identity(sigma.field, n).scale(c)
+    images = tuple(
+        img + shift if k % (n + 1) == 0 else img for k, img in enumerate(sigma.images)
+    )
+    return AlgebraMap(n, sigma.field, images, sigma.twist)
+
+
+def negated(m):
+    return AlgebraMap(m.n, m.field, tuple(-img for img in m.images), m.twist)
+
+
+def singular_coefficient(field, n, eps):
+    """The c with eps + n*c = 0, which makes sigma + c*tr(.)*I kill I."""
+    return field.neg(field.mul(eps, field.inv(field.from_int(n))))
 
 
 def test_conjugator_from_identity_images():
@@ -166,6 +204,22 @@ def test_twisted_rejects_wrong_shape():
     frob = FieldAutomorphism.frobenius(1)
     with pytest.raises(NotATwistedAutomorphism):
         recover_twisted_automorphism(transpose_conjugation_map(b, frob))
+
+
+def test_recover_takes_the_error_from_direction_and_twist():
+    b = random_invertible(GF4, 3, rng_for("recover-errors"))
+    frob = FieldAutomorphism.frobenius(1)
+    for twist, auto_error, anti_error in (
+        (None, NotAnAutomorphism, NotAnAntiAutomorphism),
+        (frob, NotATwistedAutomorphism, NotATwistedAntiAutomorphism),
+    ):
+        auto, anti = conjugation_map(b, twist), transpose_conjugation_map(b, twist)
+        assert recover(auto, anti=False) == recover_twisted_automorphism(auto)
+        assert recover(anti, anti=True) == recover_twisted_antiautomorphism(anti)
+        with pytest.raises(auto_error):
+            recover(anti, anti=False)
+        with pytest.raises(anti_error):
+            recover(auto, anti=True)
 
 
 def test_recover_antiautomorphism_transpose_m2():
@@ -389,3 +443,127 @@ def test_roundtrip_wide_grid_small_count():
                     scalar_multiple_of_identity(b.inverse() * anti.conjugator)
                     is not None
                 )
+
+
+def classification_cases(field, n, rng, twist=None):
+    """Seeded maps of every kind classify_map tells apart, as (label, map)."""
+    b = random_invertible(field, n, rng)
+    auto = conjugation_map(b, twist)
+    anti = transpose_conjugation_map(b, twist)
+    neg_anti = negated(anti)
+    c = field.random_scalar(rng)
+    while field.is_zero(c):
+        c = field.random_scalar(rng)
+    yield "conjugation", auto
+    yield "transpose-conjugation", anti
+    yield "negated conjugation", negated(auto)
+    yield "negated transpose-conjugation", neg_anti
+    yield "conjugation + c*tr", plus_trace(auto, c)
+    yield "negated transpose-conjugation + c*tr", plus_trace(neg_anti, c)
+    if not field.characteristic or n % field.characteristic:
+        for eps, sigma in ((field.one, auto), (field.neg(field.one), neg_anti)):
+            label = f"eps + n*c = 0 ({field.format_scalar(eps)})"
+            yield label, plus_trace(sigma, singular_coefficient(field, n, eps))
+    zero = Matrix.zeros(field, n)
+    yield "zero", AlgebraMap(n, field, (zero,) * (n * n), twist)
+    yield "scrambled", AlgebraMap(
+        n, field, tuple(random_matrix(field, n, n, rng) for _ in range(n * n)), twist
+    )
+    if n > 1:
+        swapped = (auto.images[-1],) + auto.images[1:-1] + (auto.images[0],)
+        yield "first and last unit images swapped", AlgebraMap(n, field, swapped, twist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", [Q, GF2, GF3, GF5, GF7, GF9], ids=repr)
+def test_classify_map_matches_unit_pair_reference(field, n):
+    rng = rng_for("classify-reference", repr(field), n)
+    cases = list(classification_cases(field, n, rng))
+    if field is GF9:
+        twisted = classification_cases(field, n, rng, FieldAutomorphism.frobenius(1))
+        cases += [(f"frobenius-twisted {label}", m) for label, m in twisted]
+    kinds = set()
+    for label, m in cases:
+        expected = reference_classify(m)
+        assert classify_map(m) == expected, label
+        kinds.add(expected)
+    # n = 1: every map is both, and automorphism takes precedence
+    assert {"automorphism", "anti-automorphism" if n > 1 else "automorphism", None} <= kinds
+    if field.characteristic != 2:
+        assert "lie-automorphism" in kinds
+
+
+def test_classify_map_certificate_path_skips_the_unit_pair_loop(monkeypatch):
+    def refuse(m):
+        raise AssertionError("unit-pair loop ran inside the guaranteed range")
+
+    monkeypatch.setattr(recovery, "_classify_by_unit_pairs", refuse)
+    rng = rng_for("classify-certificates")
+    for field, n in [(Q, 3), (Q, 4), (GF5, 3), (GF7, 3)]:
+        for label, m in classification_cases(field, n, rng):
+            assert classify_map(m) == reference_classify(m), label
+    gf25 = ExtensionField(5, 2)
+    frob = FieldAutomorphism.frobenius(1)
+    for label, m in classification_cases(gf25, 3, rng, frob):
+        assert classify_map(m) == reference_classify(m), label
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GF9], ids=repr)
+def test_decompose_rejects_maps_that_kill_the_identity(field):
+    n = 2 if field is GF9 else 3
+    b = random_invertible(field, n, rng_for("decompose-singular", repr(field)))
+    branches = [
+        (field.one, conjugation_map(b)),
+        (field.neg(field.one), negated(transpose_conjugation_map(b))),
+    ]
+    for eps, sigma in branches:
+        psi = plus_trace(sigma, singular_coefficient(field, n, eps))
+        assert psi.apply(Matrix.identity(field, n)).is_zero()
+        with pytest.raises(NotDecomposable):
+            decompose_lie_automorphism(psi)
+
+
+def test_decompose_twisted_maps_with_trace_part():
+    frob = FieldAutomorphism.frobenius(1)
+    # n = 4: for n = 2, -X^T = J X J^(-1) - tr(X)*I, so both branches fit
+    b = random_invertible(GF9, 4, rng_for("decompose-twisted-trace"))
+    c = GF9.coerce((1, 1))
+    for sigma, kind in (
+        (conjugation_map(b, frob), "automorphism"),
+        (negated(transpose_conjugation_map(b, frob)), "negative-anti-automorphism"),
+    ):
+        psi = plus_trace(sigma, c)
+        with pytest.warns(UserWarning, match="inherits the map's twist"):
+            dec = decompose_lie_automorphism(psi)
+        assert dec.sigma_kind == kind and dec.tau_coefficient == GF9.scalar(c)
+        assert dec.residual_zero and dec.twist == frob
+        assert dec.sigma_map().images == sigma.images
+        assert residual_trace_form_check(psi, dec.sigma_map())
+
+
+def test_decompose_never_classifies(monkeypatch):
+    def refuse(m):
+        raise AssertionError("decompose called classify_map")
+
+    monkeypatch.setattr(recovery, "classify_map", refuse)
+    monkeypatch.setattr(recovery, "_classify_by_unit_pairs", refuse)
+    b = random_invertible(Q, 4, rng_for("decompose-no-classify"))
+    for sigma in (conjugation_map(b), negated(transpose_conjugation_map(b))):
+        dec = decompose_lie_automorphism(plus_trace(sigma, Q.coerce("3/2")))
+        assert dec.residual_zero and dec.sigma_map().images == sigma.images
+
+
+def test_recover_automorphism_product_count(monkeypatch):
+    # the generator check costs two full products: phi(S) A and phi(E(n,1)) A
+    gf81 = ExtensionField(3, 4)
+    m = conjugation_map(random_invertible(gf81, 16, rng_for("mul-count")))
+    calls = []
+    original = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert recover_automorphism(m).verified
+    assert len(calls) == 27
