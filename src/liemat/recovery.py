@@ -21,19 +21,14 @@ Every recovery re-verifies the conjugation formula on all n^2 units; the
 ``verified`` flag is never assumed.  Conjugators are unique only up to a
 nonzero scalar.
 
-Verification is also the certificate for classification and
-decomposition.  A map is an automorphism iff the untransposed recovery
-verifies and an anti-automorphism iff the transposed one does (by
-Skolem-Noether, over every field and for every n).  A Lie automorphism
-psi is split as sigma + c*tr(.)*I by recovering sigma from the shifted
-unit images psi(E(i,j)) - c*delta_ij*I, for sigma an automorphism
-(eps = 1) or the negative of an anti-automorphism (eps = -1); a branch
+Verification is also the certificate for the decomposition of a Lie
+automorphism psi as sigma + c*tr(.)*I: sigma is recovered from the
+shifted unit images psi(E(i,j)) - c*delta_ij*I, for sigma an automorphism
+(eps = 1) or the negative of an anti-automorphism (eps = -1).  A branch
 that verifies proves that form, and every map of that form preserves
 brackets.  It is bijective iff psi(I) = (eps + n*c)*I = tr(psi(E(1,1)))*I
-is nonzero.  The form covers every bracket-preserving bijection when
-n >= 3, the characteristic is neither 2 nor 3 nor a divisor of n, and the
-field has at least 2^(n-1) elements; outside that range ``classify_map``
-falls back to checking every pair of unit images.
+is nonzero.  ``classify_map`` does not rely on the form: it checks every
+pair of unit images.
 """
 
 from __future__ import annotations
@@ -347,25 +342,22 @@ def recover_twisted_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
 MapKind = Literal["automorphism", "anti-automorphism", "lie-automorphism"]
 
 
-def _two_form_guaranteed(n: int, F: Field) -> bool:
-    """Is every bracket-preserving bijection of M_n(F) of the form
-    sigma + c*tr(.)*I, sigma an automorphism or a negative
-    anti-automorphism?"""
-    p = F.characteristic
-    return (
-        n >= 3
-        and p not in (2, 3)
-        and not (p and n % p == 0)
-        and (F.order is None or F.order >= 2 ** (n - 1))
-    )
+def _is_bijective(m: AlgebraMap) -> bool:
+    rows = tuple(img.vectorize() for img in m.images)
+    return Matrix._make(m.field, rows).rank() == m.n * m.n
 
 
-def _classify_by_unit_pairs(m: AlgebraMap) -> MapKind | None:
-    """Bijectivity, then (anti-)multiplicativity and bracket preservation
-    on all n^4 pairs of unit images: O(n^7) field operations."""
-    n = m.n
-    if Matrix._make(m.field, tuple(img.vectorize() for img in m.images)).rank() < n * n:
+def classify_map(m: AlgebraMap) -> MapKind | None:
+    """The strongest structure the unit-image table satisfies.
+
+    Checks multiplicativity, anti-multiplicativity, and bracket
+    preservation on all pairs of matrix units (0/1 entries, so the twist
+    is irrelevant), plus bijectivity.  Returns None when even brackets are
+    not preserved or the map is not bijective.
+    """
+    if not _is_bijective(m):
         return None
+    n = m.n
     zero = Matrix.zeros(m.field, n)
     mult = True
     anti = True
@@ -396,36 +388,6 @@ def _classify_by_unit_pairs(m: AlgebraMap) -> MapKind | None:
     if lie:
         return "lie-automorphism"
     return None
-
-
-def classify_map(m: AlgebraMap) -> MapKind | None:
-    """The strongest structure the unit-image table satisfies.
-
-    Certificates, in order of precedence: "automorphism" if the
-    untransposed recovery verifies, "anti-automorphism" if the transposed
-    one does, "lie-automorphism" if ``decompose_lie_automorphism``
-    verifies a branch sigma + c*tr(.)*I whose bijectivity scalar
-    tr(psi(E(1,1))) is nonzero, and None otherwise (brackets not
-    preserved, or not bijective).  The last certificate is complete only
-    where every bracket-preserving bijection has that form.  For n <= 2,
-    characteristic 2, 3 or a divisor of n, or fewer than 2^(n-1) field
-    elements, the map is classified instead by bijectivity and by checking
-    (anti-)multiplicativity and brackets on all pairs of unit images (0/1
-    entries, so the twist is irrelevant), which costs O(n^7).
-    """
-    if not _two_form_guaranteed(m.n, m.field):
-        return _classify_by_unit_pairs(m)
-    for anti, kind in ((False, "automorphism"), (True, "anti-automorphism")):
-        try:
-            recover(m, anti)
-        except _RECOVERY_FAILURES:
-            continue
-        return kind
-    try:
-        _decompose(m)
-    except NotDecomposable:
-        return None
-    return "lie-automorphism"
 
 
 @dataclass(frozen=True)
@@ -502,13 +464,6 @@ def decompose_lie_automorphism(m: AlgebraMap) -> LieDecomposition:
             "linear only up to that field automorphism",
             stacklevel=2,
         )
-    return _decompose(m)
-
-
-def _decompose(m: AlgebraMap) -> LieDecomposition:
-    """``decompose_lie_automorphism`` after its characteristic check and
-    its warnings."""
-    n, F = m.n, m.field
     trace_e11 = m.image(1, 1).trace_raw()
     if F.is_zero(trace_e11):
         raise NotDecomposable(
