@@ -39,6 +39,7 @@ from .recovery import (
     residual_trace_form_check,
 )
 from .selftest import run as run_selftest
+from .subspaces import Subspace
 from .centralizers import bounds_table
 
 
@@ -110,11 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrices(args) -> list[Matrix]:
+def _load_subject(args):
+    """Finite set or subspace, preserving which one was given."""
     if args.infile:
         data = jsonio.load_path(args.infile)
         if isinstance(data, dict) and "ambient" in data:
-            return jsonio.subspace_from_json(data).basis
+            return jsonio.subspace_from_json(data)
         return jsonio.matrix_list_from_json(data)
     if getattr(args, "preset", None):
         field = jsonio.parse_field_flag(args.field)
@@ -124,14 +126,9 @@ def _load_matrices(args) -> list[Matrix]:
     raise MalformedJSON("supply --in or --preset")
 
 
-def _load_subject(args):
-    """Finite set or subspace, preserving which one was given."""
-    if args.infile:
-        data = jsonio.load_path(args.infile)
-        if isinstance(data, dict) and "ambient" in data:
-            return jsonio.subspace_from_json(data)
-        return jsonio.matrix_list_from_json(data)
-    return _load_matrices(args)
+def _load_matrices(args) -> list[Matrix]:
+    subject = _load_subject(args)
+    return subject.basis if isinstance(subject, Subspace) else subject
 
 
 def _load_map(args):

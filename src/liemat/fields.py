@@ -3,7 +3,9 @@
 Every field is an immutable descriptor object whose methods operate on
 *raw* element values:
 
-* ``Rationals``       -- :class:`fractions.Fraction` (always lowest terms),
+* ``Rationals``       -- :class:`fractions.Fraction` (always lowest terms);
+  ``dot`` and ``is_scaled`` compute on integer numerators and
+  denominators, and ``parse_scalars`` parses each distinct text once,
 * ``PrimeField(p)``   -- residues ``int`` in ``[0, p)``,
 * ``ExtensionField``  -- coefficient tuples of length ``m`` over GF(p),
   ascending degree, reduced modulo a monic irreducible polynomial.  Up to
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
@@ -66,6 +69,11 @@ class Field:
     Raw-value methods (``add``, ``mul``, ...) never allocate wrappers, so
     matrix kernels stay cheap; ``scalar``/``parse_scalar`` produce
     :class:`Scalar` objects for the public surface.
+
+    The vector kernels ``dot``, ``vec_scale``, ``vec_submul`` and
+    ``is_scaled`` (is v == c*u?), and the batch parser ``parse_scalars``,
+    have generic definitions here in terms of the scalar methods; a field
+    overrides them where a faster idiom exists.
     """
 
     zero: object
@@ -118,6 +126,10 @@ class Field:
         """u - c*v, elementwise."""
         return [self.sub(a, self.mul(c, b)) for a, b in zip(u, v)]
 
+    def is_scaled(self, v: Sequence, c, u: Sequence) -> bool:
+        """Is v == c*u, elementwise?"""
+        return list(v) == self.vec_scale(u, c)
+
     # -- text & sampling ----------------------------------------------------
 
     def format_scalar(self, a) -> str:
@@ -125,6 +137,11 @@ class Field:
 
     def parse_scalar(self, text: str):
         raise NotImplementedError
+
+    def parse_scalars(self, texts: Sequence[str]) -> list:
+        """``parse_scalar`` of each text, in order."""
+        parse = self.parse_scalar
+        return [parse(t) for t in texts]
 
     def random_scalar(self, rng):
         raise NotImplementedError
@@ -186,9 +203,26 @@ class Rationals(Field):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
+    # The integer kernels read the _numerator/_denominator slots behind
+    # Fraction's public properties, whose Python-level getters would double
+    # their cost.
+
     def dot(self, u, v):
-        # skipping zero terms dodges a Fraction normalization per entry
-        return sum((a * b for a, b in zip(u, v) if a and b), _FRAC_ZERO)
+        # num/den over a running common denominator; one normalization per call
+        num, den = 0, 1
+        for a, b in zip(u, v):
+            an = a._numerator
+            if an:
+                bn = b._numerator
+                if bn:
+                    d = a._denominator * b._denominator
+                    if den % d:
+                        g = gcd(den, d)
+                        num = num * (d // g) + an * bn * (den // g)
+                        den = den // g * d
+                    else:
+                        num += an * bn * (den // d)
+        return Fraction(num, den) if num else _FRAC_ZERO
 
     def vec_scale(self, u, c):
         return [c * a if a else a for a in u]
@@ -196,11 +230,29 @@ class Rationals(Field):
     def vec_submul(self, u, c, v):
         return [a - c * b if b else a for a, b in zip(u, v)]
 
+    def is_scaled(self, v, c, u):
+        # a == c*b  iff  a.n * c.d * b.d == c.n * b.n * a.d (denominators > 0)
+        if len(v) != len(u):
+            return False
+        cn, cd = c._numerator, c._denominator
+        for a, b in zip(v, u):
+            if a._numerator * cd * b._denominator != cn * b._numerator * a._denominator:
+                return False
+        return True
+
     def format_scalar(self, a) -> str:
         return str(a)
 
     def parse_scalar(self, text: str):
         return Fraction(text.strip())
+
+    def parse_scalars(self, texts):
+        # map documents repeat few distinct texts: parse each once and share
+        # the immutable values
+        parsed = dict.fromkeys(texts)
+        for t in parsed:
+            parsed[t] = self.parse_scalar(t)
+        return [parsed[t] for t in texts]
 
     def random_scalar(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -15,7 +15,8 @@ Formats (all exact, text-based scalars):
 * map:       {"n": ..., "field": ..., "twist": ...,
               "images": {"i,j": matrix, ...}}
 
-Schema violations raise :class:`MalformedJSON`.
+Sizes (``rows``, ``cols``, ``n``) must be JSON integers.  Schema
+violations raise :class:`MalformedJSON`.
 """
 
 from __future__ import annotations
@@ -136,15 +137,24 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
+def _size(obj: dict, key: str) -> int:
+    """``obj[key]`` as a size: a JSON integer, and not a bool."""
+    value = obj[key]
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{key!r} must be an integer, got {value!r}",
+    )
+    return value
+
+
+def _grid(obj: Any) -> tuple[int, int, list[list]]:
+    """The shape and the row lists of a matrix object.  Checks the grid;
+    parses nothing."""
     _expect(isinstance(obj, dict), "matrix must be an object")
-    if field is None:
-        _expect("field" in obj, "matrix needs a 'field'")
-        field = field_from_json(obj["field"])
     try:
         entries = obj["entries"]
-        rows = int(obj.get("rows", len(entries)))
-        cols = int(obj["cols"]) if "cols" in obj else None
+        rows = _size(obj, "rows") if "rows" in obj else len(entries)
+        cols = _size(obj, "cols") if "cols" in obj else None
     except (KeyError, TypeError) as exc:
         raise MalformedJSON(f"bad matrix object: {exc}") from exc
     _expect(
@@ -154,17 +164,37 @@ def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
     if cols is None:
         _expect(isinstance(entries[0], list), "entry grid does not match 'cols'")
         cols = len(entries[0])
-    parsed = []
     for row in entries:
         _expect(isinstance(row, list) and len(row) == cols, "entry grid does not match 'cols'")
-        try:
-            parsed.append(tuple([field.parse_scalar(str(v)) for v in row]))
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise MalformedJSON(f"bad scalar text: {exc}") from exc
-    if not (rows and cols):
+    if not cols:
         raise DimensionMismatch("matrices must have positive dimensions")
-    # parse_scalar already returns canonical raw values
-    return Matrix._make(field, tuple(parsed))
+    return rows, cols, entries
+
+
+def _parse(field: Field, grids: list[list[list]]) -> list:
+    """The raw values of every entry of the checked grids, row-major and
+    grid after grid."""
+    texts = [str(v) for grid in grids for row in grid for v in row]
+    try:
+        return field.parse_scalars(texts)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise MalformedJSON(f"bad scalar text: {exc}") from exc
+
+
+def _matrices(field: Field, rows: int, cols: int, values: list) -> list[Matrix]:
+    """Consecutive rows x cols matrices with these row-major raw values."""
+    grid = list(zip(*[iter(values)] * cols))  # tuples of cols consecutive values
+    # parse_scalars already returns canonical raw values
+    return [Matrix._make(field, tuple(grid[k:k + rows])) for k in range(0, len(grid), rows)]
+
+
+def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
+    _expect(isinstance(obj, dict), "matrix must be an object")
+    if field is None:
+        _expect("field" in obj, "matrix needs a 'field'")
+        field = field_from_json(obj["field"])
+    rows, cols, entries = _grid(obj)
+    return _matrices(field, rows, cols, _parse(field, [entries]))[0]
 
 
 def matrix_list_from_json(obj: Any) -> list[Matrix]:
@@ -191,8 +221,8 @@ def subspace_from_json(obj: Any) -> Subspace:
     _expect(isinstance(amb, dict), "'ambient' must be an object")
     try:
         field = field_from_json(amb["field"])
-        shape = (int(amb["rows"]), int(amb["cols"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        shape = (_size(amb, "rows"), _size(amb, "cols"))
+    except KeyError as exc:
         raise MalformedJSON(f"bad ambient: {exc}") from exc
     gens = [matrix_from_json(b, field) for b in obj.get("basis", [])]
     return Subspace.span(gens, field=field, shape=shape)
@@ -214,24 +244,25 @@ def algebra_map_to_json(m: AlgebraMap) -> dict:
 
 
 def algebra_map_from_json(obj: Any) -> AlgebraMap:
+    """Every image grid is checked before any scalar is parsed, and the
+    scalars of all images are parsed in one ``parse_scalars`` call."""
     _expect(isinstance(obj, dict), "map must be an object")
     try:
-        n = int(obj["n"])
+        n = _size(obj, "n")
         field = field_from_json(obj["field"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise MalformedJSON(f"bad map object: {exc}") from exc
     _expect(n > 0, f"map size n must be positive, got {n}")
     twist = automorphism_from_json(obj.get("twist"))
     raw_images = obj.get("images")
     _expect(isinstance(raw_images, dict), "map needs an 'images' object")
-    images = []
+    grids = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             key = f"{i},{j}"
             _expect(key in raw_images, f"missing image for unit {key}")
-            img = matrix_from_json(raw_images[key], field)
-            _expect(
-                img.nrows == n and img.ncols == n, f"image {key} is not {n}x{n}"
-            )
-            images.append(img)
+            rows, cols, entries = _grid(raw_images[key])
+            _expect(rows == n and cols == n, f"image {key} is not {n}x{n}")
+            grids.append(entries)
+    images = _matrices(field, n, n, _parse(field, grids))
     return AlgebraMap(n, field, tuple(images), twist)

@@ -253,12 +253,18 @@ def _verify_all_units(
     m: AlgebraMap, conjugator: Matrix, conj_inv: Matrix, transposed: bool
 ) -> bool:
     """Does A E(i,j) A^(-1) (or A E(j,i) A^(-1) for anti-maps) reproduce
-    every unit image?  The twist never shows: units have 0/1 entries."""
+    every unit image?  The twist never shows: units have 0/1 entries.
+
+    Row r of A E(i,j) A^(-1) is A[r][i] times row j of A^(-1), so each
+    image row is compared with a scaled row and no product is built."""
+    is_scaled = m.field.is_scaled
+    a, a_inv = conjugator.entries, conj_inv.entries
     n = m.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            src = (j, i) if transposed else (i, j)
-            if _conjugate_unit(conjugator, conj_inv, *src) != m.image(i, j):
+    for i in range(n):
+        for j in range(n):
+            col, rw = (j, i) if transposed else (i, j)
+            image = m.images[i * n + j].entries
+            if not all(is_scaled(image[r], a[r][col], a_inv[rw]) for r in range(n)):
                 return False
     return True
 

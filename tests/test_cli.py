@@ -230,6 +230,30 @@ def test_nonpositive_sizes_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("MalformedJSON:")
 
 
+def test_non_integer_sizes_exit_2(tmp_path, capsys):
+    unit = jsonio.matrix_to_json(matrix_unit(Q, 1, 1, 1))
+    identity_map = jsonio.algebra_map_to_json(conjugation_map(Matrix.identity(Q, 2)))
+    space = {"ambient": {"field": {"kind": "Q"}, "rows": 1, "cols": 1}, "basis": [unit]}
+    cases = [("closure", [{**unit, "rows": "abc"}])]
+    for sizes in ({"rows": 1.9, "cols": True}, {"rows": True}, {"cols": "1"}, {"cols": 1.0}):
+        cases.append(("closure", [{**unit, **sizes}]))
+    for n in ("2", 2.0, True, None):
+        cases.append(("recover-auto", {**identity_map, "n": n}))
+    for sizes in ({"rows": 1.0}, {"cols": "1"}, {"rows": False}):
+        cases.append(("nilpotency", {**space, "ambient": {**space["ambient"], **sizes}}))
+    for command, doc in cases:
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch([command, "--in", str(path)]) == 2, doc
+        assert capsys.readouterr().err.startswith("MalformedJSON:")
+    # the same documents with integer sizes are accepted
+    for command, doc in (("closure", [unit]), ("recover-auto", identity_map), ("nilpotency", space)):
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch([command, "--in", str(path)]) == 0
+        capsys.readouterr()
+
+
 def test_symplectic_preset_odd_size_is_domain_error(capsys):
     code = dispatch(["recover-anti", "--preset", "symplectic", "--n", "3"])
     assert code == 1

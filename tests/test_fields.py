@@ -285,3 +285,92 @@ def test_noncanonical_coerce_and_parse_inputs():
         GF9.coerce((1, 2, 0))
     with pytest.raises(ValueError):
         GF9.parse_scalar("[1,2")
+
+
+# -- the integer kernels over Q against plain Fraction arithmetic -----------
+
+# zeros, signs, small and large denominators
+fractions_q = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=12),
+    st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**18),
+)
+
+
+@given(st.lists(st.tuples(fractions_q, fractions_q), max_size=12))
+def test_rational_dot_matches_fraction_sum(pairs):
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    got = Q.dot(u, v)
+    assert type(got) is Fraction and got == sum((a * b for a, b in pairs), Fraction(0))
+    if not got:
+        assert got is Q.zero  # the shared zero, not a fresh Fraction per call
+
+
+@given(
+    st.lists(fractions_q, max_size=8),
+    fractions_q,
+    st.integers(min_value=0, max_value=8),
+    fractions_q,
+)
+def test_rational_is_scaled_matches_building_the_product(u, c, k, noise):
+    scaled = [c * b for b in u]
+    assert Q.is_scaled(scaled, c, u)
+    assert Q.is_scaled(tuple(scaled), c, u)
+    perturbed = list(scaled)
+    if k < len(perturbed):
+        perturbed[k] += noise
+    assert Q.is_scaled(perturbed, c, u) == (perturbed == scaled)
+    assert not Q.is_scaled(scaled + [Fraction(0)], c, u)
+
+
+rational_texts = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-7/2", " 5/6 ", "+3", "10/4", "-12/16", "0.25", "1e3"]),
+    fractions_q.map(str),
+)
+
+
+@given(st.lists(rational_texts, max_size=20).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30) if pool else st.just([])
+))
+def test_rational_parse_scalars_matches_parse_scalar(texts):
+    got = Q.parse_scalars(texts)
+    assert got == [Q.parse_scalar(t) for t in texts]
+    assert all(type(a) is Fraction for a in got)
+    # a repeated text is parsed once and its value shared
+    first = {}
+    for text, value in zip(texts, got):
+        assert first.setdefault(text, value) is value
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "1/", "", "1//2", "[1,0]"])
+def test_parse_scalars_raises_what_parse_scalar_raises(bad):
+    with pytest.raises(Exception) as single:
+        Q.parse_scalar(bad)
+    with pytest.raises(type(single.value)):
+        Q.parse_scalars(["1", bad, "1"])
+
+
+# -- the kernel contract on every benchmark field ----------------------------
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, GF5, PrimeField(1000003), GF4, GF81, ExtensionField(2, 17)],
+    ids=lambda f: repr(f),
+)
+def test_is_scaled_and_parse_scalars_agree_with_the_scalar_kernels(field):
+    rng = rng_for("kernel-contract", repr(field))
+    for _ in range(40):
+        u = [field.random_scalar(rng) for _ in range(rng.randint(0, 6))]
+        if u and rng.random() < 0.3:
+            u[rng.randrange(len(u))] = field.zero
+        c = field.zero if rng.random() < 0.2 else field.random_scalar(rng)
+        scaled = field.vec_scale(u, c)
+        assert field.is_scaled(tuple(scaled), c, u)
+        if u:
+            k = rng.randrange(len(u))
+            other = list(scaled)
+            other[k] = field.add(other[k], field.one)
+            assert not field.is_scaled(other, c, u)
+        texts = [field.format_scalar(a) for a in u + scaled + u]
+        assert field.parse_scalars(texts) == [field.parse_scalar(t) for t in texts]
+    assert field.parse_scalars([]) == []

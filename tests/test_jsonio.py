@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liemat import AlgebraMap, FieldAutomorphism, Subspace, conjugation_map
+from liemat import AlgebraMap, FieldAutomorphism, Matrix, Subspace, conjugation_map
 from liemat.errors import DimensionMismatch, MalformedJSON
 from liemat import jsonio
 
@@ -123,6 +123,21 @@ def test_algebra_map_schema_errors():
     )
     del blob["images"]["1,2"]
     with pytest.raises(MalformedJSON):
+        jsonio.algebra_map_from_json(blob)
+
+
+def test_algebra_map_grid_faults_are_malformed():
+    blob = jsonio.algebra_map_to_json(AlgebraMap.from_function(2, Q, lambda u: u))
+    blob["images"]["1,1"]["entries"][0][0] = "not a scalar"
+    with pytest.raises(MalformedJSON, match="bad scalar text"):
+        jsonio.algebra_map_from_json(blob)
+    # every grid is checked before any scalar is parsed, so a later grid
+    # fault is reported ahead of the bad scalar in image 1,1
+    blob["images"]["2,2"]["entries"][1] = ["1"]
+    with pytest.raises(MalformedJSON, match="entry grid does not match 'cols'"):
+        jsonio.algebra_map_from_json(blob)
+    blob["images"]["2,2"] = jsonio.matrix_to_json(Matrix.identity(Q, 3))
+    with pytest.raises(MalformedJSON, match="image 2,2 is not 2x2"):
         jsonio.algebra_map_from_json(blob)
 
 
