@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass
 
 from .centralizers import (
+    ClosureIndexProbe,
     associative_closure_probe,
     balanced_parts,
     bounds_table,
@@ -84,40 +85,17 @@ def conjecture_evidence(max_n: int = 5) -> list[EvidenceRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class ClosureIndexRow:
-    description: str
-    ambient_dim: int
-    subspace_dim: int
-    subspace_index: int | None
-    closure_dim: int
-    closure_index: int | None
-
-
-def closure_index_observations(max_n: int = 4) -> list[ClosureIndexRow]:
+def closure_index_observations(max_n: int = 4) -> list[tuple[str, ClosureIndexProbe]]:
     """Observed (k, d, index) data for associative closures of Lie-
-    nilpotent subspaces; logged without extrapolation."""
+    nilpotent subspaces, as (description, probe) pairs; logged without
+    extrapolation."""
     rows = []
     for n in range(2, max_n + 1):
         subjects = [
             (f"strict-upper-{n}", _strictly_upper(Rationals(), n)),
-            (
-                f"block-{n}-balanced",
-                extremal_block_algebra(n, balanced_parts(n, 2)),
-            ),
+            (f"block-{n}-balanced", extremal_block_algebra(n, balanced_parts(n, 2))),
         ]
-        for name, space in subjects:
-            probe = associative_closure_probe(space)
-            rows.append(
-                ClosureIndexRow(
-                    description=name,
-                    ambient_dim=probe.ambient_dim,
-                    subspace_dim=probe.subspace_dim,
-                    subspace_index=probe.subspace_index,
-                    closure_dim=probe.closure_dim,
-                    closure_index=probe.closure_index,
-                )
-            )
+        rows += [(name, associative_closure_probe(space)) for name, space in subjects]
     return rows
 
 
@@ -163,8 +141,8 @@ def write_closure_observations_csv(path, max_n: int = 4) -> None:
             ["description", "ambient_dim", "subspace_dim", "subspace_index",
              "closure_dim", "closure_index"]
         )
-        for row in closure_index_observations(max_n):
+        for name, probe in closure_index_observations(max_n):
             writer.writerow(
-                [row.description, row.ambient_dim, row.subspace_dim,
-                 row.subspace_index, row.closure_dim, row.closure_index]
+                [name, probe.ambient_dim, probe.subspace_dim,
+                 probe.subspace_index, probe.closure_dim, probe.closure_index]
             )

@@ -15,8 +15,9 @@ Formats (all exact, text-based scalars):
 * map:       {"n": ..., "field": ..., "twist": ...,
               "images": {"i,j": matrix, ...}}
 
-Sizes (``rows``, ``cols``, ``n``) must be JSON integers.  Schema
-violations raise :class:`MalformedJSON`.
+Sizes (``rows``, ``cols``, ``n``), field parameters (``p``, ``m``, the
+``modulus`` coefficients) and the twist power ``e`` must be JSON integers.
+Schema violations raise :class:`MalformedJSON`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,19 @@ from .subspaces import Subspace
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise MalformedJSON(msg)
+
+
+def _integer(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer, and not a bool."""
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{what} must be an integer, got {value!r}",
+    )
+    return value
+
+
+def _size(obj: dict, key: str) -> int:
+    return _integer(obj[key], repr(key))
 
 
 def loads(text: str) -> Any:
@@ -72,13 +86,14 @@ def field_from_json(obj: Any) -> Field:
         if kind == "Q":
             return Rationals()
         if kind == "GF":
-            return PrimeField(int(obj["p"]))
+            return PrimeField(_size(obj, "p"))
         if kind == "GFext":
             modulus = obj.get("modulus")
+            _expect(modulus is None or isinstance(modulus, list), "'modulus' must be a list")
             return ExtensionField(
-                int(obj["p"]),
-                int(obj["m"]),
-                None if modulus is None else [int(c) for c in modulus],
+                _size(obj, "p"),
+                _size(obj, "m"),
+                None if modulus is None else [_integer(c, "modulus coefficient") for c in modulus],
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedJSON(f"bad field descriptor: {exc}") from exc
@@ -119,7 +134,7 @@ def automorphism_from_json(obj: Any) -> FieldAutomorphism:
         return FieldAutomorphism.identity()
     if obj["kind"] == "frobenius":
         try:
-            return FieldAutomorphism.frobenius(int(obj["e"]))
+            return FieldAutomorphism.frobenius(_size(obj, "e"))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJSON(f"bad frobenius twist: {exc}") from exc
     raise MalformedJSON(f"unknown twist kind {obj['kind']!r}")
@@ -135,16 +150,6 @@ def matrix_to_json(m: Matrix) -> dict:
         "cols": m.ncols,
         "entries": [[fmt(a) for a in row] for row in m.entries],
     }
-
-
-def _size(obj: dict, key: str) -> int:
-    """``obj[key]`` as a size: a JSON integer, and not a bool."""
-    value = obj[key]
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{key!r} must be an integer, got {value!r}",
-    )
-    return value
 
 
 def _grid(obj: Any) -> tuple[int, int, list[list]]:

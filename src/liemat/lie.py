@@ -1,17 +1,17 @@
-"""Commutator brackets, left-normed products, sparse ad operators, and
-subalgebra closure.
+"""Commutator brackets, left-normed products, sparse product operators,
+and subalgebra closure.
 
-``ad_operator`` applies r -> [r, h] to sparse row-major vectors, and
-``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
-stacked kernel; centralizer levels and centralizer intersections are
-both such kernels.
+``ad_operator`` (r -> [r, h]) and ``right_operator`` (r -> r·h) act on
+sparse row-major vectors.  ``ad_kernel`` solves {r : [r, x1, ..., xk] in T
+for every chain} as one stacked kernel, as centralizer levels need.
 
-The closure engine grows a list of independent products of a generator
-set X sweep by sweep.  Each sweep pairs the elements added by the previous
-sweep with every element before them (one order per pair for the bracket,
-both orders and the square for the associative product), and stops as
-soon as the span is the whole matrix space.  Before each sweep the span V
-is tested against the generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the
+The closure engine keeps each of its independent products of a generator
+set X sparse, with its operator, so every product it forms is one operator
+application.  Each sweep pairs the elements added by the previous sweep
+with every element before them (one order per pair for the bracket, both
+orders and the square for the associative product), and stops as soon as
+the span is the whole matrix space.  Before each sweep the span V is
+tested against the generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the
 spanning lemma a pass proves that V is the closure (see
 ``_certify_closed``), so no sweep that adds nothing is ever run.
 """
@@ -58,21 +58,40 @@ def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
     return {key: a for key, a in out.items() if not field.is_zero(a)}
 
 
-def ad_operator(h: Matrix) -> SparseMap:
-    """The map r -> [r, h] on sparse row-major vectors, stored as the image
-    of each unit matrix: [E_ik, h] has h[k][l] at (i, l) and -h[m][i] at
-    (m, k), so only the nonzero entries of row k and column i of h appear.
-    """
-    F = h.field
-    n = h.nrows
-    e = h.entries
-    rows = [[(l, a) for l, a in enumerate(e[k]) if not F.is_zero(a)] for k in range(n)]
-    cols = [[(m, F.neg(e[m][i])) for m in range(n) if not F.is_zero(e[m][i])] for i in range(n)]
+def _sparse(field: Field, vec) -> SparseVec:
+    return {i: a for i, a in enumerate(vec) if not field.is_zero(a)}
+
+
+def _dense(field: Field, length: int, vec: SparseVec) -> list:
+    out = [field.zero] * length
+    for i, a in vec.items():
+        out[i] = a
+    return out
+
+
+def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
+    """The unit images of r -> r·h, or of r -> [r, h] when ``lie``: E_ik·h
+    has h[k][l] at (i, l), and [E_ik, h] adds -h[m][i] at (m, k)."""
+    rows, cols = [[] for _ in range(n)], [[] for _ in range(n)]  # (column, a), (row, -a)
+    for idx, a in h.items():
+        k, l = divmod(idx, n)
+        rows[k].append((l, a))
+        if lie:
+            cols[l].append((k, field.neg(a)))
     return {
         i * n + k: [(i * n + l, a) for l, a in rows[k]] + [(m * n + k, a) for m, a in cols[i]]
-        for i in range(n)
-        for k in range(n)
+        for i in range(n) for k in range(n)
     }
+
+
+def ad_operator(h: Matrix) -> SparseMap:
+    """The map r -> [r, h] on sparse row-major vectors."""
+    return _operator(h.field, h.nrows, _sparse(h.field, h.vectorize()), True)
+
+
+def right_operator(h: Matrix) -> SparseMap:
+    """The map r -> r·h on sparse row-major vectors."""
+    return _operator(h.field, h.nrows, _sparse(h.field, h.vectorize()), False)
 
 
 def ad_kernel(
@@ -116,10 +135,7 @@ def ad_kernel(
             for j, a in _apply(field, reduce, img).items():
                 rows.setdefault(j, {})[c] = a
         for entries in rows.values():
-            dense = [field.zero] * N
-            for c, a in entries.items():
-                dense[c] = a
-            constraints.insert(dense)
+            constraints.insert(_dense(field, N, entries))
             if constraints.dim == N:
                 return Subspace.zero(field, (n, n))
 
@@ -145,7 +161,9 @@ class ClosureResult:
 
     A closure that is not the whole space was certified before it was
     returned: [V, X] ⊆ V (V·X ⊆ V) holds for V = ``subspace``, which is
-    spanned by products of generators and contains X.
+    spanned by products of generators and contains X.  Every product is
+    formed on sparse vectors by the operator r -> [r, h] (r -> r·h) of its
+    right factor h, so no dense matrix product is made.
     """
 
     subspace: Subspace
@@ -172,59 +190,56 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     if kind not in ("lie", "associative"):
         raise ValueError(f"unknown product kind {kind!r}")
 
-    builder = SpanBuilder(field, n * n)
-    basis: list[Matrix] = []  # independent representatives, insertion order
-    for g in gens:
-        if builder.insert(g.vectorize()):
-            basis.append(g)
-    independent_gens = list(basis)
-
     full_dim = n * n
-    rounds = 0
-    frontier_start = 0
+    lie = kind == "lie"
+    builder = SpanBuilder(field, full_dim)
+    # independent representatives, insertion order
+    basis = [_sparse(field, v) for v in map(Matrix.vectorize, gens) if builder.insert(v)]
+    ops = [_operator(field, n, u, lie) for u in basis]  # r -> [r, u] or r -> r·u
+    generator_ops = list(ops)
+
+    rounds = frontier_start = 0
     while basis and builder.dim < full_dim:
         rounds += 1
         subspace = Subspace(field, (n, n), builder.sorted_rows())
-        if _certify_closed(subspace, basis, independent_gens, kind):
+        if _certify_closed(subspace, basis, generator_ops):
             return ClosureResult(subspace=subspace, rounds=rounds, product_kind=kind)
         frontier_end = len(basis)
-        for prod in _sweep(basis, frontier_start, frontier_end, kind):
-            if builder.insert(prod.vectorize()):
+        for prod in _sweep(field, basis, ops, frontier_start, frontier_end, lie):
+            if prod and builder.insert(_dense(field, full_dim, prod)):
                 basis.append(prod)
+                ops.append(_operator(field, n, prod, lie))
                 if builder.dim == full_dim:
                     break
         if len(basis) == frontier_end:
             raise AssertionError("a sweep after a failed certificate added nothing")
         frontier_start = frontier_end
-
-    subspace = Subspace(field, (n, n), builder.sorted_rows())
-    return ClosureResult(subspace=subspace, rounds=rounds, product_kind=kind)
+    return ClosureResult(Subspace(field, (n, n), builder.sorted_rows()), rounds, kind)
 
 
-def _sweep(basis: list[Matrix], start: int, end: int, kind: ProductKind):
+def _sweep(
+    field: Field, basis: list[SparseVec], ops: list[SparseMap], start: int, end: int, lie: bool
+):
     """Products of each frontier element basis[i], start <= i < end, with
     basis[j] for j < i, and for the associative kind also j = i.
 
     Every other product of two elements of basis[:end] is zero, the
     negative of one of these, or was formed by an earlier sweep.
     """
-    for i in range(start, end):
-        u = basis[i]
-        if kind == "lie":
-            for v in basis[:i]:
-                yield bracket(u, v)
-        else:
-            for v in basis[:i]:
-                yield u * v
-                yield v * u
-            yield u * u
+    for i, u in enumerate(basis[start:end], start):
+        for j in range(i):
+            yield _apply(field, ops[j], u)  # [u, v] or u·v, v = basis[j]
+            if not lie:
+                yield _apply(field, ops[i], basis[j])  # v·u
+        if not lie:
+            yield _apply(field, ops[i], u)  # u·u
 
 
 def _certify_closed(
-    subspace: Subspace, basis: list[Matrix], generators: list[Matrix], kind: ProductKind
+    subspace: Subspace, basis: list[SparseVec], generator_ops: list[SparseMap]
 ) -> bool:
     """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
-    ``subspace``, spanned by ``basis``, and X is ``generators``.
+    ``subspace``, spanned by ``basis``, and X is given by its operators.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
     [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
@@ -235,10 +250,11 @@ def _certify_closed(
     The newest elements are tested first, so a span that is not yet closed
     fails fast.
     """
+    field, N = subspace.field, subspace.ambient_dim
     for u in reversed(basis):
-        for x in generators:
-            prod = bracket(u, x) if kind == "lie" else u * x
-            if not subspace.contains_vec(prod.vectorize()):
+        for op in generator_ops:
+            prod = _apply(field, op, u)
+            if prod and not subspace.contains_vec(_dense(field, N, prod)):
                 return False
     return True
 

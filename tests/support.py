@@ -22,6 +22,8 @@ GF5 = PrimeField(5)
 GF7 = PrimeField(7)
 GF4 = ExtensionField(2, 2)
 GF9 = ExtensionField(3, 2)
+GF81 = ExtensionField(3, 4)
+GF_LARGE = PrimeField(1000003)
 
 
 def rng_for(*key) -> random.Random:
@@ -171,6 +173,8 @@ __all__ = [
     "GF5",
     "GF7",
     "GF9",
+    "GF81",
+    "GF_LARGE",
     "Q",
     "mat",
     "oracle_add",

@@ -450,8 +450,8 @@ def test_evidence_experiments_run():
     assert rows and all(row.within_bound for row in rows)
     observations = closure_index_observations(3)
     assert observations
-    for row in observations:
-        assert row.closure_dim >= row.subspace_dim
+    for _name, probe in observations:
+        assert probe.closure_dim >= probe.subspace_dim
     dims = char2_generation_dims(3)
     assert [n for n, _ in dims] == [2, 3]
 

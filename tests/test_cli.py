@@ -330,3 +330,42 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outcome"]["rows"][0]["n"] == 1
+
+
+def test_non_integer_field_parameters_exit_2(tmp_path, capsys):
+    gf5_unit = jsonio.matrix_to_json(matrix_unit(GF5, 1, 1, 1))
+    gf4_unit = jsonio.matrix_to_json(matrix_unit(GF4, 1, 1, 1))
+    gf4 = gf4_unit["field"]
+    gf4_map = jsonio.algebra_map_to_json(conjugation_map(Matrix.identity(GF4, 2)))
+
+    def closure_doc(unit, **field):
+        return [{**unit, "field": {**unit["field"], **field}}]
+
+    def twisted_map(e):
+        return {**gf4_map, "twist": {"kind": "frobenius", "e": e}}
+
+    slots = [
+        ("closure", lambda v: closure_doc(gf5_unit, p=v), 5.9),
+        ("closure", lambda v: closure_doc(gf4_unit, p=v), 2.5),
+        ("closure", lambda v: closure_doc(gf4_unit, m=v), 2.7),
+        ("closure", lambda v: closure_doc(gf4_unit, modulus=[1, v, 1]), 1.0),
+        ("recover-auto", twisted_map, 1.5),
+    ]
+    path = tmp_path / "params.json"
+    for command, make, as_float in slots:
+        for bad in (as_float, True, "1"):
+            path.write_text(json.dumps(make(bad)))
+            assert dispatch([command, "--in", str(path)]) == 2, make(bad)
+            assert capsys.readouterr().err.startswith("MalformedJSON:")
+    path.write_text(json.dumps(closure_doc(gf4_unit, modulus="111")))
+    assert dispatch(["closure", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("MalformedJSON: 'modulus' must be a list")
+    # the same slots with JSON integers are accepted
+    for command, doc in (
+        ("closure", closure_doc(gf5_unit, p=5)),
+        ("closure", closure_doc(gf4_unit, p=2, m=2, modulus=gf4["modulus"])),
+        ("recover-auto", twisted_map(0)),
+    ):
+        path.write_text(json.dumps(doc))
+        assert dispatch([command, "--in", str(path)]) == 0, doc
+        capsys.readouterr()

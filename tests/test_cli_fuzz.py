@@ -1,0 +1,124 @@
+"""Generated JSON documents through the CLI: every outcome is an exit code
+0, 1 or 2, and every failure names a typed error, never a traceback.
+
+Documents start as valid inputs (generator lists, subspaces, and
+conjugation, transpose, twisted or random maps) and then have up to two of
+their values replaced by arbitrary JSON or their keys deleted; arbitrary
+JSON is also fed in whole.
+"""
+
+import copy
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from liemat import (
+    AlgebraMap,
+    FieldAutomorphism,
+    Subspace,
+    conjugation_map,
+    errors,
+    jsonio,
+    transpose_conjugation_map,
+)
+from liemat.cli import dispatch
+
+from support import GF2, GF4, GF5, GF9, Q, random_invertible, random_matrix
+
+ERROR_NAMES = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.LiematError)
+}
+FIELDS = [Q, GF2, GF5, GF4, GF9]
+
+_atoms = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-4, 4, allow_nan=False, width=16),
+    st.sampled_from(["", "x", "0", "1", "-1", "1/2", "1/0", "[1,0]", "[1]", "1.5"]),
+)
+_any = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "p", "m", "n", "rows", "entries"]), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _generators(draw):
+    field, n = draw(st.sampled_from(FIELDS)), draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    mats = [random_matrix(field, n, n, rng) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        return jsonio.subspace_to_json(Subspace.span(mats))
+    return [jsonio.matrix_to_json(m) for m in mats]
+
+
+@st.composite
+def _maps(draw):
+    field, n = draw(st.sampled_from(FIELDS)), draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    twist = FieldAutomorphism.frobenius(1) if field.order in (4, 9) and draw(st.booleans()) else None
+    kind = draw(st.sampled_from(["conjugation", "transpose", "random"]))
+    if kind == "random":
+        images = tuple(random_matrix(field, n, n, rng) for _ in range(n * n))
+        return jsonio.algebra_map_to_json(AlgebraMap(n, field, images, twist))
+    make = conjugation_map if kind == "conjugation" else transpose_conjugation_map
+    return jsonio.algebra_map_to_json(make(random_invertible(field, n, rng), twist))
+
+
+def _paths(doc, prefix=()):
+    if prefix:
+        yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, valid):
+    doc = copy.deepcopy(draw(valid))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_any)
+    return doc
+
+
+_cases = st.one_of(
+    st.tuples(st.just("closure"), st.one_of(_mutated(_generators()), _any)),
+    st.tuples(st.just("recover-auto"), st.one_of(_mutated(_maps()), _any)),
+)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cases)
+def test_cli_input_never_ends_in_a_traceback(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = dispatch([command, "--in", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == command
+    else:
+        name = err.getvalue().split(":", 1)[0]
+        assert name in ERROR_NAMES, err.getvalue()

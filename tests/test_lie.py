@@ -15,6 +15,7 @@ from liemat import (
     matrix_unit,
     upper_shift,
 )
+from liemat import lie
 from liemat.errors import EmptySequence, MixedShapes
 
 from support import (
@@ -22,6 +23,8 @@ from support import (
     GF5,
     GF7,
     GF9,
+    GF81,
+    GF_LARGE,
     Q,
     random_matrix,
     reference_ad_kernel,
@@ -202,6 +205,31 @@ def _reference_cases():
         for n in (2, 3, 4):
             pair = [random_matrix(field, n, n, rng) for _ in range(2)]
             cases.append((f"random n={n} {field!r}", pair))
+    for field in (GF81, GF_LARGE):
+        for n in (2, 3, 4):
+            cases.append((f"P,E11 n={n} {field!r}", [P(field, n), E(n, 1, 1, field)]))
+        cases.append((f"S,E21 n=4 {field!r}", [S(field, 4), E(4, 2, 1, field)]))
+        cases.append((f"P,E12 n=4 {field!r}", [P(field, 4), E(4, 1, 2, field)]))
+        rng = rng_for("reference-closure", repr(field))
+        for n in (2, 3):
+            pair = [random_matrix(field, n, n, rng) for _ in range(2)]
+            cases.append((f"random n={n} {field!r}", pair))
+    for field in (Q, GF5, GF_LARGE, GF81):
+        rng = rng_for("reference-closure-dense", repr(field))
+        pair = [random_matrix(field, 5, 5, rng) for _ in range(2)]
+        cases.append((f"dense random n=5 {field!r}", pair))
+    # many vanishing products: nilpotent units, and a generator whose first
+    # row and column are zero, so that it kills E11 from both sides
+    for field in (Q, GF2, GF5, GF81):
+        rng = rng_for("reference-closure-vanishing", repr(field))
+        hollow = random_matrix(field, 4, 4, rng)
+        hollow = Matrix(field, [[0] * 4] + [[0, *row[1:]] for row in hollow.entries[1:]])
+        cases += [
+            (f"E12,E23 n=3 {field!r}", [E(3, 1, 2, field), E(3, 2, 3, field)]),
+            (f"E12,E23,E34 n=4 {field!r}", [E(4, i, i + 1, field) for i in (1, 2, 3)]),
+            (f"E11,hollow n=4 {field!r}", [E(4, 1, 1, field), hollow]),
+            (f"S,hollow n=4 {field!r}", [S(field, 4), hollow]),
+        ]
     return [pytest.param(gens, id=case_id) for case_id, gens in cases]
 
 
@@ -212,6 +240,41 @@ def test_closure_matches_reference_sweep(gens, kind):
     subspace, rounds = reference_closure(gens, kind)
     assert result.subspace.rows == subspace.rows
     assert result.rounds == rounds
+
+
+@pytest.mark.parametrize("kind", ["lie", "associative"])
+def test_closure_makes_no_dense_products(kind, monkeypatch):
+    cases = [
+        [cyclic_permutation(Q, 5), E(5, 1, 1)],
+        [upper_shift(GF5, 4), E(4, 4, 1, GF5)],
+        [E(3, 1, 2), E(3, 2, 3)],
+        [random_matrix(GF81, 3, 3, rng_for("no-dense", kind)) for _ in range(2)],
+    ]
+    expected = [reference_closure(gens, kind) for gens in cases]
+
+    def refuse(*args):
+        raise AssertionError("dense product on the closure path")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(lie, "bracket", refuse)
+    for gens, (subspace, rounds) in zip(cases, expected):
+        result = closure(gens, kind)
+        assert result.subspace.rows == subspace.rows
+        assert result.rounds == rounds
+
+
+@pytest.mark.parametrize("field", [Q, GF2, GF9, GF_LARGE], ids=repr)
+def test_product_operators_match_dense_products(field):
+    rng = rng_for("product-operators", repr(field))
+    n = 3
+    hs = [random_matrix(field, n, n, rng) for _ in range(6)] + [E(n, 2, 3, field)]
+    for h in hs:
+        r = random_matrix(field, n, n, rng)
+        r_vec = lie._sparse(field, r.vectorize())
+        for op, dense in ((lie.right_operator(h), r * h), (lie.ad_operator(h), bracket(r, h))):
+            image = lie._apply(field, op, r_vec)
+            assert all(not field.is_zero(a) for a in image.values())
+            assert lie._dense(field, n * n, image) == list(dense.vectorize())
 
 
 def test_closure_rounds_edge_cases():
