@@ -5,7 +5,8 @@ Formats (all exact, text-based scalars):
 * field:     {"kind": "Q"} | {"kind": "GF", "p": 5}
              | {"kind": "GFext", "p": 2, "m": 2, "modulus": [1, 1, 1]}
 * scalar:    rationals "a/b" or "a"; prime fields a decimal residue;
-             extension fields "[c0,c1,...]" in ascending degree
+             extension fields "[c0,c1,...]" in ascending degree; an
+             entry is a JSON string, or a JSON integer read as its text
 * matrix:    {"field": ..., "rows": r, "cols": c,
               "entries": [[scalar, ...], ...]}  (row-major)
 * subspace:  {"ambient": {"field": ..., "rows": r, "cols": c},
@@ -176,10 +177,16 @@ def _grid(obj: Any) -> tuple[int, int, list[list]]:
     return rows, cols, entries
 
 
+def _text(value: Any) -> str:
+    """The text of an entry that is not a JSON string; only an integer has one."""
+    _expect(type(value) is int, f"entry must be a string or an integer, got {value!r}")
+    return str(value)
+
+
 def _parse(field: Field, grids: list[list[list]]) -> list:
     """The raw values of every entry of the checked grids, row-major and
     grid after grid."""
-    texts = [str(v) for grid in grids for row in grid for v in row]
+    texts = [v if type(v) is str else _text(v) for grid in grids for row in grid for v in row]
     try:
         return field.parse_scalars(texts)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -229,7 +236,10 @@ def subspace_from_json(obj: Any) -> Subspace:
         shape = (_size(amb, "rows"), _size(amb, "cols"))
     except KeyError as exc:
         raise MalformedJSON(f"bad ambient: {exc}") from exc
-    gens = [matrix_from_json(b, field) for b in obj.get("basis", [])]
+    _expect(shape[0] > 0 and shape[1] > 0, f"ambient sizes must be positive, got {shape}")
+    basis = obj.get("basis", [])
+    _expect(isinstance(basis, list), "'basis' must be a list")
+    gens = [matrix_from_json(b, field) for b in basis]
     return Subspace.span(gens, field=field, shape=shape)
 
 

@@ -3,6 +3,9 @@ the package is built on: reduced row-echelon form, kernels, inverses, and
 the standard generator matrices (units, shift, cyclic permutation) plus the
 symplectic involution.
 
+``SpanBuilder`` is the package's one Gauss-Jordan elimination: RREF,
+kernels, inverses and every canonical span in ``subspaces`` run on it.
+
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
 convention ``E(i, j)``; plain element access is 0-based Python.
@@ -257,43 +260,75 @@ class Matrix:
         return inv
 
 
-def _rref_in_place(rows: list[list], field: Field) -> list[int]:
-    """Full Gauss-Jordan on a list of raw-valued rows; returns pivot cols.
+def _rref_in_place(rows: list[Sequence], field: Field) -> list[int]:
+    """Reduced row-echelon form of raw-valued rows, in place: the rows go
+    through a ``SpanBuilder`` and come back sorted by pivot, zero rows last.
+    Returns the pivot columns in increasing order."""
+    builder = SpanBuilder(field, len(rows[0]) if rows else 0)
+    for row in rows:
+        builder.insert(row)
+    rows[:] = builder.sorted_rows() + ((field.zero,) * builder.length,) * (len(rows) - builder.dim)
+    return sorted(builder.pivots)
 
-    Pivot choice is the first nonzero entry scanning top to bottom, which
-    is deterministic and all that exact arithmetic needs.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+
+def _reduce(field: Field, rows: Sequence[Sequence], pivots: Sequence[int], vec: list) -> list:
+    """``vec`` reduced against echelon ``rows`` with pivot columns
+    ``pivots``; zero iff ``vec`` lies in their span."""
     is_zero = field.is_zero
-    inv = field.inv
-    vec_scale = field.vec_scale
-    vec_submul = field.vec_submul
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not is_zero(rows[i][c]):
-                pivot_row = i
+    submul = field.vec_submul
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if not is_zero(c):
+            vec = submul(vec, c, row)
+    return vec
+
+
+class SpanBuilder:
+    """Incrementally maintained RREF span of raw vectors.
+
+    ``insert`` reduces a vector against the current rows, and on growth
+    normalizes it and back-substitutes into the existing rows, so the row
+    set stays a reduced echelon basis at all times (rows are kept indexed
+    by pivot column; sort by pivot to read the canonical basis off).
+    """
+
+    def __init__(self, field: Field, length: int):
+        self.field = field
+        self.length = length
+        self.rows: list[list] = []
+        self.pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: Sequence) -> bool:
+        """Add a vector to the span; True if the dimension grew."""
+        F = self.field
+        v = _reduce(F, self.rows, self.pivots, list(vec))
+        pivot = None
+        for i, a in enumerate(v):
+            if not F.is_zero(a):
+                pivot = i
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        if lead != field.one:
-            rows[r] = vec_scale(rows[r], inv(lead))
-        for i in range(nrows):
-            if i != r and not is_zero(rows[i][c]):
-                rows[i] = vec_submul(rows[i], rows[i][c], rows[r])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        if pivot is None:
+            return False
+        if v[pivot] != F.one:
+            v = F.vec_scale(v, F.inv(v[pivot]))
+        for i, row in enumerate(self.rows):
+            c = row[pivot]
+            if not F.is_zero(c):
+                self.rows[i] = F.vec_submul(row, c, v)
+        self.rows.append(v)
+        self.pivots.append(pivot)
+        return True
+
+    def sorted_rows(self) -> tuple[tuple, ...]:
+        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
+        return tuple(tuple(self.rows[i]) for i in order)
 
 
-def _kernel_from_rref(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[list]:
+def _kernel_from_rref(rows: list[Sequence], pivots: list[int], ncols: int, field: Field) -> list[list]:
     free_cols = [c for c in range(ncols) if c not in pivots]
     z, o = field.zero, field.one
     neg = field.neg

@@ -19,6 +19,7 @@ from .centralizers import (
     nilpotency_report,
     nilpotent_subalgebra_dim_bound,
 )
+from .errors import SingularMatrix
 from .experiments import char2_generation_dims
 from .fields import ExtensionField, FieldAutomorphism, PrimeField, Rationals
 from .lie import bracket, centralizer_intersection_check, closure, leibniz_expansion_check
@@ -41,25 +42,31 @@ from .matrices import scalar_multiple_of_identity
 _FIELDS = lambda: [Rationals(), PrimeField(5), ExtensionField(2, 2)]  # noqa: E731
 
 
+def _require(condition: bool) -> None:
+    """``assert`` that ``python -O`` does not strip."""
+    if not condition:
+        raise AssertionError
+
+
 def _check_field_axioms(rng):
     for F in _FIELDS():
         for _ in range(250):
             a, b, c = (F.random_scalar(rng) for _ in range(3))
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(F.add(a, b), c) == F.add(F.mul(a, c), F.mul(b, c))
+            _require(F.add(a, b) == F.add(b, a))
+            _require(F.mul(F.add(a, b), c) == F.add(F.mul(a, c), F.mul(b, c)))
             if not F.is_zero(a):
-                assert F.mul(a, F.inv(a)) == F.one
+                _require(F.mul(a, F.inv(a)) == F.one)
 
 
 def _check_frobenius_bijection(rng):
     for F in (ExtensionField(2, 2), ExtensionField(3, 2)):
         f = FieldAutomorphism.frobenius(1)
         seen = {f.apply(F, e) for e in F.elements()}
-        assert len(seen) == F.order
+        _require(len(seen) == F.order)
         for _ in range(50):
             a, b = F.random_scalar(rng), F.random_scalar(rng)
-            assert f.apply(F, F.mul(a, b)) == F.mul(f.apply(F, a), f.apply(F, b))
-            assert f.apply(F, F.add(a, b)) == F.add(f.apply(F, a), f.apply(F, b))
+            _require(f.apply(F, F.mul(a, b)) == F.mul(f.apply(F, a), f.apply(F, b)))
+            _require(f.apply(F, F.add(a, b)) == F.add(f.apply(F, a), f.apply(F, b)))
 
 
 def _check_eliminations(rng):
@@ -68,16 +75,16 @@ def _check_eliminations(rng):
             m = random_matrix(F, 4, 4, rng)
             r1, rank, _ = m.rref()
             r2, rank2, _ = r1.rref()
-            assert r1 == r2 and rank == rank2
+            _require(r1 == r2 and rank == rank2)
             kernel_dim = len(m.kernel_vectors())
-            assert kernel_dim == 4 - rank
+            _require(kernel_dim == 4 - rank)
             singular = rank < 4
             try:
                 m.inverse()
                 inverted = True
-            except Exception:
+            except SingularMatrix:
                 inverted = False
-            assert inverted == (not singular)
+            _require(inverted == (not singular))
 
 
 def _check_symplectic(rng):
@@ -85,8 +92,10 @@ def _check_symplectic(rng):
         for _ in range(25):
             x = random_matrix(F, 8, 8, rng)
             y = random_matrix(F, 8, 8, rng)
-            assert symplectic_involution(symplectic_involution(x)) == x
-            assert symplectic_involution(x * y) == symplectic_involution(y) * symplectic_involution(x)
+            _require(symplectic_involution(symplectic_involution(x)) == x)
+            _require(
+                symplectic_involution(x * y) == symplectic_involution(y) * symplectic_involution(x)
+            )
 
 
 def _check_jacobi(rng):
@@ -98,19 +107,19 @@ def _check_jacobi(rng):
             + bracket(bracket(y, z), x)
             + bracket(bracket(z, x), y)
         )
-        assert total.is_zero()
+        _require(total.is_zero())
 
 
 def _check_generation(rng):
     for F in (Rationals(), PrimeField(5), PrimeField(7)):
         res = closure([cyclic_permutation(F, 3), matrix_unit(F, 3, 1, 1)], "lie")
-        assert res.subspace.is_full
+        _require(res.subspace.is_full)
         assoc = closure([upper_shift(F, 3), matrix_unit(F, 3, 3, 1)], "associative")
-        assert assoc.subspace.is_full
+        _require(assoc.subspace.is_full)
     inter, central = centralizer_intersection_check(
         [upper_shift(Rationals(), 3), matrix_unit(Rationals(), 3, 3, 1)]
     )
-    assert central and inter.dim == 1
+    _require(central and inter.dim == 1)
 
 
 def _check_leibniz(rng):
@@ -119,7 +128,7 @@ def _check_leibniz(rng):
         k = rng.randint(1, 3)
         r, s = random_matrix(F, 3, 3, rng), random_matrix(F, 3, 3, rng)
         xs = [random_matrix(F, 3, 3, rng) for _ in range(k)]
-        assert leibniz_expansion_check(r, s, xs)
+        _require(leibniz_expansion_check(r, s, xs))
 
 
 def _check_chains(rng):
@@ -129,11 +138,11 @@ def _check_chains(rng):
             H = [random_matrix(F, n, n, rng) for _ in range(rng.randint(1, 2))]
             chain = centralizer_chain(H)
             eye = Matrix.identity(F, n)
-            assert chain.levels[0].contains(eye)
-            assert chain.stabilization_index <= n * n
+            _require(chain.levels[0].contains(eye))
+            _require(chain.stabilization_index <= n * n)
             for lo, hi in zip(chain.levels, chain.levels[1:]):
-                assert hi.contains_subspace(lo)
-            assert centralizer_product_check(H, 1, 2)
+                _require(hi.contains_subspace(lo))
+            _require(centralizer_product_check(H, 1, 2))
 
 
 def _check_bounds(rng):
@@ -143,11 +152,11 @@ def _check_bounds(rng):
                 (n * n - sum(p * p for p in parts)) // 2 + 1
                 for parts in _partitions(n, k + 1)
             )
-            assert best == nilpotent_subalgebra_dim_bound(n, k)
+            _require(best == nilpotent_subalgebra_dim_bound(n, k))
     ex = extremal_block_algebra(4, balanced_parts(4, 2))
     rep = nilpotency_report(ex)
-    assert rep.is_lie_nilpotent and rep.index <= 1
-    assert ex.dim == nilpotent_subalgebra_dim_bound(4, 1)
+    _require(rep.is_lie_nilpotent and rep.index <= 1)
+    _require(ex.dim == nilpotent_subalgebra_dim_bound(4, 1))
 
 
 def _partitions(n, max_parts, largest=None):
@@ -169,15 +178,15 @@ def _check_recovery(rng):
             for _ in range(3):
                 b = random_invertible(F, n, rng)
                 auto = recover_automorphism(conjugation_map(b))
-                assert auto.verified
-                assert scalar_multiple_of_identity(b.inverse() * auto.conjugator) is not None
+                _require(auto.verified)
+                _require(scalar_multiple_of_identity(b.inverse() * auto.conjugator) is not None)
                 anti = recover_antiautomorphism(transpose_conjugation_map(b))
-                assert anti.verified
+                _require(anti.verified)
 
 
 def _check_char2_probe(rng):
     dims = char2_generation_dims(3)
-    assert all(isinstance(d, int) and d >= 1 for _, d in dims)
+    _require(all(isinstance(d, int) and d >= 1 for _, d in dims))
     return f"informational: GF(2) Lie-closure dims of {{P, E11}}: {dims}"
 
 

@@ -3,7 +3,9 @@
 A subspace is stored as the unique reduced row-echelon basis of the
 row-major vectorizations of its elements, so equality of subspaces is
 structural equality of bases and every construction is reproducible
-bit-for-bit regardless of generator order.
+bit-for-bit regardless of generator order.  Every basis is reduced by
+``matrices.SpanBuilder``, the package's one elimination, and membership
+uses its reduction step.
 """
 
 from __future__ import annotations
@@ -12,66 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import MixedShapes
 from .fields import Field
-from .matrices import Matrix, _kernel_from_rref, _rref_in_place
-
-
-class SpanBuilder:
-    """Incrementally maintained RREF span of raw vectors.
-
-    ``insert`` reduces a vector against the current rows, and on growth
-    normalizes it and back-substitutes into the existing rows, so the row
-    set stays a reduced echelon basis at all times (rows are kept indexed
-    by pivot column; sort by pivot to read the canonical basis off).
-    """
-
-    def __init__(self, field: Field, length: int):
-        self.field = field
-        self.length = length
-        self.rows: list[list] = []
-        self.pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec: list) -> list:
-        F = self.field
-        is_zero = F.is_zero
-        submul = F.vec_submul
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if not is_zero(c):
-                vec = submul(vec, c, row)
-        return vec
-
-    def contains(self, vec: Sequence) -> bool:
-        F = self.field
-        return all(F.is_zero(a) for a in self._reduce(list(vec)))
-
-    def insert(self, vec: Sequence) -> bool:
-        """Add a vector to the span; True if the dimension grew."""
-        F = self.field
-        v = self._reduce(list(vec))
-        pivot = None
-        for i, a in enumerate(v):
-            if not F.is_zero(a):
-                pivot = i
-                break
-        if pivot is None:
-            return False
-        if v[pivot] != F.one:
-            v = F.vec_scale(v, F.inv(v[pivot]))
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if not F.is_zero(c):
-                self.rows[i] = F.vec_submul(row, c, v)
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        return True
-
-    def sorted_rows(self) -> tuple[tuple, ...]:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return tuple(tuple(self.rows[i]) for i in order)
+from .matrices import Matrix, SpanBuilder, _kernel_from_rref, _reduce, _rref_in_place
 
 
 class Subspace:
@@ -170,13 +113,7 @@ class Subspace:
 
     def contains_vec(self, vec: Sequence) -> bool:
         F = self.field
-        is_zero = F.is_zero
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not is_zero(c):
-                v = F.vec_submul(v, c, row)
-        return all(is_zero(a) for a in v)
+        return all(map(F.is_zero, _reduce(F, self.rows, self.pivots, list(vec))))
 
     def contains(self, x: Matrix) -> bool:
         if x.field != self.field or (x.nrows, x.ncols) != self.shape:

@@ -79,6 +79,44 @@ def reference_closure(gens, kind):
     return subspace, rounds
 
 
+def reference_rref(rows, field):
+    """Full Gauss-Jordan on a list of raw-valued rows, in place, column by
+    column; returns the pivot columns.  The batch elimination that
+    ``SpanBuilder`` replaced inside ``_rref_in_place``: the oracle for it.
+
+    Pivot choice is the first nonzero entry scanning top to bottom, which
+    is deterministic and all that exact arithmetic needs.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    is_zero = field.is_zero
+    inv = field.inv
+    vec_scale = field.vec_scale
+    vec_submul = field.vec_submul
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if not is_zero(rows[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r][c]
+        if lead != field.one:
+            rows[r] = vec_scale(rows[r], inv(lead))
+        for i in range(nrows):
+            if i != r and not is_zero(rows[i][c]):
+                rows[i] = vec_submul(rows[i], rows[i][c], rows[r])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
 def reference_ad_kernel(chains, field, n, target=None):
     """{r : [r, x1, ..., xk] in target for every chain (x1, ..., xk)}, by a
     fold over the chains: each step keeps the preimage of the target under
@@ -187,5 +225,6 @@ __all__ = [
     "reference_classify",
     "reference_closure",
     "reference_next_level",
+    "reference_rref",
     "rng_for",
 ]

@@ -254,6 +254,35 @@ def test_non_integer_sizes_exit_2(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_non_text_matrix_entries_exit_2(tmp_path, capsys):
+    path = tmp_path / "entries.json"
+    for field, entry in ((Q, 1.5), (GF5, 2.0), (GF4, [1, 1]), (Q, True), (GF5, None)):
+        path.write_text(json.dumps([{"field": jsonio.field_to_json(field), "entries": [[entry]]}]))
+        assert dispatch(["closure", "--in", str(path)]) == 2, (field, entry)
+        assert capsys.readouterr().err.startswith("MalformedJSON: entry must be a string")
+    # a JSON integer entry still parses
+    path.write_text(json.dumps([{"field": {"kind": "Q"}, "entries": [[3]]}]))
+    assert dispatch(["closure", "--in", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_bad_subspace_ambient_or_basis_exit_2(tmp_path, capsys):
+    space = {"field": {"kind": "Q"}, "rows": 2, "cols": 2}
+    docs = [
+        ({"ambient": {**space, "rows": -2, "cols": -2}, "basis": []}, "ambient sizes"),
+        ({"ambient": {**space, "rows": 0, "cols": 0}, "basis": []}, "ambient sizes"),
+        ({"ambient": {**space, "rows": 1, "cols": 0}, "basis": []}, "ambient sizes"),
+        ({"ambient": space, "basis": 5}, "'basis' must be a list"),
+    ]
+    path = tmp_path / "space.json"
+    for doc, message in docs:
+        path.write_text(json.dumps(doc))
+        for command in ("chain", "nilpotency", "closure"):
+            assert dispatch([command, "--in", str(path)]) == 2, (command, doc)
+            err = capsys.readouterr().err
+            assert err.startswith(f"MalformedJSON: {message}"), err
+
+
 def test_symplectic_preset_odd_size_is_domain_error(capsys):
     code = dispatch(["recover-anti", "--preset", "symplectic", "--n", "3"])
     assert code == 1
@@ -280,6 +309,29 @@ def test_selftest_command(capsys):
     report = json.loads(out)  # stdout is exactly one JSON document
     assert report["outcome"]["ok"] is True
     assert any("GF(2) Lie-closure dims" in line for line in report["outcome"]["checks"])
+
+
+SELFTEST_WITH_BROKEN_ADDITION = """
+from liemat import selftest
+from liemat.fields import PrimeField
+
+PrimeField.add = lambda self, a, b: (a + b + 1) % self.p
+selftest.CHECKS[:] = [check for check in selftest.CHECKS if check[0] == "field axioms"]
+print(selftest.run())
+"""
+
+
+def test_selftest_fails_under_python_dash_o():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELFTEST_WITH_BROKEN_ADDITION],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("FAIL field axioms: AssertionError:"), proc.stdout
+    assert lines[-1] == "False"
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

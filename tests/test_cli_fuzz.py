@@ -14,7 +14,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from liemat import (
     AlgebraMap,
@@ -46,7 +46,13 @@ _any = st.recursive(
     _atoms,
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
-        st.dictionaries(st.sampled_from(["kind", "p", "m", "n", "rows", "entries"]), inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(
+                ["kind", "p", "m", "n", "rows", "cols", "entries", "ambient", "basis", "images"]
+            ),
+            inner,
+            max_size=3,
+        ),
     ),
     max_leaves=8,
 )
@@ -104,8 +110,24 @@ _cases = st.one_of(
 )
 
 
+def _space(rows, cols, basis):
+    return {"ambient": {"field": {"kind": "Q"}, "rows": rows, "cols": cols}, "basis": basis}
+
+
+def _entry(field, value):
+    return [{"field": field, "entries": [[value]]}]
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_cases)
+@example(("closure", _space(-2, -2, [])))
+@example(("closure", _space(0, 0, [])))
+@example(("closure", _space(2, 2, 5)))
+@example(("closure", _entry({"kind": "Q"}, 1.5)))
+@example(("closure", _entry({"kind": "GF", "p": 5}, 2.0)))
+@example(("closure", _entry({"kind": "GFext", "p": 2, "m": 2}, [1, 1])))
+@example(("closure", _entry({"kind": "Q"}, True)))
+@example(("closure", _entry({"kind": "Q"}, None)))
 def test_cli_input_never_ends_in_a_traceback(case):
     command, doc = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -94,6 +94,20 @@ def test_matrix_entries_parse_to_canonical_values():
     assert jsonio.matrix_from_json(blob).entries == ((Fraction(1, 2), Fraction(-3)),)
 
 
+def test_matrix_entries_must_be_strings_or_integers():
+    bad = [(Q, 1.5), (GF5, 2.0), (GF4, [1, 1]), (Q, True), (GF5, None), (Q, {"n": 1})]
+    for field, entry in bad:
+        blob = {"field": jsonio.field_to_json(field), "entries": [[entry]]}
+        with pytest.raises(MalformedJSON, match="string or an integer"):
+            jsonio.matrix_from_json(blob)
+    assert jsonio.matrix_from_json({"field": {"kind": "Q"}, "entries": [[3]]}).entries == (
+        (Fraction(3),),
+    )
+    assert jsonio.matrix_from_json({"field": {"kind": "GF", "p": 5}, "entries": [[7]]}).entries == (
+        (2,),
+    )
+
+
 def test_subspace_round_trip_canonicalizes():
     rng = rng_for("subspace-json")
     gens = [random_matrix(Q, 2, 2, rng) for _ in range(3)]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liemat import (
+    ExtensionField,
     FieldAutomorphism,
     Matrix,
     basis_unit_vector,
@@ -22,7 +23,23 @@ from liemat.errors import (
     SingularMatrix,
 )
 
-from support import GF4, GF5, GF7, Q, mat, random_matrix, rng_for
+from liemat.fields import TABLE_MAX_ORDER
+from liemat.matrices import _kernel_from_rref, _rref_in_place
+
+from support import (
+    GF2,
+    GF4,
+    GF5,
+    GF7,
+    GF9,
+    GF81,
+    GF_LARGE,
+    Q,
+    mat,
+    random_matrix,
+    reference_rref,
+    rng_for,
+)
 
 
 def E(n, i, j, field=Q):
@@ -221,3 +238,77 @@ def test_power_matches_repeated_multiplication(e):
     for _ in range(e):
         expected = expected * p
     assert p**e == expected
+
+
+# ``test_field_above_table_limit_agrees_with_oracle`` uses the same field
+GF_UNTABLED = ExtensionField(2, 17)
+
+
+def _random_rows(field, nrows, ncols, rng):
+    return [list(row) for row in random_matrix(field, nrows, ncols, rng).entries]
+
+
+def _rank_deficient(field, rng):
+    product = random_matrix(field, 5, 2, rng) * random_matrix(field, 2, 5, rng)
+    return [list(row) for row in product.entries]
+
+
+def _duplicate_rows(field, rng):
+    a, b, c = _random_rows(field, 3, 4, rng)
+    return [a, b, list(a), c, list(b)]
+
+
+def _leading_zero_rows(field, rng):
+    rows = _random_rows(field, 3, 5, rng)
+    for row in rows:
+        row[0] = field.zero
+    return [[field.zero] * 5, [field.zero] * 5, *rows]
+
+
+ELIMINATION_SHAPES = {
+    "empty": lambda field, rng: [],
+    "zero 1x1": lambda field, rng: [[field.zero]],
+    "wide 3x7": lambda field, rng: _random_rows(field, 3, 7, rng),
+    "tall 7x3": lambda field, rng: _random_rows(field, 7, 3, rng),
+    "square 4x4": lambda field, rng: _random_rows(field, 4, 4, rng),
+    "rank-deficient 5x5": _rank_deficient,
+    "duplicate rows": _duplicate_rows,
+    "leading zero rows": _leading_zero_rows,
+}
+
+
+def _reference_inverse(rows, field):
+    """The inverse's rows by the reference elimination, or None if singular."""
+    n = len(rows)
+    z, o = field.zero, field.one
+    aug = [list(row) + [o if j == i else z for j in range(n)] for i, row in enumerate(rows)]
+    if reference_rref(aug, field) != list(range(n)):
+        return None
+    return [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize("shape", list(ELIMINATION_SHAPES))
+@pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE, GF9, GF81, GF_UNTABLED], ids=repr)
+def test_eliminations_match_reference_rref(field, shape):
+    assert GF_UNTABLED.order > TABLE_MAX_ORDER
+    rng = rng_for("reference-rref", repr(field), shape)
+    for _ in range(4):
+        rows = ELIMINATION_SHAPES[shape](field, rng)
+        want = [list(row) for row in rows]
+        want_pivots = reference_rref(want, field)
+        got = [list(row) for row in rows]
+        assert _rref_in_place(got, field) == want_pivots
+        assert [list(row) for row in got] == [list(row) for row in want]
+        if not rows:
+            continue
+        m = Matrix(field, rows)
+        assert m.rank() == len(want_pivots)
+        kernel_rows = _kernel_from_rref(want, want_pivots, m.ncols, field)
+        assert [[v for (v,) in vec.entries] for vec in m.kernel_vectors()] == kernel_rows
+        if m.is_square:
+            inverse = _reference_inverse(rows, field)
+            if inverse is None:
+                with pytest.raises(SingularMatrix):
+                    m.inverse()
+            else:
+                assert [list(row) for row in m.inverse().entries] == inverse
