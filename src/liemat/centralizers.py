@@ -84,6 +84,11 @@ def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | N
     return levels, None
 
 
+def _level(levels: Sequence[Subspace], k: int) -> Subspace:
+    """L_k from levels L_1.. that end at the first repeat or reach L_k."""
+    return levels[min(k, len(levels)) - 1]
+
+
 def _check_index(k: int) -> None:
     if k < 1:
         raise InvalidIndex(f"centralizer index must be at least 1, got {k}")
@@ -103,8 +108,8 @@ def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
     """The k-th Lie centralizer of H."""
     _check_index(k)
     members, field, n = _members(H)
-    levels, t = _levels_until(members, field, n, k)
-    return levels[min(k, len(levels)) - 1]
+    levels, _ = _levels_until(members, field, n, k)
+    return _level(levels, k)
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class CentralizerChain:
     def level(self, k: int) -> Subspace:
         """L_k(H) for any k >= 1 (constant from the stabilization on)."""
         _check_index(k)
-        return self.levels[min(k, len(self.levels)) - 1]
+        return _level(self.levels, k)
 
 
 def centralizer_chain(H: SubsetLike, max_k: int | None = None) -> CentralizerChain:
@@ -186,11 +191,7 @@ def centralizer_product_check(
         raise InvalidIndex(f"levels must be at least 1, got p={p}, q={q}")
     members, field, n = _members(H)
     levels, _ = _levels_until(members, field, n, p + q - 1)
-
-    def level(k: int) -> Subspace:
-        return levels[min(k, len(levels)) - 1]
-
-    lp, lq, target = level(p), level(q), level(p + q - 1)
+    lp, lq, target = (_level(levels, k) for k in (p, q, p + q - 1))
     if samples is None:
         pairs = itertools.product(lp.basis, lq.basis)
     else:

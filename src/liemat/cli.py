@@ -1,6 +1,11 @@
 """Command-line front-end.
 
-Every subcommand prints a run report to stdout:
+Each subcommand is declared once, in ``build_parser``, with exactly the
+flags its handler reads: every command takes ``--out FILE``; the eight
+that read a subject or a map take ``--in FILE`` or ``--preset`` with
+``--field`` and ``--n``; ``selftest`` alone takes ``--seed``.
+
+Every subcommand prints one JSON document, its run report, to stdout:
 
     {"command": ..., "inputs": [...], "outcome": {...}, "timing_ms": ...,
      "warnings": [...]}
@@ -16,6 +21,7 @@ malformed input or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -23,92 +29,35 @@ import warnings
 
 from . import jsonio
 from .centralizers import (
+    bounds_table,
     centralizer_chain,
     hereditary_centralizer,
     nilpotency_report,
 )
 from .errors import LiematError, MalformedJSON
 from .experiments import write_bounds_csv
-from .fields import Rationals
+from .fields import PrimeField, Rationals
 from .lie import bracket, closure
-from .matrices import Matrix, basis_unit_vector
+from .matrices import Matrix, basis_unit_vector, symplectic_involution
 from .presets import preset_map, preset_matrices
 from .recovery import (
+    AlgebraMap,
     decompose_lie_automorphism,
     recover,
     residual_trace_form_check,
 )
 from .selftest import run as run_selftest
 from .subspaces import Subspace
-from .centralizers import bounds_table
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liemat",
-        description="exact matrix Lie-algebra computations: closures, "
-        "centralizer chains, nilpotency bounds, and conjugator recovery",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_field=True):
-        p.add_argument("--in", dest="infile", help="input JSON file")
-        p.add_argument("--out", dest="outfile", help="write the artifact JSON here")
-        if needs_field:
-            p.add_argument("--field", default="q", help="q | gf:p | gfext:p:m[:modulus]")
-            p.add_argument("--n", type=int, default=None, help="matrix size for presets")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
-
-    p = sub.add_parser("bracket", help="commutator of two matrices")
-    add_common(p)
-    p.add_argument("--preset", help="two comma-separated matrix names, e.g. E11,P")
-
-    p = sub.add_parser("closure", help="Lie or associative subalgebra closure")
-    add_common(p)
-    p.add_argument("--kind", choices=["lie", "associative"], default="lie")
-    p.add_argument("--preset", help="comma-separated generator names, e.g. P,E11")
-
-    p = sub.add_parser("chain", help="Lie centralizer chain of a finite set")
-    add_common(p)
-    p.add_argument("--preset", help="comma-separated matrix names")
-    p.add_argument("--max-k", type=int, default=None)
-
-    p = sub.add_parser("nilpotency", help="Lie-nilpotency report for a set or subspace")
-    add_common(p)
-    p.add_argument("--preset", help="comma-separated matrix names")
-
-    p = sub.add_parser("hereditary", help="centralizer restricted to D- or L-tuples")
-    add_common(p)
-    p.add_argument("--preset", help="comma-separated matrix names")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prop", choices=["D", "L"], required=True)
-
-    p = sub.add_parser("bounds", help="dimension-bound table")
-    add_common(p, needs_field=False)
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--csv", help="also write the table as CSV")
-
-    for name, help_text in [
-        ("recover-auto", "conjugator of a (possibly twisted) automorphism"),
-        ("recover-anti", "conjugator of a (possibly twisted) anti-automorphism"),
-        ("decompose", "split a bracket-preserving map as sigma + c*tr(.)*I"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        p.add_argument(
-            "--preset",
-            help="map preset: identity | transpose | symplectic | trace-shift",
-        )
-
-    p = sub.add_parser(
-        "verify-example",
-        help="reproduce the built-in size-8 symplectic-involution recovery",
-    )
-    add_common(p, needs_field=False)
-
-    p = sub.add_parser("selftest", help="run the in-process invariant suite")
-    add_common(p, needs_field=False)
-    return parser
+def _preset_args(args):
+    """(field, n) of a ``--preset`` run, which needs both flags."""
+    if not args.preset:
+        raise MalformedJSON("supply --in or --preset")
+    field = jsonio.parse_field_flag(args.field)
+    if args.n is None:
+        raise MalformedJSON("--preset needs --n")
+    return field, args.n
 
 
 def _load_subject(args):
@@ -118,12 +67,7 @@ def _load_subject(args):
         if isinstance(data, dict) and "ambient" in data:
             return jsonio.subspace_from_json(data)
         return jsonio.matrix_list_from_json(data)
-    if getattr(args, "preset", None):
-        field = jsonio.parse_field_flag(args.field)
-        if args.n is None:
-            raise MalformedJSON("--preset needs --n")
-        return preset_matrices(args.preset, field, args.n)
-    raise MalformedJSON("supply --in or --preset")
+    return preset_matrices(args.preset, *_preset_args(args))
 
 
 def _load_matrices(args) -> list[Matrix]:
@@ -134,35 +78,19 @@ def _load_matrices(args) -> list[Matrix]:
 def _load_map(args):
     if args.infile:
         return jsonio.algebra_map_from_json(jsonio.load_path(args.infile))
-    if getattr(args, "preset", None):
-        field = jsonio.parse_field_flag(args.field)
-        if args.n is None:
-            raise MalformedJSON("--preset needs --n")
-        return preset_map(args.preset, field, args.n)
-    raise MalformedJSON("supply --in or --preset")
-
-
-def _recovery_outcome(result) -> dict:
-    return {
-        "conjugator": jsonio.matrix_to_json(result.conjugator),
-        "kernel_vector": jsonio.matrix_to_json(result.kernel_vector),
-        "verified": result.verified,
-        "scalar_class": result.scalar_class,
-    }
+    return preset_map(args.preset, *_preset_args(args))
 
 
 def _cmd_bracket(args):
     mats = _load_matrices(args)
     if len(mats) != 2:
         raise MalformedJSON("bracket needs exactly two matrices")
-    result = bracket(mats[0], mats[1])
-    artifact = jsonio.matrix_to_json(result)
+    artifact = jsonio.matrix_to_json(bracket(mats[0], mats[1]))
     return {"matrix": artifact}, artifact
 
 
 def _cmd_closure(args):
-    gens = _load_matrices(args)
-    result = closure(gens, args.kind)
+    result = closure(_load_matrices(args), args.kind)
     artifact = jsonio.subspace_to_json(result.subspace)
     outcome = {
         "kind": result.product_kind,
@@ -174,8 +102,7 @@ def _cmd_closure(args):
 
 
 def _cmd_chain(args):
-    subject = _load_subject(args)
-    chain = centralizer_chain(subject, args.max_k)
+    chain = centralizer_chain(_load_subject(args), args.max_k)
     artifact = jsonio.subspace_to_json(chain.omega)
     outcome = {
         "level_dims": [lvl.dim for lvl in chain.levels],
@@ -186,30 +113,19 @@ def _cmd_chain(args):
 
 
 def _cmd_nilpotency(args):
-    subject = _load_subject(args)
-    rep = nilpotency_report(subject)
-    bc = rep.bound_comparison
+    rep = nilpotency_report(_load_subject(args))
     outcome = {
         "is_lie_nilpotent": rep.is_lie_nilpotent,
         "index": rep.index,
         "is_omega_lie_nilpotent": rep.is_omega_lie_nilpotent,
         "dim": rep.dim,
-        "bound_comparison": {
-            "ambient_size": bc.ambient_size,
-            "dim": bc.dim,
-            "measured_index": bc.measured_index,
-            "index_dim_bound": bc.index_dim_bound,
-            "conjectured_bound": bc.conjectured_bound,
-            "within_index_bound": bc.within_index_bound,
-            "within_conjectured_bound": bc.within_conjectured_bound,
-        },
+        "bound_comparison": dataclasses.asdict(rep.bound_comparison),
     }
     return outcome, outcome
 
 
 def _cmd_hereditary(args):
-    mats = _load_matrices(args)
-    space = hereditary_centralizer(mats, args.k, args.prop)
+    space = hereditary_centralizer(_load_matrices(args), args.k, args.prop)
     artifact = jsonio.subspace_to_json(space)
     return {"dim": space.dim, "subspace": artifact}, artifact
 
@@ -227,13 +143,14 @@ def _cmd_bounds(args):
     return outcome, outcome
 
 
-def _cmd_recover_auto(args):
-    outcome = _recovery_outcome(recover(_load_map(args), anti=False))
-    return outcome, outcome
-
-
-def _cmd_recover_anti(args):
-    outcome = _recovery_outcome(recover(_load_map(args), anti=True))
+def _cmd_recover(args):
+    result = recover(_load_map(args), anti=args.anti)
+    outcome = {
+        "conjugator": jsonio.matrix_to_json(result.conjugator),
+        "kernel_vector": jsonio.matrix_to_json(result.kernel_vector),
+        "verified": result.verified,
+        "scalar_class": result.scalar_class,
+    }
     return outcome, outcome
 
 
@@ -251,13 +168,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify_example(args):
-    from .matrices import symplectic_involution
-    from .fields import PrimeField
-    from .recovery import AlgebraMap
-
-    lines = []
-    outcome_fields = []
-    ok = True
+    """The symplectic involution of size 8 over Q and GF(7): its conjugator
+    is the block matrix [[0, -I4], [I4, 0]], its kernel vector e5."""
+    results = []
     for field in (Rationals(), PrimeField(7)):
         m = AlgebraMap.from_function(8, field, symplectic_involution)
         result = recover(m, anti=True)
@@ -266,29 +179,18 @@ def _cmd_verify_example(args):
             [[0] * 4 + [-1 if j == i else 0 for j in range(4)] for i in range(4)]
             + [[1 if j == i else 0 for j in range(4)] + [0] * 4 for i in range(4)],
         )
-        field_ok = (
-            result.verified
-            and result.conjugator == expected
-            and result.kernel_vector == basis_unit_vector(field, 8, 5)
-        )
-        ok = ok and field_ok
-        outcome_fields.append(
+        results.append(
             {
                 "field": jsonio.field_to_json(field),
                 "conjugator": jsonio.matrix_to_json(result.conjugator),
                 "kernel_vector": jsonio.matrix_to_json(result.kernel_vector),
-                "verified": field_ok,
+                "verified": result.verified
+                and result.conjugator == expected
+                and result.kernel_vector == basis_unit_vector(field, 8, 5),
             }
         )
-    fmt = Rationals().format_scalar
-    lines.append("conjugator (block form [[0, -I4], [I4, 0]]):")
-    first = jsonio.matrix_from_json(outcome_fields[0]["conjugator"])
-    for row in first.entries:
-        lines.append("  [" + " ".join(f"{fmt(a):>2}" for a in row) + "]")
-    lines.append("VERIFIED" if ok else "FAILED")
-    print("\n".join(lines))
-    outcome = {"results": outcome_fields, "verified": ok}
-    if not ok:
+    outcome = {"results": results, "verified": all(r["verified"] for r in results)}
+    if not outcome["verified"]:
         raise LiematError("symplectic example did not verify")
     return outcome, outcome
 
@@ -302,19 +204,56 @@ def _cmd_selftest(args):
     return outcome, outcome
 
 
-_HANDLERS = {
-    "bracket": _cmd_bracket,
-    "closure": _cmd_closure,
-    "chain": _cmd_chain,
-    "nilpotency": _cmd_nilpotency,
-    "hereditary": _cmd_hereditary,
-    "bounds": _cmd_bounds,
-    "recover-auto": _cmd_recover_auto,
-    "recover-anti": _cmd_recover_anti,
-    "decompose": _cmd_decompose,
-    "verify-example": _cmd_verify_example,
-    "selftest": _cmd_selftest,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="liemat",
+        description="exact matrix Lie-algebra computations: closures, "
+        "centralizer chains, nilpotency bounds, and conjugator recovery",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    matrix_names = "comma-separated matrix names"
+    map_presets = "map preset: identity | transpose | symplectic | trace-shift"
+
+    def command(name, handler, help, preset_help=None):
+        """Declare a subcommand; ``preset_help`` marks one that reads input."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", dest="outfile", help="write the artifact JSON here")
+        if preset_help:
+            p.add_argument("--in", dest="infile", help="input JSON file")
+            p.add_argument("--preset", help=preset_help)
+            p.add_argument("--field", default="q", help="q | gf:p | gfext:p:m[:modulus]")
+            p.add_argument("--n", type=int, default=None, help="matrix size for presets")
+        return p
+
+    command("bracket", _cmd_bracket, "commutator of two matrices",
+            "two comma-separated matrix names, e.g. E11,P")
+    p = command("closure", _cmd_closure, "Lie or associative subalgebra closure",
+                "comma-separated generator names, e.g. P,E11")
+    p.add_argument("--kind", choices=["lie", "associative"], default="lie")
+    p = command("chain", _cmd_chain, "Lie centralizer chain of a finite set", matrix_names)
+    p.add_argument("--max-k", type=int, default=None)
+    command("nilpotency", _cmd_nilpotency, "Lie-nilpotency report for a set or subspace",
+            matrix_names)
+    p = command("hereditary", _cmd_hereditary,
+                "centralizer restricted to D- or L-tuples", matrix_names)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--prop", choices=["D", "L"], required=True)
+    p = command("bounds", _cmd_bounds, "dimension-bound table")
+    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--csv", help="also write the table as CSV")
+    command("recover-auto", _cmd_recover, "conjugator of a (possibly twisted) automorphism",
+            map_presets).set_defaults(anti=False)
+    command("recover-anti", _cmd_recover,
+            "conjugator of a (possibly twisted) anti-automorphism",
+            map_presets).set_defaults(anti=True)
+    command("decompose", _cmd_decompose, "split a bracket-preserving map as sigma + c*tr(.)*I",
+            map_presets)
+    command("verify-example", _cmd_verify_example,
+            "reproduce the built-in size-8 symplectic-involution recovery")
+    p = command("selftest", _cmd_selftest, "run the in-process invariant suite")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
+    return parser
 
 
 def dispatch(argv: list[str]) -> int:
@@ -329,7 +268,7 @@ def dispatch(argv: list[str]) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            outcome, artifact = _HANDLERS[args.command](args)
+            outcome, artifact = args.handler(args)
         except MalformedJSON as exc:
             error, code = f"{type(exc).__name__}: {exc}", 2
         except LiematError as exc:
@@ -351,7 +290,7 @@ def dispatch(argv: list[str]) -> int:
         "warnings": notes,
     }
     print(json.dumps(report, sort_keys=True))
-    if getattr(args, "outfile", None):
+    if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             json.dump(artifact, fh, sort_keys=True, indent=1)
     return 0

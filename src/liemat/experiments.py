@@ -10,14 +10,13 @@ in this module asserts either statement.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 from .centralizers import (
     ClosureIndexProbe,
+    NilpotencyReport,
     associative_closure_probe,
     balanced_parts,
     bounds_table,
-    conjectured_dim_bound,
     extremal_block_algebra,
     nilpotency_report,
 )
@@ -25,17 +24,6 @@ from .fields import Field, PrimeField, Rationals
 from .lie import closure
 from .matrices import Matrix, cyclic_permutation, matrix_unit
 from .subspaces import Subspace
-
-
-@dataclass(frozen=True)
-class EvidenceRow:
-    description: str
-    field: str
-    n: int
-    dim: int
-    measured_index: int | None
-    conjectured_bound: int
-    within_bound: bool
 
 
 def _strictly_upper(field: Field, n: int) -> Subspace:
@@ -65,24 +53,11 @@ def omega_nilpotent_corpus(max_n: int = 5) -> list[tuple[str, Subspace]]:
     return corpus
 
 
-def conjecture_evidence(max_n: int = 5) -> list[EvidenceRow]:
-    """Dimension-vs-conjectured-bound rows for the corpus."""
-    rows = []
-    for name, space in omega_nilpotent_corpus(max_n):
-        rep = nilpotency_report(space)
-        bound = conjectured_dim_bound(rep.bound_comparison.ambient_size)
-        rows.append(
-            EvidenceRow(
-                description=name,
-                field=repr(space.field),
-                n=rep.bound_comparison.ambient_size,
-                dim=space.dim,
-                measured_index=rep.index,
-                conjectured_bound=bound,
-                within_bound=space.dim <= bound,
-            )
-        )
-    return rows
+def conjecture_evidence(max_n: int = 5) -> list[tuple[str, NilpotencyReport]]:
+    """Dimension-vs-conjectured-bound evidence for the corpus, as
+    (description, report) pairs; ``report.bound_comparison`` holds the
+    comparison."""
+    return [(name, nilpotency_report(space)) for name, space in omega_nilpotent_corpus(max_n)]
 
 
 def closure_index_observations(max_n: int = 4) -> list[tuple[str, ClosureIndexProbe]]:
@@ -127,10 +102,11 @@ def write_evidence_csv(path, max_n: int = 5) -> None:
             ["description", "field", "n", "dim", "measured_index",
              "conjectured_bound", "within_bound"]
         )
-        for row in conjecture_evidence(max_n):
+        for name, rep in conjecture_evidence(max_n):
+            bc = rep.bound_comparison
             writer.writerow(
-                [row.description, row.field, row.n, row.dim,
-                 row.measured_index, row.conjectured_bound, row.within_bound]
+                [name, repr(rep.subject.field), bc.ambient_size, bc.dim,
+                 bc.measured_index, bc.conjectured_bound, bc.within_conjectured_bound]
             )
 
 

@@ -298,9 +298,6 @@ class PrimeField(Field):
             raise DivisionByZero(f"1/0 over GF({self.p})")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -446,8 +446,10 @@ def test_extremal_is_closed_under_brackets():
 
 
 def test_evidence_experiments_run():
-    rows = conjecture_evidence(4)
-    assert rows and all(row.within_bound for row in rows)
+    evidence = conjecture_evidence(4)
+    assert evidence and all(
+        rep.bound_comparison.within_conjectured_bound for _name, rep in evidence
+    )
     observations = closure_index_observations(3)
     assert observations
     for _name, probe in observations:

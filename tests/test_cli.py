@@ -1,7 +1,9 @@
 """CLI dispatch: exit codes, report shapes, file round-trips."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from liemat import (
     transpose_conjugation_map,
 )
 from liemat import jsonio
-from liemat.cli import dispatch
+from liemat.cli import build_parser, dispatch
 
 from support import GF4, GF5, Q, random_invertible, rng_for
 
@@ -25,16 +27,10 @@ def run_cli(argv, capsys):
     return code, out
 
 
-def last_json_line(out):
-    lines = [line for line in out.strip().splitlines() if line.startswith("{")]
-    return json.loads(lines[-1])
-
-
 def test_verify_example(capsys):
     code, out = run_cli(["verify-example"], capsys)
     assert code == 0
-    assert "VERIFIED" in out
-    report = last_json_line(out)
+    report = json.loads(out)  # stdout is exactly one JSON document
     assert report["outcome"]["verified"] is True
     # both fields carried the expected block conjugator
     for result in report["outcome"]["results"]:
@@ -46,7 +42,7 @@ def test_closure_preset(capsys):
         ["closure", "--kind", "lie", "--n", "4", "--preset", "P,E11"], capsys
     )
     assert code == 0
-    report = last_json_line(out)
+    report = json.loads(out)
     assert report["outcome"]["dim"] == 16
 
 
@@ -65,7 +61,7 @@ def test_bracket_round_trip(tmp_path, capsys):
     in_file.write_text(json.dumps(pair))
     code, out = run_cli(["bracket", "--in", str(in_file)], capsys)
     assert code == 0
-    assert jsonio.matrix_from_json(last_json_line(out)["outcome"]["matrix"]).is_zero()
+    assert jsonio.matrix_from_json(json.loads(out)["outcome"]["matrix"]).is_zero()
 
 
 def test_closure_output_feeds_chain(tmp_path, capsys):
@@ -76,7 +72,7 @@ def test_closure_output_feeds_chain(tmp_path, capsys):
     assert code == 0
     code, out = run_cli(["chain", "--in", str(out_file)], capsys)
     assert code == 0
-    report = last_json_line(out)
+    report = json.loads(out)
     assert report["outcome"]["stabilization_index"] >= 1
 
 
@@ -85,12 +81,12 @@ def test_chain_and_nilpotency(capsys):
         ["chain", "--n", "2", "--preset", "E11", "--field", "gf:5"], capsys
     )
     assert code == 0
-    assert last_json_line(out)["outcome"]["level_dims"] == [2, 2]
+    assert json.loads(out)["outcome"]["level_dims"] == [2, 2]
     code, out = run_cli(
         ["nilpotency", "--n", "3", "--preset", "E12,E13,E23"], capsys
     )
     assert code == 0
-    outcome = last_json_line(out)["outcome"]
+    outcome = json.loads(out)["outcome"]
     assert outcome["is_lie_nilpotent"] and outcome["index"] == 2
 
 
@@ -100,7 +96,7 @@ def test_hereditary(capsys):
         capsys,
     )
     assert code == 0
-    assert last_json_line(out)["outcome"]["dim"] == 4
+    assert json.loads(out)["outcome"]["dim"] == 4
 
 
 def test_bounds_csv(tmp_path, capsys):
@@ -112,7 +108,7 @@ def test_bounds_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,k,index_dim_bound,conjectured_bound"
     assert len(lines) == 1 + 6 * 7 // 2
-    rows = last_json_line(out)["outcome"]["rows"]
+    rows = json.loads(out)["outcome"]["rows"]
     assert {"n": 5, "k": 1, "index_dim_bound": 7, "conjectured_bound": 11} in rows
 
 
@@ -122,7 +118,7 @@ def test_recover_auto_file_and_error_path(tmp_path, capsys):
     map_file.write_text(json.dumps(jsonio.algebra_map_to_json(conjugation_map(b))))
     code, out = run_cli(["recover-auto", "--in", str(map_file)], capsys)
     assert code == 0
-    assert last_json_line(out)["outcome"]["verified"] is True
+    assert json.loads(out)["outcome"]["verified"] is True
 
     # transpose map through the automorphism pipeline: domain error, exit 1
     code, _ = run_cli(["recover-auto", "--preset", "transpose", "--n", "3"], capsys)
@@ -147,7 +143,7 @@ def test_recover_commands_on_twisted_maps(tmp_path, capsys):
 def test_recover_anti_symplectic(capsys):
     code, out = run_cli(["recover-anti", "--preset", "symplectic", "--n", "8"], capsys)
     assert code == 0
-    outcome = last_json_line(out)["outcome"]
+    outcome = json.loads(out)["outcome"]
     conj = jsonio.matrix_from_json(outcome["conjugator"])
     eye4 = Matrix.identity(Q, 4)
     for i in range(4):
@@ -159,7 +155,7 @@ def test_recover_anti_symplectic(capsys):
 def test_decompose(capsys):
     code, out = run_cli(["decompose", "--preset", "trace-shift", "--n", "2"], capsys)
     assert code == 0
-    outcome = last_json_line(out)["outcome"]
+    outcome = json.loads(out)["outcome"]
     assert outcome["sigma_kind"] == "automorphism"
     assert outcome["tau_coefficient"] == "1"
     assert outcome["residual_zero"] and outcome["tau_trace_shaped"]
@@ -299,7 +295,7 @@ def test_nilpotency_accepts_subspace_file(tmp_path, capsys):
     f.write_text(json.dumps(jsonio.subspace_to_json(space)))
     code, out = run_cli(["nilpotency", "--in", str(f)], capsys)
     assert code == 0
-    outcome = last_json_line(out)["outcome"]
+    outcome = json.loads(out)["outcome"]
     assert outcome["index"] == 2 and outcome["dim"] == 3
 
 
@@ -309,6 +305,29 @@ def test_selftest_command(capsys):
     report = json.loads(out)  # stdout is exactly one JSON document
     assert report["outcome"]["ok"] is True
     assert any("GF(2) Lie-closure dims" in line for line in report["outcome"]["checks"])
+
+
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys):
+    unused = tmp_path / "x.json"
+    unused.write_text("[]")
+    for argv in (
+        ["bounds", "--seed", "1"],
+        ["closure", "--n", "3", "--preset", "P", "--seed", "1"],
+        ["verify-example", "--in", str(unused)],
+        ["selftest", "--in", str(unused)],
+    ):
+        assert dispatch(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+    code, out = run_cli(["selftest", "--seed", "5"], capsys)
+    assert code == 0 and json.loads(out)["outcome"]["ok"] is True
+
+
+def test_readme_command_table_lists_the_parser_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `([a-z-]+)` +\|", readme, flags=re.MULTILINE)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(table) == sorted(sub.choices)
 
 
 SELFTEST_WITH_BROKEN_ADDITION = """
@@ -339,7 +358,7 @@ def test_reports_are_deterministic(tmp_path, capsys):
     code, out1 = run_cli(argv, capsys)
     assert code == 0
     code, out2 = run_cli(argv, capsys)
-    r1, r2 = last_json_line(out1), last_json_line(out2)
+    r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("timing_ms"), r2.pop("timing_ms")
     assert r1 == r2
 
