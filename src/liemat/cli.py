@@ -3,7 +3,8 @@
 Each subcommand is declared once, in ``build_parser``, with exactly the
 flags its handler reads: every command takes ``--out FILE``; the eight
 that read a subject or a map take ``--in FILE`` or ``--preset`` with
-``--field`` and ``--n``; ``selftest`` alone takes ``--seed``.
+``--field`` and ``--n`` (mixing ``--in`` with any of the other three is a
+usage error); ``selftest`` alone takes ``--seed``.
 
 Every subcommand prints one JSON document, its run report, to stdout:
 
@@ -50,11 +51,24 @@ from .selftest import run as run_selftest
 from .subspaces import Subspace
 
 
+def _infile(args):
+    """The ``--in`` path, or None for a ``--preset`` run.  ``--in`` names
+    the whole input, so combining it with a preset flag is a usage error."""
+    if args.infile:
+        mixed = [flag for flag, value in
+                 (("--preset", args.preset), ("--n", args.n), ("--field", args.field))
+                 if value is not None]
+        if mixed:
+            raise MalformedJSON(f"--in cannot be combined with {', '.join(mixed)}")
+    return args.infile
+
+
 def _preset_args(args):
-    """(field, n) of a ``--preset`` run, which needs both flags."""
+    """(field, n) of a ``--preset`` run, which needs both flags; the field
+    defaults to Q."""
     if not args.preset:
         raise MalformedJSON("supply --in or --preset")
-    field = jsonio.parse_field_flag(args.field)
+    field = jsonio.parse_field_flag("q" if args.field is None else args.field)
     if args.n is None:
         raise MalformedJSON("--preset needs --n")
     return field, args.n
@@ -62,7 +76,7 @@ def _preset_args(args):
 
 def _load_subject(args):
     """Finite set or subspace, preserving which one was given."""
-    if args.infile:
+    if _infile(args):
         data = jsonio.load_path(args.infile)
         if isinstance(data, dict) and "ambient" in data:
             return jsonio.subspace_from_json(data)
@@ -76,7 +90,7 @@ def _load_matrices(args) -> list[Matrix]:
 
 
 def _load_map(args):
-    if args.infile:
+    if _infile(args):
         return jsonio.algebra_map_from_json(jsonio.load_path(args.infile))
     return preset_map(args.preset, *_preset_args(args))
 
@@ -222,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         if preset_help:
             p.add_argument("--in", dest="infile", help="input JSON file")
             p.add_argument("--preset", help=preset_help)
-            p.add_argument("--field", default="q", help="q | gf:p | gfext:p:m[:modulus]")
+            p.add_argument("--field", help="q (the default) | gf:p | gfext:p:m[:modulus]")
             p.add_argument("--n", type=int, default=None, help="matrix size for presets")
         return p
 

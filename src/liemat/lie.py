@@ -13,7 +13,10 @@ orders and the square for the associative product), and stops as soon as
 the span is the whole matrix space.  Before each sweep the span V is
 tested against the generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the
 spanning lemma a pass proves that V is the closure (see
-``_certify_closed``), so no sweep that adds nothing is ever run.
+``_certify_closed``), so no sweep that adds nothing is ever run.  The
+test asks the sweep's own ``SpanBuilder`` whether each product lies in V
+(``SpanBuilder.contains``), so no ``Subspace`` is built until the closure
+is returned.
 """
 
 from __future__ import annotations
@@ -201,9 +204,8 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     rounds = frontier_start = 0
     while basis and builder.dim < full_dim:
         rounds += 1
-        subspace = Subspace(field, (n, n), builder.sorted_rows())
-        if _certify_closed(subspace, basis, generator_ops):
-            return ClosureResult(subspace=subspace, rounds=rounds, product_kind=kind)
+        if _certify_closed(builder, basis, generator_ops):
+            break
         frontier_end = len(basis)
         for prod in _sweep(field, basis, ops, frontier_start, frontier_end, lie):
             if prod and builder.insert(_dense(field, full_dim, prod)):
@@ -236,10 +238,12 @@ def _sweep(
 
 
 def _certify_closed(
-    subspace: Subspace, basis: list[SparseVec], generator_ops: list[SparseMap]
+    builder: SpanBuilder, basis: list[SparseVec], generator_ops: list[SparseMap]
 ) -> bool:
     """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
-    ``subspace``, spanned by ``basis``, and X is given by its operators.
+    the span of ``builder``, spanned by ``basis``, and X is given by its
+    operators.  Each product is tested with ``SpanBuilder.contains``, on
+    the builder's own rows.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
     [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
@@ -250,11 +254,11 @@ def _certify_closed(
     The newest elements are tested first, so a span that is not yet closed
     fails fast.
     """
-    field, N = subspace.field, subspace.ambient_dim
+    field, N = builder.field, builder.length
     for u in reversed(basis):
         for op in generator_ops:
             prod = _apply(field, op, u)
-            if prod and not subspace.contains_vec(_dense(field, N, prod)):
+            if prod and not builder.contains(_dense(field, N, prod)):
                 return False
     return True
 

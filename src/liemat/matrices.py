@@ -4,7 +4,10 @@ the standard generator matrices (units, shift, cyclic permutation) plus the
 symplectic involution.
 
 ``SpanBuilder`` is the package's one Gauss-Jordan elimination: RREF,
-kernels, inverses and every canonical span in ``subspaces`` run on it.
+kernels, inverses and every canonical span in ``subspaces`` run on it, and
+``SpanBuilder.contains`` tests membership against its rows, as the closure
+certificate does.  Over Q its rows are fraction-free integer vectors
+(``_RationalSpanBuilder``); outside the builder Q entries are ``Fraction``s.
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -13,6 +16,10 @@ convention ``E(i, j)``; plain element access is 0-based Python.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import compress, count
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import (
@@ -22,7 +29,7 @@ from .errors import (
     OddDimension,
     SingularMatrix,
 )
-from .fields import Field, FieldAutomorphism, Scalar
+from .fields import Field, FieldAutomorphism, Rationals, Scalar
 
 
 class Matrix:
@@ -289,8 +296,19 @@ class SpanBuilder:
     ``insert`` reduces a vector against the current rows, and on growth
     normalizes it and back-substitutes into the existing rows, so the row
     set stays a reduced echelon basis at all times (rows are kept indexed
-    by pivot column; sort by pivot to read the canonical basis off).
+    by pivot column; ``sorted_rows`` sorts them by pivot and reads the
+    canonical basis off).  ``contains`` is the reduction alone, a
+    membership test that leaves the span as it is.
+
+    Over Q, ``SpanBuilder(field, length)`` is a ``_RationalSpanBuilder``,
+    which keeps its rows as integers; every other field runs the raw-value
+    arithmetic here.
     """
+
+    def __new__(cls, field: Field, length: int):
+        if cls is SpanBuilder and isinstance(field, Rationals):
+            cls = _RationalSpanBuilder
+        return object.__new__(cls)
 
     def __init__(self, field: Field, length: int):
         self.field = field
@@ -304,15 +322,33 @@ class SpanBuilder:
 
     def insert(self, vec: Sequence) -> bool:
         """Add a vector to the span; True if the dimension grew."""
-        F = self.field
-        v = _reduce(F, self.rows, self.pivots, list(vec))
-        pivot = None
-        for i, a in enumerate(v):
-            if not F.is_zero(a):
-                pivot = i
-                break
+        v = self._reduced(vec)
+        pivot = self._leading(v)
         if pivot is None:
             return False
+        self._add_row(v, pivot)
+        return True
+
+    def contains(self, vec: Sequence) -> bool:
+        """Whether ``vec`` lies in the span; the span does not change."""
+        return self._leading(self._reduced(vec)) is None
+
+    def _reduced(self, vec: Sequence) -> list:
+        """``vec`` reduced against the rows; zero iff it lies in the span."""
+        return _reduce(self.field, self.rows, self.pivots, list(vec))
+
+    def _leading(self, v: list) -> int | None:
+        """The index of the first nonzero entry of ``v``, None if it is zero."""
+        is_zero = self.field.is_zero
+        for i, a in enumerate(v):
+            if not is_zero(a):
+                return i
+        return None
+
+    def _add_row(self, v: list, pivot: int) -> None:
+        """Append a reduced vector with its first nonzero entry at
+        ``pivot``, normalized, and clear that column in the other rows."""
+        F = self.field
         if v[pivot] != F.one:
             v = F.vec_scale(v, F.inv(v[pivot]))
         for i, row in enumerate(self.rows):
@@ -321,11 +357,96 @@ class SpanBuilder:
                 self.rows[i] = F.vec_submul(row, c, v)
         self.rows.append(v)
         self.pivots.append(pivot)
-        return True
 
     def sorted_rows(self) -> tuple[tuple, ...]:
         order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
         return tuple(tuple(self.rows[i]) for i in order)
+
+
+class _RationalSpanBuilder(SpanBuilder):
+    """``SpanBuilder`` over Q on fraction-free integer rows.
+
+    A row is a primitive integer vector, stored sparsely as a dict from
+    column to nonzero entry.  Its pivot entry is positive and is the row's
+    denominator: the row's value is ``row / row[pivot]``, so the reduced
+    echelon basis is kept exactly, with one denominator per row.
+
+    A vector's denominators are cleared once, by their lcm.  It is reduced
+    by integer cross-multiplication, w <- (d/g)·w - (c/g)·row with
+    g = gcd(d, c) for the row's denominator d and the entry c of w at the
+    row's pivot (no rescaling of w when d divides c), and divided by its content
+    once, when it becomes a row.  Back-substitution into the existing rows
+    works the same way, and divides each changed row by its content.
+    ``sorted_rows`` is the one place where entries become ``Fraction``s.
+    """
+
+    rows: list[dict[int, int]]
+
+    def _reduced(self, vec: Sequence) -> list[int]:
+        den = lcm(*map(_denominator, vec))
+        if den == 1:
+            w = list(map(_numerator, vec))
+        else:
+            w = [a._numerator * (den // a._denominator) for a in vec]
+        for row, p in zip(self.rows, self.pivots):
+            c = w[p]
+            if c:
+                d = row[p]
+                g = gcd(d, c)
+                c //= g
+                if d != g:
+                    w = [x * (d // g) for x in w]
+                for j, y in row.items():
+                    w[j] -= c * y
+        return w
+
+    def _leading(self, v: list[int]) -> int | None:
+        return next(compress(count(), v), None)
+
+    def _add_row(self, v: list[int], pivot: int) -> None:
+        g = gcd(*v)
+        if v[pivot] < 0:
+            g = -g
+        new = {j: x // g for j, x in enumerate(v) if x}
+        d = new[pivot]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            c = row.get(pivot)
+            if c:
+                g = gcd(d, c)
+                c //= g
+                if d != g:
+                    row = {j: x * (d // g) for j, x in row.items()}
+                else:
+                    row = dict(row)
+                for j, y in new.items():
+                    x = row.get(j, 0) - c * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                if row[self.pivots[i]] != 1:  # the content divides the pivot entry
+                    g = gcd(*row.values())
+                    if g != 1:
+                        row = {j: x // g for j, x in row.items()}
+                rows[i] = row
+        rows.append(new)
+        self.pivots.append(pivot)
+
+    def sorted_rows(self) -> tuple[tuple, ...]:
+        zero = self.field.zero
+        out = []
+        for p, row in sorted(zip(self.pivots, self.rows), key=lambda pr: pr[0]):
+            d = row[p]
+            dense = [zero] * self.length
+            for j, x in row.items():
+                dense[j] = Fraction(x, d)
+            out.append(tuple(dense))
+        return tuple(out)
+
+
+_numerator = attrgetter("_numerator")  # Fraction's slots, behind its properties
+_denominator = attrgetter("_denominator")
 
 
 def _kernel_from_rref(rows: list[Sequence], pivots: list[int], ncols: int, field: Field) -> list[list]:

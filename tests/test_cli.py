@@ -12,6 +12,7 @@ from liemat import (
     FieldAutomorphism,
     Matrix,
     conjugation_map,
+    cyclic_permutation,
     matrix_unit,
     transpose_conjugation_map,
 )
@@ -178,6 +179,50 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     )
     assert dispatch(["closure", "--in", str(empty_grid)]) == 2
     assert capsys.readouterr().err.startswith("MalformedJSON: entry grid is empty")
+
+
+def test_in_mixed_with_preset_flags_exit_2(tmp_path, capsys):
+    gens = tmp_path / "g.json"
+    gens.write_text(json.dumps([jsonio.matrix_to_json(matrix_unit(Q, 2, 1, 2))]))
+    map_file = tmp_path / "m.json"
+    map_file.write_text(
+        json.dumps(jsonio.algebra_map_to_json(conjugation_map(Matrix.identity(Q, 2))))
+    )
+    mixes = {
+        "--preset": ["--preset", "P,E12"],
+        "--n": ["--n", "5"],
+        "--field": ["--field", "gf:7"],
+        "--preset, --n, --field": ["--preset", "P,E12", "--n", "5", "--field", "gf:7"],
+    }
+    for command, path in (("closure", gens), ("recover-auto", map_file), ("chain", gens)):
+        for flags, extra in mixes.items():
+            assert dispatch([command, "--in", str(path), *extra]) == 2, (command, extra)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"MalformedJSON: --in cannot be combined with {flags}")
+
+
+def test_in_alone_and_preset_alone_are_unchanged(tmp_path, capsys):
+    # --preset without --field is over Q, as with --field q
+    code, default = run_cli(["closure", "--preset", "P,E12", "--n", "3"], capsys)
+    assert code == 0
+    code, explicit = run_cli(["closure", "--preset", "P,E12", "--n", "3", "--field", "q"], capsys)
+    assert code == 0
+    outcome = json.loads(default)["outcome"]
+    assert outcome == json.loads(explicit)["outcome"]
+    assert outcome["dim"] == 8 and outcome["subspace"]["ambient"]["field"] == {"kind": "Q"}
+    code, out = run_cli(["closure", "--preset", "P,E12", "--n", "3", "--field", "gf:7"], capsys)
+    assert code == 0
+    assert json.loads(out)["outcome"]["subspace"]["ambient"]["field"] == {"kind": "GF", "p": 7}
+    # --in alone reads everything from the file
+    gens = tmp_path / "g.json"
+    gens.write_text(json.dumps(
+        [jsonio.matrix_to_json(m) for m in (cyclic_permutation(Q, 3), matrix_unit(Q, 3, 1, 2))]
+    ))
+    code, out = run_cli(["closure", "--in", str(gens)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == outcome and report["inputs"] == [str(gens)]
 
 
 def test_index_errors_exit_1(capsys):
