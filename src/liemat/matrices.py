@@ -6,8 +6,10 @@ symplectic involution.
 ``SpanBuilder`` is the package's one Gauss-Jordan elimination: RREF,
 kernels, inverses and every canonical span in ``subspaces`` run on it, and
 ``SpanBuilder.contains`` tests membership against its rows, as the closure
-certificate does.  Over Q its rows are fraction-free integer vectors
-(``_RationalSpanBuilder``); outside the builder Q entries are ``Fraction``s.
+certificate does.  Over Q its rows are sparse fraction-free integer
+vectors (``_RationalSpanBuilder``) and over GF(p) sparse residue vectors
+(``_ResidueSpanBuilder``); outside the builder (and the closure's product
+kernel) Q entries are ``Fraction``s.
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -17,10 +19,9 @@ convention ``E(i, j)``; plain element access is 0-based Python.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -29,7 +30,7 @@ from .errors import (
     OddDimension,
     SingularMatrix,
 )
-from .fields import Field, FieldAutomorphism, Rationals, Scalar
+from .fields import Field, FieldAutomorphism, PrimeField, Rationals, Scalar
 
 
 class Matrix:
@@ -275,7 +276,7 @@ def _rref_in_place(rows: list[Sequence], field: Field) -> list[int]:
     for row in rows:
         builder.insert(row)
     rows[:] = builder.sorted_rows() + ((field.zero,) * builder.length,) * (len(rows) - builder.dim)
-    return sorted(builder.pivots)
+    return sorted(builder.by_pivot)
 
 
 def _reduce(field: Field, rows: Sequence[Sequence], pivots: Sequence[int], vec: list) -> list:
@@ -290,37 +291,63 @@ def _reduce(field: Field, rows: Sequence[Sequence], pivots: Sequence[int], vec: 
     return vec
 
 
+def _dense(field: Field, length: int, vec: dict) -> list:
+    """A sparse vector {column: raw value} as a dense list."""
+    out = [field.zero] * length
+    for i, a in vec.items():
+        out[i] = a
+    return out
+
+
 class SpanBuilder:
-    """Incrementally maintained RREF span of raw vectors.
+    """Incrementally maintained RREF span of vectors.
 
     ``insert`` reduces a vector against the current rows, and on growth
-    normalizes it and back-substitutes into the existing rows, so the row
-    set stays a reduced echelon basis at all times (rows are kept indexed
-    by pivot column; ``sorted_rows`` sorts them by pivot and reads the
-    canonical basis off).  ``contains`` is the reduction alone, a
+    normalizes it and back-substitutes into the existing rows, so the rows
+    stay a reduced echelon basis at all times.  ``by_pivot`` holds them by
+    pivot column, in insertion order; ``sorted_rows`` sorts them by pivot and
+    reads the canonical basis off.  ``contains`` is the reduction alone, a
     membership test that leaves the span as it is.
 
-    Over Q, ``SpanBuilder(field, length)`` is a ``_RationalSpanBuilder``,
-    which keeps its rows as integers; every other field runs the raw-value
-    arithmetic here.
+    A vector is a dense sequence of raw values, or a sparse dict from
+    column to nonzero coordinate: a raw value, except over Q, where the
+    coordinates are the integers of any nonzero multiple of the vector
+    (the builder keeps spans, so a multiple changes nothing).  The closure
+    engine hands its sparse products over as they are.
+
+    ``SpanBuilder(field, length)`` picks the builder from the field:
+
+    - Q: ``_RationalSpanBuilder``, sparse fraction-free integer rows;
+    - GF(p): ``_ResidueSpanBuilder``, sparse residue rows;
+    - GF(p^m): this class, dense raw-value rows and the field's arithmetic.
     """
 
     def __new__(cls, field: Field, length: int):
-        if cls is SpanBuilder and isinstance(field, Rationals):
-            cls = _RationalSpanBuilder
+        if cls is SpanBuilder:
+            if isinstance(field, Rationals):
+                cls = _RationalSpanBuilder
+            elif isinstance(field, PrimeField):
+                cls = _ResidueSpanBuilder
         return object.__new__(cls)
 
     def __init__(self, field: Field, length: int):
         self.field = field
         self.length = length
-        self.rows: list[list] = []
-        self.pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
+        self.by_pivot: dict[int, Any] = {}  # pivot column -> row
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.by_pivot)
 
-    def insert(self, vec: Sequence) -> bool:
+    @property
+    def rows(self) -> list:
+        return list(self.by_pivot.values())
+
+    @property
+    def pivots(self) -> list[int]:
+        return list(self.by_pivot)
+
+    def insert(self, vec: Sequence | dict) -> bool:
         """Add a vector to the span; True if the dimension grew."""
         v = self._reduced(vec)
         pivot = self._leading(v)
@@ -329,13 +356,14 @@ class SpanBuilder:
         self._add_row(v, pivot)
         return True
 
-    def contains(self, vec: Sequence) -> bool:
+    def contains(self, vec: Sequence | dict) -> bool:
         """Whether ``vec`` lies in the span; the span does not change."""
         return self._leading(self._reduced(vec)) is None
 
-    def _reduced(self, vec: Sequence) -> list:
+    def _reduced(self, vec: Sequence | dict) -> list:
         """``vec`` reduced against the rows; zero iff it lies in the span."""
-        return _reduce(self.field, self.rows, self.pivots, list(vec))
+        v = _dense(self.field, self.length, vec) if isinstance(vec, dict) else list(vec)
+        return _reduce(self.field, self.by_pivot.values(), self.by_pivot, v)
 
     def _leading(self, v: list) -> int | None:
         """The index of the first nonzero entry of ``v``, None if it is zero."""
@@ -346,103 +374,159 @@ class SpanBuilder:
         return None
 
     def _add_row(self, v: list, pivot: int) -> None:
-        """Append a reduced vector with its first nonzero entry at
-        ``pivot``, normalized, and clear that column in the other rows."""
-        F = self.field
+        """Add a reduced vector with its first nonzero entry at ``pivot``,
+        normalized, and clear that column in the other rows."""
+        F, by_pivot = self.field, self.by_pivot
         if v[pivot] != F.one:
             v = F.vec_scale(v, F.inv(v[pivot]))
-        for i, row in enumerate(self.rows):
+        for q, row in by_pivot.items():
             c = row[pivot]
             if not F.is_zero(c):
-                self.rows[i] = F.vec_submul(row, c, v)
-        self.rows.append(v)
-        self.pivots.append(pivot)
+                by_pivot[q] = F.vec_submul(row, c, v)
+        by_pivot[pivot] = v
 
     def sorted_rows(self) -> tuple[tuple, ...]:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return tuple(tuple(self.rows[i]) for i in order)
+        return tuple(tuple(self.by_pivot[p]) for p in sorted(self.by_pivot))
 
 
-class _RationalSpanBuilder(SpanBuilder):
-    """``SpanBuilder`` over Q on fraction-free integer rows.
+class _IntegerSpanBuilder(SpanBuilder):
+    """Rows as sparse dicts from column to nonzero int, for Q and GF(p).
 
-    A row is a primitive integer vector, stored sparsely as a dict from
-    column to nonzero entry.  Its pivot entry is positive and is the row's
-    denominator: the row's value is ``row / row[pivot]``, so the reduced
-    echelon basis is kept exactly, with one denominator per row.
-
-    A vector's denominators are cleared once, by their lcm.  It is reduced
-    by integer cross-multiplication, w <- (d/g)·w - (c/g)·row with
-    g = gcd(d, c) for the row's denominator d and the entry c of w at the
-    row's pivot (no rescaling of w when d divides c), and divided by its content
-    once, when it becomes a row.  Back-substitution into the existing rows
-    works the same way, and divides each changed row by its content.
-    ``sorted_rows`` is the one place where entries become ``Fraction``s.
+    A vector is reduced as a dict too.  The rows are in reduced echelon
+    form, so subtracting one from a vector leaves the vector's other pivot
+    coordinates alone: the vector is reduced once by the row of each pivot
+    column it starts with, and the work is in the rows' nonzeros, not in
+    the dimension of the span.
     """
 
-    rows: list[dict[int, int]]
+    by_pivot: dict[int, dict[int, int]]
 
-    def _reduced(self, vec: Sequence) -> list[int]:
+    def _reduced(self, vec: Sequence | dict) -> dict[int, int]:
+        return self._eliminate(dict(vec) if isinstance(vec, dict) else self._coords(vec))
+
+    def _leading(self, w: dict[int, int]) -> int | None:
+        return min(w, default=None)
+
+    def sorted_rows(self) -> tuple[tuple, ...]:
+        zero = self.field.zero
+        out = []
+        for p in sorted(self.by_pivot):
+            dense = [zero] * self.length
+            for j, a in self._raw_items(self.by_pivot[p], p):
+                dense[j] = a
+            out.append(tuple(dense))
+        return tuple(out)
+
+
+class _ResidueSpanBuilder(_IntegerSpanBuilder):
+    """``SpanBuilder`` over GF(p) on sparse residue rows with pivot entry 1.
+
+    A vector is reduced with plain int arithmetic, w[j] - c·y for each
+    nonzero y of a row, and taken mod p once per coordinate at the end.
+    """
+
+    def _coords(self, vec: Sequence) -> dict[int, int]:
+        return {j: a for j, a in enumerate(vec) if a}
+
+    def _eliminate(self, w: dict[int, int]) -> dict[int, int]:
+        p, by_pivot = self.field.p, self.by_pivot
+        get = w.get
+        for q in [j for j in w if j in by_pivot]:
+            c = w[q]
+            for j, y in by_pivot[q].items():
+                w[j] = get(j, 0) - c * y
+        return {j: r for j, x in w.items() if (r := x % p)}
+
+    def _add_row(self, w: dict[int, int], pivot: int) -> None:
+        p, by_pivot = self.field.p, self.by_pivot
+        c = w[pivot]
+        if c != 1:
+            c = pow(c, -1, p)
+            w = {j: x * c % p for j, x in w.items()}
+        for row in by_pivot.values():
+            c = row.get(pivot)
+            if c:
+                for j, y in w.items():
+                    x = (row.get(j, 0) - c * y) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        by_pivot[pivot] = w
+
+    def _raw_items(self, row: dict[int, int], pivot: int):
+        return row.items()
+
+
+class _RationalSpanBuilder(_IntegerSpanBuilder):
+    """``SpanBuilder`` over Q on fraction-free integer rows.
+
+    A row is a primitive integer vector.  Its pivot entry is positive and
+    is the row's denominator: the row's value is ``row / row[pivot]``, so
+    the reduced echelon basis is kept exactly, with one denominator per row.
+
+    A dense vector's denominators are cleared once, by their lcm.  A vector
+    is reduced by integer cross-multiplication, w <- (d/g)·w - (c/g)·row
+    with g = gcd(d, c) for the row's denominator d and the entry c of w at
+    the row's pivot (no rescaling of w when d divides c), and divided by
+    its content once, when it becomes a row.  Back-substitution into the
+    existing rows works the same way, and divides each changed row by its
+    content.  ``sorted_rows`` is the one place where entries become
+    ``Fraction``s.
+    """
+
+    def _coords(self, vec: Sequence) -> dict[int, int]:
         den = lcm(*map(_denominator, vec))
         if den == 1:
-            w = list(map(_numerator, vec))
-        else:
-            w = [a._numerator * (den // a._denominator) for a in vec]
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p]
-            if c:
-                d = row[p]
-                g = gcd(d, c)
-                c //= g
-                if d != g:
-                    w = [x * (d // g) for x in w]
-                for j, y in row.items():
-                    w[j] -= c * y
-        return w
+            return {j: a._numerator for j, a in enumerate(vec) if a}
+        return {j: a._numerator * (den // a._denominator) for j, a in enumerate(vec) if a}
 
-    def _leading(self, v: list[int]) -> int | None:
-        return next(compress(count(), v), None)
+    def _eliminate(self, w: dict[int, int]) -> dict[int, int]:
+        by_pivot = self.by_pivot
+        for q in [j for j in w if j in by_pivot]:
+            row = by_pivot[q]
+            c, d = w[q], row[q]
+            g = gcd(d, c)
+            c //= g
+            if d != g:
+                m = d // g
+                w = {j: x * m for j, x in w.items()}
+            get = w.get
+            for j, y in row.items():
+                w[j] = get(j, 0) - c * y
+        return {j: x for j, x in w.items() if x}
 
-    def _add_row(self, v: list[int], pivot: int) -> None:
-        g = gcd(*v)
+    def _add_row(self, v: dict[int, int], pivot: int) -> None:
+        g = gcd(*v.values())
         if v[pivot] < 0:
             g = -g
-        new = {j: x // g for j, x in enumerate(v) if x}
+        new = {j: x // g for j, x in v.items()} if g != 1 else v
         d = new[pivot]
-        rows = self.rows
-        for i, row in enumerate(rows):
+        by_pivot = self.by_pivot
+        for q, row in by_pivot.items():
             c = row.get(pivot)
             if c:
                 g = gcd(d, c)
                 c //= g
                 if d != g:
-                    row = {j: x * (d // g) for j, x in row.items()}
-                else:
-                    row = dict(row)
+                    m = d // g
+                    row = {j: x * m for j, x in row.items()}
                 for j, y in new.items():
                     x = row.get(j, 0) - c * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
-                if row[self.pivots[i]] != 1:  # the content divides the pivot entry
+                if row[q] != 1:  # the content divides the pivot entry
                     g = gcd(*row.values())
                     if g != 1:
                         row = {j: x // g for j, x in row.items()}
-                rows[i] = row
-        rows.append(new)
-        self.pivots.append(pivot)
+                by_pivot[q] = row
+        by_pivot[pivot] = new
 
-    def sorted_rows(self) -> tuple[tuple, ...]:
-        zero = self.field.zero
-        out = []
-        for p, row in sorted(zip(self.pivots, self.rows), key=lambda pr: pr[0]):
-            d = row[p]
-            dense = [zero] * self.length
-            for j, x in row.items():
-                dense[j] = Fraction(x, d)
-            out.append(tuple(dense))
-        return tuple(out)
+    def _raw_items(self, row: dict[int, int], pivot: int):
+        d = row[pivot]
+        return ((j, Fraction(x, d)) for j, x in row.items())
 
 
 _numerator = attrgetter("_numerator")  # Fraction's slots, behind its properties

@@ -14,7 +14,6 @@ from liemat import (
     preimage,
 )
 from liemat.sampling import random_invertible, random_matrix
-from liemat.subspaces import SpanBuilder
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -43,6 +42,34 @@ def _products(u, v, kind):
         yield v * u
 
 
+class _ReferenceSpan:
+    """A span kept as the RREF rows of ``reference_rref``, recomputed from
+    scratch whenever a vector outside the span is added; independent of
+    ``SpanBuilder``."""
+
+    def __init__(self, field, length):
+        self.field, self.length = field, length
+        self.rows, self.pivots = [], []
+
+    def _reduced(self, vec):
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if not self.field.is_zero(vec[p]):
+                vec = self.field.vec_submul(vec, vec[p], row)
+        return vec
+
+    def contains(self, vec):
+        return all(map(self.field.is_zero, self._reduced(vec)))
+
+    def insert(self, vec):
+        if self.contains(vec):
+            return False
+        rows = self.rows + [list(vec)]
+        self.pivots = reference_rref(rows, self.field)
+        self.rows = rows[: len(self.pivots)]
+        return True
+
+
 def reference_closure(gens, kind):
     """Closure by exhaustive sweeps, as ``(subspace, rounds)``.
 
@@ -51,32 +78,32 @@ def reference_closure(gens, kind):
     the sweeps stop when the span is full or a sweep adds nothing; that
     count is ``rounds``.  A pairwise check of all basis products then
     certifies the fixpoint.  Slow and simple: the oracle for ``closure``.
+    The span is kept by ``reference_rref``, not by ``SpanBuilder``.
     """
     field = gens[0].field
     n = gens[0].nrows
-    builder = SpanBuilder(field, n * n)
-    basis = [g for g in gens if builder.insert(g.vectorize())]
+    span = _ReferenceSpan(field, n * n)
+    basis = [g for g in gens if span.insert(g.vectorize())]
     rounds = 0
     frontier_start = 0
-    while frontier_start < len(basis) and builder.dim < n * n:
+    while frontier_start < len(basis) and len(span.rows) < n * n:
         rounds += 1
         frontier_end = len(basis)
         for u in basis[frontier_start:frontier_end]:
             for v in itertools.chain(gens, basis[:frontier_end]):
                 for prod in _products(u, v, kind):
-                    if builder.insert(prod.vectorize()):
+                    if span.insert(prod.vectorize()):
                         basis.append(prod)
         if len(basis) == frontier_end:
             break
         frontier_start = frontier_end
-    subspace = Subspace(field, (n, n), builder.sorted_rows())
-    if not subspace.is_full:
+    if len(span.rows) < n * n:
         for i, u in enumerate(basis):
             start = i + 1 if kind == "lie" else 0  # brackets are antisymmetric
             for v in basis[start:]:
                 for prod in _products(u, v, kind):
-                    assert subspace.contains(prod), "reference closure is not closed"
-    return subspace, rounds
+                    assert span.contains(prod.vectorize()), "reference closure is not closed"
+    return Subspace(field, (n, n), tuple(tuple(r) for r in span.rows)), rounds
 
 
 def reference_rref(rows, field):

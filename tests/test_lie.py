@@ -1,5 +1,8 @@
 """Brackets, left-normed products, closure engine, expansion identity."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,7 @@ from liemat import (
     matrix_unit,
     upper_shift,
 )
-from liemat import lie
+from liemat import lie, matrices
 from liemat.errors import EmptySequence, MixedShapes
 
 from support import (
@@ -274,7 +277,90 @@ def test_product_operators_match_dense_products(field):
         for op, dense in ((lie.right_operator(h), r * h), (lie.ad_operator(h), bracket(r, h))):
             image = lie._apply(field, op, r_vec)
             assert all(not field.is_zero(a) for a in image.values())
-            assert lie._dense(field, n * n, image) == list(dense.vectorize())
+            assert matrices._dense(field, n * n, image) == list(dense.vectorize())
+
+
+@pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE], ids=repr)
+def test_integer_kernel_matches_raw_products(field):
+    """``_apply_int`` on ``_coordinates`` gives the coordinates of the raw
+    product: over Q its primitive multiple, over GF(p) its residues."""
+    rng = rng_for("integer-kernel", repr(field))
+    if field == Q:  # lcm 9 clears the denominators, then the content 2 goes
+        assert lie._coordinates(Q, {0: Fraction(4, 3), 2: Fraction(-2, 9)}) == {0: 6, 2: -1}
+    n = 3
+    apply = lie._product(field)
+    hs = [random_matrix(field, n, n, rng) for _ in range(6)] + [E(n, 2, 3, field)]
+    for h in hs:
+        h_raw = lie._sparse(field, h.vectorize())
+        r_raw = lie._sparse(field, random_matrix(field, n, n, rng).vectorize())
+        r_int = lie._coordinates(field, r_raw)
+        if field == Q:
+            assert all(type(x) is int for x in r_int.values()) and gcd(*r_int.values()) == 1
+        for kind in (True, False):
+            raw = lie._apply(field, lie._operator(field, n, h_raw, kind), r_raw)
+            op = lie._operator(field, n, lie._coordinates(field, h_raw), kind)
+            assert apply(op, r_int) == lie._coordinates(field, raw)
+
+
+def _scaled(m, c):
+    return m.scale(Fraction(c))
+
+
+def _q_coefficient_cases():
+    """Q generator sets with non-integer, negative and large-denominator
+    coefficients, by id."""
+    P, S = cyclic_permutation, upper_shift
+    rng = rng_for("q-coefficients")
+    mixed = _scaled(E(4, 1, 1), Fraction(-3, 4)) + _scaled(E(4, 2, 2), Fraction(2, 3))
+    tiny = P(Q, 4) + _scaled(E(4, 3, 3), Fraction(7, 10**6))
+    big = [
+        Matrix(Q, [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) if rng.random() < 0.4 else 0
+                    for _ in range(3)] for _ in range(3)])
+        for _ in range(2)
+    ]
+    cases = [
+        ("1/2 P, E11 n=5", [_scaled(P(Q, 5), Fraction(1, 2)), E(5, 1, 1)]),
+        ("1/2 P, -3/4 E11 + 2/3 E22 n=4", [_scaled(P(Q, 4), Fraction(1, 2)), mixed]),
+        ("P + 7/10^6 E33, -3/4 E11 + 2/3 E22 n=4", [tiny, mixed]),
+        ("-5/7 S, 7/10^6 E21 n=4", [_scaled(S(Q, 4), Fraction(-5, 7)), _scaled(E(4, 2, 1), Fraction(7, 10**6))]),
+        ("sparse big-denominator pair n=3", big),
+        ("-3/4 E11 + 2/3 E22, 1/2 E33 - 5/3 E44 n=4",
+         [mixed, _scaled(E(4, 3, 3), Fraction(1, 2)) + _scaled(E(4, 4, 4), Fraction(-5, 3))]),
+    ]
+    return [pytest.param(gens, id=case_id) for case_id, gens in cases]
+
+
+@pytest.mark.parametrize("kind", ["lie", "associative"])
+@pytest.mark.parametrize("gens", _q_coefficient_cases())
+def test_closure_over_q_with_fractional_coefficients(gens, kind):
+    result = closure(gens, kind)
+    subspace, rounds = reference_closure(gens, kind)
+    assert result.subspace.rows == subspace.rows
+    assert result.rounds == rounds
+
+
+@pytest.mark.parametrize("kind", ["lie", "associative"])
+def test_closure_does_not_see_generator_scaling(kind):
+    for n in (3, 5):
+        want = closure([cyclic_permutation(Q, n), E(n, 1, 1)], kind)
+        for c in (2, -1, Fraction(-3, 7), Fraction(1, 10**6)):
+            got = closure([_scaled(cyclic_permutation(Q, n), c), E(n, 1, 1)], kind)
+            assert got == want
+            assert got.subspace.rows == want.subspace.rows and got.rounds == want.rounds
+
+
+@pytest.mark.parametrize("kind", ["lie", "associative"])
+def test_closure_entries_are_raw_values(kind):
+    for gens in [[_scaled(upper_shift(Q, 4), Fraction(-2, 3)), E(4, 4, 1)],
+                 [_scaled(cyclic_permutation(Q, 3), Fraction(5, 9)), E(3, 1, 1)]]:
+        rows = closure(gens, kind).subspace.rows
+        assert rows and all(type(a) is Fraction for row in rows for a in row)
+    for field in (GF2, GF5, GF_LARGE):
+        rng = rng_for("raw-entries", kind, repr(field))
+        for gens in ([upper_shift(field, 4), E(4, 2, 1, field)],
+                     [random_matrix(field, 3, 3, rng) for _ in range(2)]):
+            rows = closure(gens, kind).subspace.rows
+            assert rows and all(type(a) is int and 0 <= a < field.p for row in rows for a in row)
 
 
 def test_closure_rounds_edge_cases():
