@@ -5,7 +5,7 @@ Every field is an immutable descriptor object whose methods operate on
 
 * ``Rationals``       -- :class:`fractions.Fraction` (always lowest terms);
   ``dot`` and ``is_scaled`` compute on integer numerators and
-  denominators, and ``parse_scalars`` parses each distinct text once,
+  denominators,
 * ``PrimeField(p)``   -- residues ``int`` in ``[0, p)``,
 * ``ExtensionField``  -- coefficient tuples of length ``m`` over GF(p),
   ascending degree, reduced modulo a monic irreducible polynomial.  Up to
@@ -139,9 +139,19 @@ class Field:
         raise NotImplementedError
 
     def parse_scalars(self, texts: Sequence[str]) -> list:
-        """``parse_scalar`` of each text, in order."""
+        """``parse_scalar`` of each text, in order.
+
+        Map documents repeat few distinct texts: over an infinite field, or
+        one with fewer elements than there are texts, each distinct text is
+        parsed once and its immutable value shared.  Otherwise each text is
+        parsed in turn, which is cheaper when most texts differ."""
         parse = self.parse_scalar
-        return [parse(t) for t in texts]
+        if self.order is not None and self.order >= len(texts):
+            return [parse(t) for t in texts]
+        parsed = dict.fromkeys(texts)
+        for t in parsed:
+            parsed[t] = parse(t)
+        return [parsed[t] for t in texts]
 
     def random_scalar(self, rng):
         raise NotImplementedError
@@ -245,14 +255,6 @@ class Rationals(Field):
 
     def parse_scalar(self, text: str):
         return Fraction(text.strip())
-
-    def parse_scalars(self, texts):
-        # map documents repeat few distinct texts: parse each once and share
-        # the immutable values
-        parsed = dict.fromkeys(texts)
-        for t in parsed:
-            parsed[t] = self.parse_scalar(t)
-        return [parsed[t] for t in texts]
 
     def random_scalar(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -18,26 +18,24 @@ test asks the sweep's own ``SpanBuilder`` whether each product lies in V
 (``SpanBuilder.contains``), so no ``Subspace`` is built until the closure
 is returned.
 
-Over Q and GF(p) the closure runs on integer coordinates: every element is
-a primitive integer vector over Q (a nonzero multiple spans the same line,
-so the spans, the sweep order and ``rounds`` are those of the raw values)
-and a residue vector over GF(p).  One kernel, ``_apply_int``, forms every
-product with int arithmetic, and the builder takes the sparse result as
-it is.  GF(p^m) runs ``_apply`` on raw values.  So does ``ad_kernel``,
-whose target rows have ``Fraction`` entries over Q; it hands the builder
-the ``_coordinates`` of its constraint rows.
+The closure keeps its elements in the coordinates of its ``SpanBuilder``
+(``SpanBuilder.coordinates``): primitive integer vectors over Q (a nonzero
+multiple spans the same line, so the spans, the sweep order and ``rounds``
+are those of the raw values), residues over GF(p) and raw values over
+GF(p^m).  The builder forms every product in them (``SpanBuilder.apply``)
+and takes the result as it is.  ``ad_kernel`` forms its images on raw
+values with ``_apply``: each image is a column of its constraint system,
+so none may be rescaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from math import gcd, lcm
 from typing import Literal, Sequence
 
 from .errors import DimensionMismatch, EmptySequence, MixedShapes
-from .fields import Field, PrimeField, Rationals
-from .matrices import Matrix, _kernel_from_rref
+from .fields import Field
+from .matrices import Matrix, SparseMap, SparseVec, _apply, _kernel_from_rref, _sparse
 from .subspaces import SpanBuilder, Subspace
 
 
@@ -56,62 +54,6 @@ def left_normed(xs: Sequence[Matrix]) -> Matrix:
     for x in xs[1:]:
         acc = bracket(acc, x)
     return acc
-
-
-SparseVec = dict  # row-major coordinate i*n + k -> nonzero raw value or int
-SparseMap = dict  # coordinate -> [(coordinate, coefficient)], its image
-
-
-def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
-    """op(vec); a coordinate that op does not list maps to itself."""
-    add, mul = field.add, field.mul
-    out: SparseVec = {}
-    for idx, a in vec.items():
-        for key, b in op.get(idx, ((idx, field.one),)):
-            out[key] = add(out[key], mul(a, b)) if key in out else mul(a, b)
-    return {key: a for key, a in out.items() if not field.is_zero(a)}
-
-
-def _apply_int(op: SparseMap, vec: SparseVec, p: int) -> SparseVec:
-    """op(vec) on integer coordinates, for an ``op`` that lists every
-    coordinate: plain int sums, each taken mod p over GF(p), or the image
-    divided by its content over Q (p = 0)."""
-    out: SparseVec = {}
-    get = out.get
-    for idx, a in vec.items():
-        for key, b in op[idx]:
-            out[key] = get(key, 0) + a * b
-    if p:
-        return {key: r for key, x in out.items() if (r := x % p)}
-    out = {key: x for key, x in out.items() if x}
-    g = gcd(*out.values())
-    return {key: x // g for key, x in out.items()} if g > 1 else out
-
-
-def _sparse(field: Field, vec) -> SparseVec:
-    return {i: a for i, a in enumerate(vec) if not field.is_zero(a)}
-
-
-def _coordinates(field: Field, vec: SparseVec) -> SparseVec:
-    """``vec`` as ``SpanBuilder`` and ``_apply_int`` take it: over Q its
-    primitive integer multiple, which spans the same line (the lcm of the
-    denominators clears them, and the content is divided out); over a
-    finite field, as it is."""
-    if not isinstance(field, Rationals):
-        return vec
-    den = lcm(*(a.denominator for a in vec.values()))
-    out = {i: a.numerator * (den // a.denominator) for i, a in vec.items()}
-    g = gcd(*out.values())
-    return {i: x // g for i, x in out.items()} if g > 1 else out
-
-
-def _product(field: Field):
-    """The closure's product kernel, (op, vec) -> op(vec): ``_apply_int``
-    over Q and GF(p), whose vectors are ``_coordinates``, and ``_apply`` on
-    raw values over GF(p^m)."""
-    if isinstance(field, (Rationals, PrimeField)):
-        return partial(_apply_int, p=field.characteristic)
-    return partial(_apply, field)
 
 
 def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
@@ -180,7 +122,7 @@ def ad_kernel(
             for j, a in _apply(field, reduce, img).items():
                 rows.setdefault(j, {})[c] = a
         for entries in rows.values():
-            constraints.insert(_coordinates(field, entries))
+            constraints.insert(constraints.coordinates(entries))
             if constraints.dim == N:
                 return Subspace.zero(field, (n, n))
 
@@ -188,7 +130,7 @@ def ad_kernel(
     builder = SpanBuilder(field, N)
     for vec in kernel:
         builder.insert(vec)
-    return Subspace(field, (n, n), builder.sorted_rows())
+    return Subspace._of(builder, (n, n))
 
 
 ProductKind = Literal["lie", "associative"]
@@ -208,8 +150,8 @@ class ClosureResult:
     returned: [V, X] ⊆ V (V·X ⊆ V) holds for V = ``subspace``, which is
     spanned by products of generators and contains X.  Every product is
     formed on sparse vectors by the operator r -> [r, h] (r -> r·h) of its
-    right factor h, so no dense matrix product is made; over Q and GF(p)
-    the vectors are integer coordinates (see the module docstring).
+    right factor h, so no dense matrix product is made; the vectors are in
+    the coordinates of the closure's builder (see the module docstring).
     ``subspace`` holds raw values all the same: ``Fraction``s over Q,
     residues in [0, p) over GF(p).
     """
@@ -240,23 +182,20 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
 
     full_dim = n * n
     lie = kind == "lie"
-    apply = _product(field)
     builder = SpanBuilder(field, full_dim)
-    # independent representatives, insertion order
-    basis = [
-        _coordinates(field, _sparse(field, v))
-        for v in map(Matrix.vectorize, gens) if builder.insert(v)
-    ]
+    # independent representatives, insertion order, in builder coordinates
+    coords = (builder.coordinates(_sparse(field, g.vectorize())) for g in gens)
+    basis = [u for u in coords if builder.insert(u)]
     ops = [_operator(field, n, u, lie) for u in basis]  # r -> [r, u] or r -> r·u
     generator_ops = list(ops)
 
     rounds = frontier_start = 0
     while basis and builder.dim < full_dim:
         rounds += 1
-        if _certify_closed(builder, apply, basis, generator_ops):
+        if _certify_closed(builder, basis, generator_ops):
             break
         frontier_end = len(basis)
-        for prod in _sweep(apply, basis, ops, frontier_start, frontier_end, lie):
+        for prod in _sweep(builder.apply, basis, ops, frontier_start, frontier_end, lie):
             if prod and builder.insert(prod):
                 basis.append(prod)
                 ops.append(_operator(field, n, prod, lie))
@@ -265,7 +204,7 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
         if len(basis) == frontier_end:
             raise AssertionError("a sweep after a failed certificate added nothing")
         frontier_start = frontier_end
-    return ClosureResult(Subspace(field, (n, n), builder.sorted_rows()), rounds, kind)
+    return ClosureResult(Subspace._of(builder, (n, n)), rounds, kind)
 
 
 def _sweep(apply, basis: list[SparseVec], ops: list[SparseMap], start: int, end: int, lie: bool):
@@ -285,13 +224,12 @@ def _sweep(apply, basis: list[SparseVec], ops: list[SparseMap], start: int, end:
 
 
 def _certify_closed(
-    builder: SpanBuilder, apply, basis: list[SparseVec], generator_ops: list[SparseMap]
+    builder: SpanBuilder, basis: list[SparseVec], generator_ops: list[SparseMap]
 ) -> bool:
     """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
     the span of ``builder``, spanned by ``basis``, and X is given by its
-    operators.  Each product is formed by ``apply``, the closure's kernel
-    (``_product``), and tested with ``SpanBuilder.contains``, on the
-    builder's own rows.
+    operators.  Each product is formed by ``SpanBuilder.apply`` and tested
+    with ``SpanBuilder.contains``, on the builder's own rows.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
     [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
@@ -302,6 +240,7 @@ def _certify_closed(
     The newest elements are tested first, so a span that is not yet closed
     fails fast.
     """
+    apply = builder.apply
     for u in reversed(basis):
         for op in generator_ops:
             prod = apply(op, u)

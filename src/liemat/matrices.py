@@ -6,10 +6,12 @@ symplectic involution.
 ``SpanBuilder`` is the package's one Gauss-Jordan elimination: RREF,
 kernels, inverses and every canonical span in ``subspaces`` run on it, and
 ``SpanBuilder.contains`` tests membership against its rows, as the closure
-certificate does.  Over Q its rows are sparse fraction-free integer
-vectors (``_RationalSpanBuilder``) and over GF(p) sparse residue vectors
-(``_ResidueSpanBuilder``); outside the builder (and the closure's product
-kernel) Q entries are ``Fraction``s.
+certificate and every ``Subspace`` do.  Its rows are sparse dicts in the
+builder's coordinates: fraction-free integers over Q
+(``_RationalSpanBuilder``), residues over GF(p) (``_ResidueSpanBuilder``)
+and raw values over GF(p^m).  ``SpanBuilder.apply`` forms the closure's
+products in the same coordinates; everywhere else Q entries are
+``Fraction``s.
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -19,9 +21,10 @@ convention ``E(i, j)``; plain element access is 0-based Python.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Any, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -279,24 +282,24 @@ def _rref_in_place(rows: list[Sequence], field: Field) -> list[int]:
     return sorted(builder.by_pivot)
 
 
-def _reduce(field: Field, rows: Sequence[Sequence], pivots: Sequence[int], vec: list) -> list:
-    """``vec`` reduced against echelon ``rows`` with pivot columns
-    ``pivots``; zero iff ``vec`` lies in their span."""
+SparseVec = dict  # column (row-major i*n + k for a matrix) -> nonzero value
+SparseMap = dict  # column -> [(column, coefficient)], its image
+
+
+def _sparse(field: Field, vec: Sequence) -> SparseVec:
+    """A dense vector of raw values as a sparse one."""
     is_zero = field.is_zero
-    submul = field.vec_submul
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if not is_zero(c):
-            vec = submul(vec, c, row)
-    return vec
+    return {i: a for i, a in enumerate(vec) if not is_zero(a)}
 
 
-def _dense(field: Field, length: int, vec: dict) -> list:
-    """A sparse vector {column: raw value} as a dense list."""
-    out = [field.zero] * length
-    for i, a in vec.items():
-        out[i] = a
-    return out
+def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
+    """op(vec) on raw values; a column that op does not list maps to itself."""
+    add, mul = field.add, field.mul
+    out: SparseVec = {}
+    for idx, a in vec.items():
+        for key, b in op.get(idx, ((idx, field.one),)):
+            out[key] = add(out[key], mul(a, b)) if key in out else mul(a, b)
+    return {key: a for key, a in out.items() if not field.is_zero(a)}
 
 
 class SpanBuilder:
@@ -309,17 +312,21 @@ class SpanBuilder:
     reads the canonical basis off.  ``contains`` is the reduction alone, a
     membership test that leaves the span as it is.
 
-    A vector is a dense sequence of raw values, or a sparse dict from
-    column to nonzero coordinate: a raw value, except over Q, where the
-    coordinates are the integers of any nonzero multiple of the vector
-    (the builder keeps spans, so a multiple changes nothing).  The closure
-    engine hands its sparse products over as they are.
+    A row is a sparse dict from column to nonzero coordinate.  The rows are
+    in reduced echelon form, so subtracting one from a vector leaves the
+    vector's other pivot coordinates alone: a vector is reduced once by the
+    row of each pivot column it starts with, and the work is in the rows'
+    nonzeros, not in the dimension of the span.
 
-    ``SpanBuilder(field, length)`` picks the builder from the field:
+    A vector is a dense sequence of raw values, or a sparse dict in the
+    builder's own coordinates (``coordinates``); ``apply`` forms an
+    operator's image in the same coordinates, so the closure engine works in
+    them throughout.  ``SpanBuilder(field, length)``
+    picks the coordinates from the field:
 
-    - Q: ``_RationalSpanBuilder``, sparse fraction-free integer rows;
-    - GF(p): ``_ResidueSpanBuilder``, sparse residue rows;
-    - GF(p^m): this class, dense raw-value rows and the field's arithmetic.
+    - Q: ``_RationalSpanBuilder``, fraction-free integer rows;
+    - GF(p): ``_ResidueSpanBuilder``, residue rows and int arithmetic;
+    - GF(p^m): this class, raw values and the field's arithmetic.
     """
 
     def __new__(cls, field: Field, length: int):
@@ -333,79 +340,78 @@ class SpanBuilder:
     def __init__(self, field: Field, length: int):
         self.field = field
         self.length = length
-        self.by_pivot: dict[int, Any] = {}  # pivot column -> row
+        self.by_pivot: dict[int, dict] = {}  # pivot column -> row
 
     @property
     def dim(self) -> int:
         return len(self.by_pivot)
 
     @property
-    def rows(self) -> list:
+    def rows(self) -> list[dict]:
         return list(self.by_pivot.values())
 
     @property
     def pivots(self) -> list[int]:
         return list(self.by_pivot)
 
-    def insert(self, vec: Sequence | dict) -> bool:
+    def insert(self, vec: Sequence | SparseVec) -> bool:
         """Add a vector to the span; True if the dimension grew."""
-        v = self._reduced(vec)
-        pivot = self._leading(v)
-        if pivot is None:
+        w = self._reduced(vec)
+        if not w:
             return False
-        self._add_row(v, pivot)
+        self._add_row(w, min(w))
         return True
 
-    def contains(self, vec: Sequence | dict) -> bool:
+    def contains(self, vec: Sequence | SparseVec) -> bool:
         """Whether ``vec`` lies in the span; the span does not change."""
-        return self._leading(self._reduced(vec)) is None
+        return not self._reduced(vec)
 
-    def _reduced(self, vec: Sequence | dict) -> list:
-        """``vec`` reduced against the rows; zero iff it lies in the span."""
-        v = _dense(self.field, self.length, vec) if isinstance(vec, dict) else list(vec)
-        return _reduce(self.field, self.by_pivot.values(), self.by_pivot, v)
+    def _reduced(self, vec: Sequence | SparseVec) -> SparseVec:
+        """``vec`` reduced against the rows; empty iff it lies in the span."""
+        return self._eliminate(
+            dict(vec) if isinstance(vec, dict) else self.coordinates(_sparse(self.field, vec))
+        )
 
-    def _leading(self, v: list) -> int | None:
-        """The index of the first nonzero entry of ``v``, None if it is zero."""
-        is_zero = self.field.is_zero
-        for i, a in enumerate(v):
-            if not is_zero(a):
-                return i
-        return None
+    def coordinates(self, vec: SparseVec) -> SparseVec:
+        """The builder's coordinates of a sparse vector of raw values: here
+        the raw values themselves."""
+        return vec
 
-    def _add_row(self, v: list, pivot: int) -> None:
+    def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
+        """op(vec) in the builder's coordinates, for an ``op`` that lists
+        every column, with coefficients in those coordinates too."""
+        return _apply(self.field, op, vec)
+
+    def _eliminate(self, w: SparseVec) -> SparseVec:
+        F, by_pivot = self.field, self.by_pivot
+        submul, zero = F.vec_submul, F.zero
+        get = w.get
+        for q in [j for j in w if j in by_pivot]:
+            row = by_pivot[q]
+            u = list(map(get, row, repeat(zero)))
+            w.update(zip(row, submul(u, w[q], row.values())))
+        return {j: x for j, x in w.items() if x != zero}
+
+    def _add_row(self, w: SparseVec, pivot: int) -> None:
         """Add a reduced vector with its first nonzero entry at ``pivot``,
         normalized, and clear that column in the other rows."""
         F, by_pivot = self.field, self.by_pivot
-        if v[pivot] != F.one:
-            v = F.vec_scale(v, F.inv(v[pivot]))
-        for q, row in by_pivot.items():
-            c = row[pivot]
-            if not F.is_zero(c):
-                by_pivot[q] = F.vec_submul(row, c, v)
-        by_pivot[pivot] = v
+        submul, zero = F.vec_submul, F.zero
+        c = w[pivot]
+        if c != F.one:
+            w = dict(zip(w, F.vec_scale(w.values(), F.inv(c))))
+        for row in by_pivot.values():
+            c = row.get(pivot)
+            if c is not None:
+                new = submul(list(map(row.get, w, repeat(zero))), c, w.values())
+                row.update(zip(w, new))
+                for j in compress(w, map(zero.__eq__, new)):
+                    del row[j]
+        by_pivot[pivot] = w
 
-    def sorted_rows(self) -> tuple[tuple, ...]:
-        return tuple(tuple(self.by_pivot[p]) for p in sorted(self.by_pivot))
-
-
-class _IntegerSpanBuilder(SpanBuilder):
-    """Rows as sparse dicts from column to nonzero int, for Q and GF(p).
-
-    A vector is reduced as a dict too.  The rows are in reduced echelon
-    form, so subtracting one from a vector leaves the vector's other pivot
-    coordinates alone: the vector is reduced once by the row of each pivot
-    column it starts with, and the work is in the rows' nonzeros, not in
-    the dimension of the span.
-    """
-
-    by_pivot: dict[int, dict[int, int]]
-
-    def _reduced(self, vec: Sequence | dict) -> dict[int, int]:
-        return self._eliminate(dict(vec) if isinstance(vec, dict) else self._coords(vec))
-
-    def _leading(self, w: dict[int, int]) -> int | None:
-        return min(w, default=None)
+    def _raw_items(self, row: SparseVec, pivot: int):
+        """The (column, raw value) pairs of a row."""
+        return row.items()
 
     def sorted_rows(self) -> tuple[tuple, ...]:
         zero = self.field.zero
@@ -418,17 +424,19 @@ class _IntegerSpanBuilder(SpanBuilder):
         return tuple(out)
 
 
-class _ResidueSpanBuilder(_IntegerSpanBuilder):
-    """``SpanBuilder`` over GF(p) on sparse residue rows with pivot entry 1.
+class _ResidueSpanBuilder(SpanBuilder):
+    """``SpanBuilder`` over GF(p) on residue rows with pivot entry 1.
 
     A vector is reduced with plain int arithmetic, w[j] - c·y for each
-    nonzero y of a row, and taken mod p once per coordinate at the end.
+    nonzero y of a row, and taken mod p once per coordinate at the end;
+    ``apply`` sums as ints too and takes each sum mod p once.
     """
 
-    def _coords(self, vec: Sequence) -> dict[int, int]:
-        return {j: a for j, a in enumerate(vec) if a}
+    def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
+        p = self.field.p
+        return {key: r for key, x in _int_sums(op, vec).items() if (r := x % p)}
 
-    def _eliminate(self, w: dict[int, int]) -> dict[int, int]:
+    def _eliminate(self, w: SparseVec) -> SparseVec:
         p, by_pivot = self.field.p, self.by_pivot
         get = w.get
         for q in [j for j in w if j in by_pivot]:
@@ -437,7 +445,7 @@ class _ResidueSpanBuilder(_IntegerSpanBuilder):
                 w[j] = get(j, 0) - c * y
         return {j: r for j, x in w.items() if (r := x % p)}
 
-    def _add_row(self, w: dict[int, int], pivot: int) -> None:
+    def _add_row(self, w: SparseVec, pivot: int) -> None:
         p, by_pivot = self.field.p, self.by_pivot
         c = w[pivot]
         if c != 1:
@@ -454,34 +462,36 @@ class _ResidueSpanBuilder(_IntegerSpanBuilder):
                         del row[j]
         by_pivot[pivot] = w
 
-    def _raw_items(self, row: dict[int, int], pivot: int):
-        return row.items()
 
-
-class _RationalSpanBuilder(_IntegerSpanBuilder):
+class _RationalSpanBuilder(SpanBuilder):
     """``SpanBuilder`` over Q on fraction-free integer rows.
 
-    A row is a primitive integer vector.  Its pivot entry is positive and
-    is the row's denominator: the row's value is ``row / row[pivot]``, so
-    the reduced echelon basis is kept exactly, with one denominator per row.
+    The coordinates of a vector are the integers of its primitive multiple,
+    which spans the same line.  A row is a primitive integer vector.  Its
+    pivot entry is positive and is the row's denominator: the row's value
+    is ``row / row[pivot]``, so the reduced echelon basis is kept exactly,
+    with one denominator per row.
 
-    A dense vector's denominators are cleared once, by their lcm.  A vector
-    is reduced by integer cross-multiplication, w <- (d/g)·w - (c/g)·row
-    with g = gcd(d, c) for the row's denominator d and the entry c of w at
-    the row's pivot (no rescaling of w when d divides c), and divided by
-    its content once, when it becomes a row.  Back-substitution into the
-    existing rows works the same way, and divides each changed row by its
-    content.  ``sorted_rows`` is the one place where entries become
-    ``Fraction``s.
+    A vector is reduced by integer cross-multiplication, w <- (d/g)·w -
+    (c/g)·row with g = gcd(d, c) for the row's denominator d and the entry
+    c of w at the row's pivot (no rescaling of w when d divides c), and
+    divided by its content once, when it becomes a row.  Back-substitution
+    into the existing rows works the same way, and divides each changed
+    row by its content.  ``sorted_rows`` is the one place where entries
+    become ``Fraction``s.
     """
 
-    def _coords(self, vec: Sequence) -> dict[int, int]:
-        den = lcm(*map(_denominator, vec))
+    def coordinates(self, vec: SparseVec) -> SparseVec:
+        den = lcm(*map(_denominator, vec.values()))
         if den == 1:
-            return {j: a._numerator for j, a in enumerate(vec) if a}
-        return {j: a._numerator * (den // a._denominator) for j, a in enumerate(vec) if a}
+            return _primitive({j: a._numerator for j, a in vec.items()})
+        return _primitive({j: a._numerator * (den // a._denominator) for j, a in vec.items()})
 
-    def _eliminate(self, w: dict[int, int]) -> dict[int, int]:
+    def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
+        """op(vec) divided by its content."""
+        return _primitive({key: x for key, x in _int_sums(op, vec).items() if x})
+
+    def _eliminate(self, w: SparseVec) -> SparseVec:
         by_pivot = self.by_pivot
         for q in [j for j in w if j in by_pivot]:
             row = by_pivot[q]
@@ -496,7 +506,7 @@ class _RationalSpanBuilder(_IntegerSpanBuilder):
                 w[j] = get(j, 0) - c * y
         return {j: x for j, x in w.items() if x}
 
-    def _add_row(self, v: dict[int, int], pivot: int) -> None:
+    def _add_row(self, v: SparseVec, pivot: int) -> None:
         g = gcd(*v.values())
         if v[pivot] < 0:
             g = -g
@@ -518,19 +528,33 @@ class _RationalSpanBuilder(_IntegerSpanBuilder):
                     else:
                         del row[j]
                 if row[q] != 1:  # the content divides the pivot entry
-                    g = gcd(*row.values())
-                    if g != 1:
-                        row = {j: x // g for j, x in row.items()}
+                    row = _primitive(row)
                 by_pivot[q] = row
         by_pivot[pivot] = new
 
-    def _raw_items(self, row: dict[int, int], pivot: int):
+    def _raw_items(self, row: SparseVec, pivot: int):
         d = row[pivot]
         return ((j, Fraction(x, d)) for j, x in row.items())
 
 
-_numerator = attrgetter("_numerator")  # Fraction's slots, behind its properties
-_denominator = attrgetter("_denominator")
+def _int_sums(op: SparseMap, vec: SparseVec) -> SparseVec:
+    """op(vec) as plain int sums, zeros included, for an ``op`` on integer
+    coordinates that lists every column."""
+    out: SparseVec = {}
+    get = out.get
+    for idx, a in vec.items():
+        for key, b in op[idx]:
+            out[key] = get(key, 0) + a * b
+    return out
+
+
+def _primitive(w: SparseVec) -> SparseVec:
+    """An integer vector divided by its content."""
+    g = gcd(*w.values())
+    return {j: x // g for j, x in w.items()} if g > 1 else w
+
+
+_denominator = attrgetter("_denominator")  # Fraction's slot, behind its property
 
 
 def _kernel_from_rref(rows: list[Sequence], pivots: list[int], ncols: int, field: Field) -> list[list]:

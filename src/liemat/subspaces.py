@@ -5,7 +5,9 @@ row-major vectorizations of its elements, so equality of subspaces is
 structural equality of bases and every construction is reproducible
 bit-for-bit regardless of generator order.  Every basis is reduced by
 ``matrices.SpanBuilder``, the package's one elimination, and membership
-uses its reduction step.
+and pivots are answered by a builder of the rows: the one that made the
+subspace, kept by ``Subspace._of``, or one built from the rows on first
+use.
 """
 
 from __future__ import annotations
@@ -14,20 +16,28 @@ from typing import Iterable, Sequence
 
 from .errors import MixedShapes
 from .fields import Field
-from .matrices import Matrix, SpanBuilder, _kernel_from_rref, _reduce, _rref_in_place
+from .matrices import Matrix, SpanBuilder, _kernel_from_rref, _rref_in_place
 
 
 class Subspace:
     """A linear subspace of the matrices of one shape over one field."""
 
-    __slots__ = ("field", "shape", "rows", "_basis_cache", "_pivots_cache")
+    __slots__ = ("field", "shape", "rows", "_basis_cache", "_builder")
 
     def __init__(self, field: Field, shape: tuple[int, int], rows: tuple[tuple, ...]):
         self.field = field
         self.shape = shape
         self.rows = rows
         self._basis_cache = None
-        self._pivots_cache = None
+        self._builder = None
+
+    @staticmethod
+    def _of(builder: SpanBuilder, shape: tuple[int, int]) -> "Subspace":
+        """The span of ``builder``, which the subspace keeps for its
+        membership tests; nothing may insert into the builder afterwards."""
+        space = Subspace(builder.field, shape, builder.sorted_rows())
+        space._builder = builder
+        return space
 
     # -- constructors ---------------------------------------------------------
 
@@ -61,7 +71,7 @@ class Subspace:
                     f"{shape}/{field!r}"
                 )
             builder.insert(g.vectorize())
-        return Subspace(field, shape, builder.sorted_rows())
+        return Subspace._of(builder, shape)
 
     @staticmethod
     def zero(field: Field, shape: tuple[int, int]) -> "Subspace":
@@ -103,17 +113,22 @@ class Subspace:
         if self.field != other.field or self.shape != other.shape:
             raise MixedShapes(f"{self.shape}/{self.field!r} vs {other.shape}/{other.field!r}")
 
+    def _span(self) -> SpanBuilder:
+        """The builder of the rows, made from them on first use."""
+        if self._builder is None:
+            builder = SpanBuilder(self.field, self.ambient_dim)
+            for row in self.rows:
+                builder.insert(row)
+            self._builder = builder
+        return self._builder
+
     @property
     def pivots(self) -> tuple[int, ...]:
-        if self._pivots_cache is None:
-            self._pivots_cache = tuple(
-                _leading_index(row, self.field) for row in self.rows
-            )
-        return self._pivots_cache
+        """The leading column of each row."""
+        return tuple(sorted(self._span().by_pivot))
 
     def contains_vec(self, vec: Sequence) -> bool:
-        F = self.field
-        return all(map(F.is_zero, _reduce(F, self.rows, self.pivots, list(vec))))
+        return self._span().contains(vec)
 
     def contains(self, x: Matrix) -> bool:
         if x.field != self.field or (x.nrows, x.ncols) != self.shape:
@@ -147,7 +162,7 @@ class Subspace:
             builder.insert(row)
         for row in other.rows:
             builder.insert(row)
-        return Subspace(self.field, self.shape, builder.sorted_rows())
+        return Subspace._of(builder, self.shape)
 
     __or__ = sum
 
@@ -167,16 +182,9 @@ class Subspace:
         for row in stacked:
             if all(F.is_zero(a) for a in row[:n]):
                 builder.insert(row[n:])
-        return Subspace(F, self.shape, builder.sorted_rows())
+        return Subspace._of(builder, self.shape)
 
     __and__ = intersect
-
-
-def _leading_index(row: Sequence, field: Field) -> int:
-    for i, a in enumerate(row):
-        if not field.is_zero(a):
-            return i
-    raise AssertionError("zero row stored in a subspace basis")
 
 
 def kernel(x: Matrix) -> Subspace:

@@ -342,12 +342,80 @@ def test_rational_parse_scalars_matches_parse_scalar(texts):
         assert first.setdefault(text, value) is value
 
 
+_BAD_TEXTS = ["abc", "1/0", "1/", "", "1//2", "[1,0]", "[1,0", "[a]", "1.5"]
+
+
 @pytest.mark.parametrize("bad", ["abc", "1/0", "1/", "", "1//2", "[1,0]"])
 def test_parse_scalars_raises_what_parse_scalar_raises(bad):
     with pytest.raises(Exception) as single:
         Q.parse_scalar(bad)
     with pytest.raises(type(single.value)):
         Q.parse_scalars(["1", bad, "1"])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, GF5, PrimeField(1000003), GF4, GF81, ExtensionField(2, 17)],
+    ids=lambda f: repr(f),
+)
+def test_parse_scalars_raises_what_parse_scalar_raises_on_every_field(field):
+    """Both sides of the rule: a few texts, parsed in turn, and more texts
+    than the field has elements, parsed once per distinct text."""
+    raised = 0
+    for bad in _BAD_TEXTS:
+        try:
+            field.parse_scalar(bad)
+        except Exception as exc:
+            raised += 1
+            for texts in (["1", bad, "1"], ["1", bad] + ["0"] * ((field.order or 0) + 1)):
+                with pytest.raises(type(exc)):
+                    field.parse_scalars(texts)
+    assert raised >= 4
+
+
+def _counting_parser(monkeypatch, field):
+    """Count the calls of ``parse_scalar`` on ``field``'s class."""
+    calls = []
+    original = type(field).parse_scalar
+
+    def parse_scalar(self, text):
+        calls.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(type(field), "parse_scalar", parse_scalar)
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF5, GF4], ids=repr)
+def test_small_field_parse_scalars_shares_one_value_per_text(field, monkeypatch):
+    """More texts than field elements: each distinct text is parsed once,
+    and its value shared; a padded text parses off the lookup tables to a
+    fresh value each time, so sharing shows."""
+    rng = rng_for("parse-small", repr(field))
+    pool = [field.format_scalar(a) for a in field.elements()]
+    pool += [f" {t} " for t in pool] + [str(10**20 + k) for k in range(3)]
+    texts = [rng.choice(pool) for _ in range(4 * field.order)]
+    want = [field.parse_scalar(t) for t in texts]
+    calls = _counting_parser(monkeypatch, field)
+    got = field.parse_scalars(texts)
+    assert got == want
+    assert sorted(calls) == sorted(set(texts))
+    first = {}
+    for text, value in zip(texts, got):
+        assert first.setdefault(text, value) is value
+
+
+def test_large_prime_field_parse_scalars_parses_each_text(monkeypatch):
+    """Fewer texts than field elements: each text is parsed in turn, to the
+    values it had before."""
+    field = PrimeField(1000003)
+    rng = rng_for("parse-large")
+    pool = [str(rng.randrange(-10**7, 10**7)) for _ in range(50)] + ["0", " 7 ", "-1"]
+    texts = [rng.choice(pool) for _ in range(400)]
+    want = [int(t) % 1000003 for t in texts]
+    calls = _counting_parser(monkeypatch, field)
+    assert field.parse_scalars(texts) == want
+    assert calls == texts
 
 
 # -- the kernel contract on every benchmark field ----------------------------

@@ -18,7 +18,8 @@ from liemat import (
     matrix_unit,
     upper_shift,
 )
-from liemat import lie, matrices
+from liemat import lie
+from liemat.matrices import SpanBuilder
 from liemat.errors import EmptySequence, MixedShapes
 
 from support import (
@@ -266,40 +267,49 @@ def test_closure_makes_no_dense_products(kind, monkeypatch):
         assert result.rounds == rounds
 
 
-@pytest.mark.parametrize("field", [Q, GF2, GF9, GF_LARGE], ids=repr)
+@pytest.mark.parametrize("field", [Q, GF2, GF9, GF_LARGE, GF81], ids=repr)
 def test_product_operators_match_dense_products(field):
+    """The sparse operators give the dense products, on raw values
+    (``_apply``) and in the builder's coordinates (``SpanBuilder.apply``)."""
     rng = rng_for("product-operators", repr(field))
     n = 3
+    builder = SpanBuilder(field, n * n)
     hs = [random_matrix(field, n, n, rng) for _ in range(6)] + [E(n, 2, 3, field)]
     for h in hs:
         r = random_matrix(field, n, n, rng)
         r_vec = lie._sparse(field, r.vectorize())
-        for op, dense in ((lie.right_operator(h), r * h), (lie.ad_operator(h), bracket(r, h))):
+        h_coords = builder.coordinates(lie._sparse(field, h.vectorize()))
+        pairs = ((lie.right_operator(h), r * h, False), (lie.ad_operator(h), bracket(r, h), True))
+        for op, dense, kind in pairs:
+            want = lie._sparse(field, dense.vectorize())
             image = lie._apply(field, op, r_vec)
             assert all(not field.is_zero(a) for a in image.values())
-            assert matrices._dense(field, n * n, image) == list(dense.vectorize())
+            assert image == want
+            coords_op = lie._operator(field, n, h_coords, kind)
+            assert builder.apply(coords_op, builder.coordinates(r_vec)) == builder.coordinates(want)
 
 
-@pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE], ids=repr)
+@pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE, GF81], ids=repr)
 def test_integer_kernel_matches_raw_products(field):
-    """``_apply_int`` on ``_coordinates`` gives the coordinates of the raw
-    product: over Q its primitive multiple, over GF(p) its residues."""
+    """``SpanBuilder.apply`` on ``SpanBuilder.coordinates`` gives the
+    coordinates of the raw product: over Q its primitive multiple, over GF(p)
+    its residues, over GF(p^m) the raw values."""
     rng = rng_for("integer-kernel", repr(field))
+    builder = SpanBuilder(field, 9)
     if field == Q:  # lcm 9 clears the denominators, then the content 2 goes
-        assert lie._coordinates(Q, {0: Fraction(4, 3), 2: Fraction(-2, 9)}) == {0: 6, 2: -1}
+        assert builder.coordinates({0: Fraction(4, 3), 2: Fraction(-2, 9)}) == {0: 6, 2: -1}
     n = 3
-    apply = lie._product(field)
     hs = [random_matrix(field, n, n, rng) for _ in range(6)] + [E(n, 2, 3, field)]
     for h in hs:
         h_raw = lie._sparse(field, h.vectorize())
         r_raw = lie._sparse(field, random_matrix(field, n, n, rng).vectorize())
-        r_int = lie._coordinates(field, r_raw)
+        r_int = builder.coordinates(r_raw)
         if field == Q:
             assert all(type(x) is int for x in r_int.values()) and gcd(*r_int.values()) == 1
         for kind in (True, False):
             raw = lie._apply(field, lie._operator(field, n, h_raw, kind), r_raw)
-            op = lie._operator(field, n, lie._coordinates(field, h_raw), kind)
-            assert apply(op, r_int) == lie._coordinates(field, raw)
+            op = lie._operator(field, n, builder.coordinates(h_raw), kind)
+            assert builder.apply(op, r_int) == builder.coordinates(raw)
 
 
 def _scaled(m, c):

@@ -1,13 +1,13 @@
-"""SpanBuilder: edge cases, membership, and the invariants of the integer
-rows kept over Q and the residue rows kept over GF(p)."""
+"""SpanBuilder: edge cases, membership, and the invariants of the rows it
+keeps: integer rows over Q, residue rows over GF(p) and raw-value rows over
+GF(p^m), every one a sparse dict."""
 
 from fractions import Fraction
-import math
 from math import gcd
 
 import pytest
 
-from liemat import Subspace
+from liemat import ExtensionField, Matrix, Subspace
 from liemat.matrices import (
     SpanBuilder,
     _RationalSpanBuilder,
@@ -15,10 +15,12 @@ from liemat.matrices import (
     _rref_in_place,
 )
 
-from support import GF2, GF5, GF81, GF_LARGE, Q, reference_rref, rng_for
+from support import GF2, GF4, GF5, GF81, GF_LARGE, Q, _ReferenceSpan, reference_rref, rng_for
 
-FIELDS = [Q, GF2, GF5, GF_LARGE, GF81]
+GF2_17 = ExtensionField(2, 17)  # above the table limit: polynomial arithmetic
+FIELDS = [Q, GF2, GF5, GF_LARGE, GF81, GF4, GF2_17]
 PRIME_FIELDS = [GF2, GF5, GF_LARGE]
+EXTENSION_FIELDS = [GF4, GF81, GF2_17]
 
 
 def _big_fraction(rng):
@@ -43,14 +45,15 @@ def _combination(field, vectors, rng):
 
 
 def _state(builder):
-    return [dict(r) if isinstance(r, dict) else list(r) for r in builder.rows], list(builder.pivots)
+    return [dict(r) for r in builder.rows], list(builder.pivots)
 
 
 def test_builder_over_q_keeps_integer_rows():
     assert type(SpanBuilder(Q, 3)) is _RationalSpanBuilder
     for field in PRIME_FIELDS:
         assert type(SpanBuilder(field, 3)) is _ResidueSpanBuilder
-    assert type(SpanBuilder(GF81, 3)) is SpanBuilder
+    for field in EXTENSION_FIELDS:
+        assert type(SpanBuilder(field, 3)) is SpanBuilder
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -126,23 +129,46 @@ def test_rational_rows_stay_primitive_with_positive_pivots():
         assert builder.dim == length
 
 
+def _leading_index(field, row):
+    return next(j for j, a in enumerate(row) if not field.is_zero(a))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_contains_agrees_with_subspace_contains_vec(field):
+    """``SpanBuilder.contains`` and ``Subspace.contains_vec`` against the
+    independent ``_ReferenceSpan``, on a subspace that keeps the builder that
+    made it (``Subspace.span``), one that builds its own from raw rows, and
+    the full and zero subspaces."""
     rng = rng_for("builder-contains", repr(field))
     seen = set()
     for dim in (0, 1, 3, 6):
         vectors = [_vector(field, 9, rng) for _ in range(dim)]
-        builder = SpanBuilder(field, 9)
+        builder, reference = SpanBuilder(field, 9), _ReferenceSpan(field, 9)
         for v in vectors:
             builder.insert(v)
-        space = Subspace(field, (3, 3), builder.sorted_rows())
+            reference.insert(v)
+        kept = Subspace.span(
+            [Matrix.from_vector(field, 3, 3, v) for v in vectors], field=field, shape=(3, 3)
+        )
+        lazy = Subspace(field, (3, 3), builder.sorted_rows())
+        assert kept.rows == lazy.rows
         for _ in range(12):
             inside = bool(vectors) and rng.random() < 0.5
             vec = _combination(field, vectors, rng) if inside else _vector(field, 9, rng)
-            got = builder.contains(vec)
-            assert got == space.contains_vec(vec)
-            seen.add(got)
+            want = reference.contains(vec)
+            assert builder.contains(vec) == want
+            assert kept.contains_vec(vec) == want and lazy.contains_vec(vec) == want
+            seen.add(want)
+        for space in (kept, lazy):
+            assert space.pivots == tuple(_leading_index(field, row) for row in space.rows)
     assert seen == {True, False}
+    vec = _vector(field, 9, rng)
+    full, zero = Subspace.full(field, (3, 3)), Subspace.zero(field, (3, 3))
+    assert full.contains_vec(vec) and full.pivots == tuple(range(9))
+    assert zero.contains_vec([field.zero] * 9) and zero.pivots == ()
+    assert zero.contains_vec(vec) == _ReferenceSpan(field, 9).contains(vec) == (
+        all(map(field.is_zero, vec))
+    )
 
 
 def _sparse_vector(field, length, rng):
@@ -207,13 +233,31 @@ def test_sparse_coordinates_act_like_the_dense_vector(field):
     dense, sparse = SpanBuilder(field, 9), SpanBuilder(field, 9)
     for _ in range(12):
         v = _sparse_vector(field, 9, rng) if rng.random() < 0.5 else _vector(field, 9, rng)
-        coords = {j: a for j, a in enumerate(v) if not field.is_zero(a)}
-        if field == Q and coords:
-            den = math.lcm(*(a.denominator for a in coords.values()))
-            coords = {j: -3 * int(a * den) for j, a in coords.items()}
+        coords = sparse.coordinates({j: a for j, a in enumerate(v) if not field.is_zero(a)})
+        if field == Q:  # any multiple of the primitive coordinates
+            assert all(type(x) is int for x in coords.values())
+            assert not coords or gcd(*coords.values()) == 1
+            coords = {j: -3 * x for j, x in coords.items()}
         kept = dict(coords)
         assert sparse.contains(coords) == dense.contains(v)
         assert coords == kept
         assert sparse.insert(coords) == dense.insert(v)
         assert coords == kept
         assert sparse.sorted_rows() == dense.sorted_rows()
+
+
+@pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=repr)
+def test_extension_rows_have_pivot_one_and_no_zeros(field):
+    rng = rng_for("extension-rows", repr(field))
+    for length in (1, 5, 12):
+        builder = SpanBuilder(field, length)
+        vectors = [_vector(field, length, rng) for _ in range(length + 2)]
+        vectors += [_sparse_vector(field, length, rng) for _ in range(length)]
+        rng.shuffle(vectors)
+        for v in vectors:
+            builder.insert(v)
+            for row, p in zip(builder.rows, builder.pivots):
+                assert type(row) is dict and row[p] == field.one
+                assert not any(field.is_zero(x) for x in row.values())
+                assert not any(q in row for q in builder.pivots if q != p)
+        assert builder.dim == length
