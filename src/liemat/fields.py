@@ -388,11 +388,15 @@ class ExtensionField(Field):
       every difference that arises indexes it directly.
     * ``_pack`` maps a to the int a(2^w), so ``dot`` sums whole products
       as ints and reduces once per word.
+    * ``_text`` and ``_names`` map each element's text to the element and
+      back, so ``parse_scalar`` and ``format_scalar`` are lookups.
 
     Larger fields compute with polynomial kernels on the same tuples.
     """
 
     order: int
+    # empty until the tables exist: building ``_text`` formats every element
+    _names: dict = {}
 
     def __new__(cls, p: int, m: int, modulus: Sequence[int] | None = None):
         # m > 16 means q > 2^16 without building p**m for a huge m
@@ -456,6 +460,7 @@ class ExtensionField(Field):
         # x^m .. x^(2m-2) keeps every slot below 2^width
         slot, spill = m * (p - 1) ** 2, (m - 1) * (p - 1)
         width = (slot * _PACK_TERMS + spill).bit_length()
+        text = {self.format_scalar(e): e for e in log}
         return {
             "_log": log,
             "_exp": (powers * 2)[:zlog] + [self.zero] * (zlog + 1),
@@ -468,7 +473,8 @@ class ExtensionField(Field):
             "_terms": ((1 << width) - 1 - spill) // slot,
             # c x^k mod modulus, packed, for k = m .. 2m-2 and every digit c
             "_folds": tuple(_packed_multiples(red, p, width) for red in self._xpow),
-            "_text": {self.format_scalar(e): e for e in log},
+            "_text": text,
+            "_names": {e: t for t, e in text.items()},
         }
 
     def add(self, a, b):
@@ -575,6 +581,9 @@ class ExtensionField(Field):
         return result
 
     def format_scalar(self, a) -> str:
+        text = self._names.get(a)
+        if text is not None:
+            return text
         return "[" + ",".join(str(c) for c in a) + "]"
 
     def parse_scalar(self, text: str):
@@ -618,8 +627,8 @@ class ExtensionField(Field):
 
 class _PolynomialExtensionField(ExtensionField):
     """GF(p^m) above ``TABLE_MAX_ORDER``: the same tuples, computed by
-    polynomial kernels.  Its empty tables make the ``coerce`` and
-    ``parse_scalar`` fast paths miss."""
+    polynomial kernels.  Its empty tables make the ``coerce``,
+    ``parse_scalar`` and ``format_scalar`` fast paths miss."""
 
     _log: dict = {}
     _text: dict = {}

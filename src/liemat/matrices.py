@@ -165,14 +165,15 @@ class Matrix:
             raise DimensionMismatch("powers need a square matrix")
         if e < 0:
             raise ValueError("negative powers are not supported; invert first")
-        result = Matrix.identity(self.field, self.nrows)
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Matrix.identity(self.field, self.nrows) if result is None else result
 
     def __eq__(self, other):
         return (

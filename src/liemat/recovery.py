@@ -5,17 +5,24 @@ the n^2 matrix units, optionally together with an entrywise field
 automorphism twist (for maps that are only semilinear over the field).
 
 For a genuine automorphism the conjugator is rebuilt, Skolem-Noether
-style, from just two images: with M = phi(S)^(n-1) phi(E_{n,1}) and a a
-nonzero kernel vector of I - M,
+style, from just two images.  phi(E_{n,1}) = c r^T has rank 1, so with
+u = phi(S)^(n-1) c the matrix M = phi(S)^(n-1) phi(E_{n,1}) is u r^T:
+I - M is singular exactly when r.u = 1, and its kernel is then the line
+through u.  With lambda the last nonzero entry of u,
 
-    A = [ M a | phi(S)^(n-2) phi(E_{n,1}) a | ... | phi(E_{n,1}) a ],
+    A = [ phi(S)^(n-1) c | phi(S)^(n-2) c | ... | c ] / lambda,
 
-and then phi(X) = A X A^(-1) throughout.  Anti-automorphisms run the same
-pipeline on the transposed generators S^T and E_{1,n} and conjugate X^T.
-Since S, E_{n,1}, S^T, E_{1,n} have only 0/1 entries, an entrywise twist
-is invisible on the inputs and the construction carries over verbatim.
-``recover`` is that one pipeline; the four ``recover_*`` functions are
-thin aliases that fix the direction and the typed error.
+and then phi(X) = A X A^(-1) throughout.  The Krylov sequence c, phi(S) c,
+..., phi(S)^n c carries the construction and the check of the two
+generator images: n matrix-vector products, no matrix power, and no
+elimination besides the inverse of A.
+
+Anti-automorphisms run the same pipeline on the transposed generators
+S^T and E_{1,n} and conjugate X^T.  Since S, E_{n,1}, S^T, E_{1,n} have
+only 0/1 entries, an entrywise twist is invisible on the inputs and the
+construction carries over verbatim.  ``recover`` is that one pipeline;
+the four ``recover_*`` functions are thin aliases that fix the direction
+and the typed error.
 
 Every recovery re-verifies the conjugation formula on all n^2 units; the
 ``verified`` flag is never assumed.  Conjugators are unique only up to a
@@ -187,17 +194,44 @@ def _conjugate_unit(a: Matrix, a_inv: Matrix, i: int, j: int) -> Matrix:
     return Matrix._make(F, tuple(tuple(mul(c, r) for r in rw) for c in col))
 
 
+_NO_KERNEL = "I - phi(S)^(n-1) phi(E(n,1)) is invertible"
+
+
+def _rank_one_factors(m: Matrix) -> tuple[tuple, list] | None:
+    """(c, r) with m = c r^T: c is m's first nonzero column and r is scaled
+    from the row of c's first nonzero entry.  None for m = 0, and
+    NotAnAutomorphismImagePair when m's rank is above 1; every entry is
+    checked."""
+    F = m.field
+    is_zero = F.is_zero
+    c = next((col for col in zip(*m.entries) if not all(map(is_zero, col))), None)
+    if c is None:
+        return None
+    i0 = next(i for i, a in enumerate(c) if not is_zero(a))
+    r = F.vec_scale(m.entries[i0], F.inv(c[i0]))
+    is_scaled = F.is_scaled
+    if not all(is_scaled(row, a, r) for row, a in zip(m.entries, c)):
+        raise NotAnAutomorphismImagePair("phi(E(n,1)) does not have rank 1")
+    return c, r
+
+
 def conjugator_from_images(
     phi_s: Matrix, phi_en1: Matrix, n: int, *, return_inverse: bool = False
 ) -> RecoveryResult | tuple[RecoveryResult, Matrix]:
-    """Rebuild a conjugator from the images of the shift S and of E(n,1).
+    """Rebuild a conjugator from the images of the shift S and of E(n,1),
+    by the rank-1 construction of the module docstring.
 
-    Fails with NotAnAutomorphismImagePair when I - phi(S)^(n-1) phi(E_{n,1})
-    has full rank or the assembled matrix is singular; either way the
-    inputs cannot be generator images of an automorphism.  ``verified``
-    reports whether conjugation reproduces the two inputs themselves.
-    With ``return_inverse`` the result comes paired with the conjugator's
-    inverse, which the check has computed anyway.
+    The kernel vector is u / lambda, the vector ``kernel_vectors`` gives
+    for I - M: the free column of its RREF is u's last nonzero coordinate.
+    ``verified`` reports whether conjugation reproduces the two inputs
+    themselves, by two O(n^2) tests on the Krylov sequence: phi(S) A = A S
+    iff phi(S)^n c = 0, and phi(E(n,1)) A = A E(n,1) iff r.phi(S)^k c = 0
+    for k < n-1.  Fails with NotAnAutomorphismImagePair when phi(E(n,1))
+    is zero or has rank above 1, when I - M is invertible, or when the
+    assembled matrix is singular; each way the inputs cannot be generator
+    images of an automorphism.  With ``return_inverse`` the result comes
+    paired with the conjugator's inverse, which the check has computed
+    anyway.
     """
     if phi_s.nrows != n or phi_s.ncols != n:
         raise DimensionMismatch("phi(S) is not n-by-n")
@@ -205,33 +239,30 @@ def conjugator_from_images(
         raise DimensionMismatch("phi(E(n,1)) is not n-by-n")
     if phi_s.field != phi_en1.field:
         raise FieldMismatch("images live over different fields")
-    field = phi_s.field
-    m = (phi_s ** (n - 1)) * phi_en1
-    eye = Matrix.identity(field, n)
-    kernel_basis = (eye - m).kernel_vectors()
-    if not kernel_basis:
-        raise NotAnAutomorphismImagePair("I - phi(S)^(n-1) phi(E(n,1)) is invertible")
-    a_vec = kernel_basis[0]
-    columns = [phi_en1 * a_vec]
-    for _ in range(n - 1):
-        columns.append(phi_s * columns[-1])
-    columns.reverse()  # highest power first
-    conjugator = Matrix._make(
-        field,
-        tuple(tuple(col.entries[r][0] for col in columns) for r in range(n)),
-    )
+    F = phi_s.field
+    factors = _rank_one_factors(phi_en1)
+    if factors is None:
+        raise NotAnAutomorphismImagePair(_NO_KERNEL)
+    c, r = factors
+    dot, is_zero = F.dot, F.is_zero
+    krylov = [c]  # krylov[k] = phi(S)^k c
+    for _ in range(n):
+        v = krylov[-1]
+        krylov.append([dot(row, v) for row in phi_s.entries])
+    u = krylov[n - 1]
+    if dot(r, u) != F.one:
+        raise NotAnAutomorphismImagePair(_NO_KERNEL)
+    lam_inv = F.inv(next(a for a in reversed(u) if not is_zero(a)))
+    columns = [F.vec_scale(krylov[k], lam_inv) for k in range(n - 1, -1, -1)]
+    conjugator = Matrix._make(F, tuple(zip(*columns)))
+    a_vec = Matrix._make(F, tuple((a,) for a in columns[0]))
     try:
         conj_inv = conjugator.inverse()
     except SingularMatrix as exc:
         raise NotAnAutomorphismImagePair("assembled conjugator is singular") from exc
-    # With A invertible, A S A^(-1) = phi(S) iff phi(S) A = A S, and A S,
-    # A E(n,1) only move A's columns.
-    zero = field.zero
-    a_s = Matrix._make(field, tuple((zero,) + row[:-1] for row in conjugator.entries))
-    a_en1 = Matrix._make(
-        field, tuple((row[-1],) + (zero,) * (n - 1) for row in conjugator.entries)
+    verified = all(map(is_zero, krylov[n])) and all(
+        is_zero(dot(r, krylov[k])) for k in range(n - 1)
     )
-    verified = phi_s * conjugator == a_s and phi_en1 * conjugator == a_en1
     result = RecoveryResult(conjugator=conjugator, kernel_vector=a_vec, verified=verified)
     return (result, conj_inv) if return_inverse else result
 

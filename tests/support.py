@@ -11,8 +11,12 @@ from liemat import (
     Subspace,
     bracket,
     left_normed,
+    matrix_unit,
     preimage,
+    upper_shift,
 )
+from liemat.errors import NotAnAutomorphismImagePair, SingularMatrix
+from liemat.recovery import RecoveryResult
 from liemat.sampling import random_invertible, random_matrix
 
 Q = Rationals()
@@ -194,6 +198,38 @@ def reference_classify(m):
     return "lie-automorphism" if lie else None
 
 
+def reference_conjugator_from_images(phi_s, phi_en1, n):
+    """``conjugator_from_images`` by the dense construction, as
+    ``(result, inverse)``: M = phi(S)^(n-1) phi(E(n,1)) by n-1 products, a
+    the first vector of ``kernel_vectors`` of I - M, the columns
+    phi(S)^k phi(E(n,1)) a built by products, highest power first, and
+    ``verified`` from the products phi(S) A, A S, phi(E(n,1)) A and
+    A E(n,1).  The oracle for the rank-1 construction on image pairs whose
+    phi(E(n,1)) has rank at most 1."""
+    field = phi_s.field
+    m = phi_en1
+    for _ in range(n - 1):
+        m = phi_s * m
+    kernel_basis = (Matrix.identity(field, n) - m).kernel_vectors()
+    if not kernel_basis:
+        raise NotAnAutomorphismImagePair("I - phi(S)^(n-1) phi(E(n,1)) is invertible")
+    a_vec = kernel_basis[0]
+    columns = [phi_en1 * a_vec]
+    for _ in range(n - 1):
+        columns.append(phi_s * columns[-1])
+    columns.reverse()
+    conjugator = Matrix(field, [[col.entries[r][0] for col in columns] for r in range(n)])
+    try:
+        conj_inv = conjugator.inverse()
+    except SingularMatrix as exc:
+        raise NotAnAutomorphismImagePair("assembled conjugator is singular") from exc
+    verified = (
+        phi_s * conjugator == conjugator * upper_shift(field, n)
+        and phi_en1 * conjugator == conjugator * matrix_unit(field, n, n, 1)
+    )
+    return RecoveryResult(conjugator, a_vec, verified), conj_inv
+
+
 def oracle_mul(field, a, b):
     """Product in GF(p^m) by schoolbook convolution and long division by
     the monic modulus, independent of the library's kernels and tables."""
@@ -251,6 +287,7 @@ __all__ = [
     "reference_ad_kernel",
     "reference_classify",
     "reference_closure",
+    "reference_conjugator_from_images",
     "reference_next_level",
     "reference_rref",
     "rng_for",

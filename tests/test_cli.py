@@ -126,6 +126,18 @@ def test_recover_auto_file_and_error_path(tmp_path, capsys):
     assert code == 1
 
 
+def test_recover_auto_rank_two_unit_image_exit_1(tmp_path, capsys):
+    doc = jsonio.algebra_map_to_json(conjugation_map(Matrix.identity(Q, 3)))
+    rank_two = matrix_unit(Q, 3, 3, 1) + matrix_unit(Q, 3, 1, 3)
+    doc["images"]["3,1"] = jsonio.matrix_to_json(rank_two)
+    map_file = tmp_path / "rank-two.json"
+    map_file.write_text(json.dumps(doc))
+    assert dispatch(["recover-auto", "--in", str(map_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NotAnAutomorphism: phi(E(n,1)) does not have rank 1")
+
+
 def test_recover_commands_on_twisted_maps(tmp_path, capsys):
     b = random_invertible(GF4, 3, rng_for("cli-twisted"))
     frob = FieldAutomorphism.frobenius(1)

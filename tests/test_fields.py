@@ -175,6 +175,20 @@ def test_scalar_text_round_trip():
             assert field.parse_scalar(field.format_scalar(value)) == value
 
 
+@pytest.mark.parametrize(
+    "field", [GF4, ExtensionField(3, 4), ExtensionField(2, 17)], ids=repr
+)
+def test_extension_format_scalar_is_the_bracketed_coefficients(field):
+    rng = rng_for("format", repr(field))
+    values = [field.random_scalar(rng) for _ in range(50)] + [field.zero, field.one]
+    if field.order <= 81:
+        values += list(field.elements())
+    for a in values:
+        assert field.format_scalar(a) == "[" + ",".join(map(str, a)) + "]"
+    # a tuple that is not a reduced element is not in the table either
+    assert field.format_scalar((7,) * field.m) == "[" + ",".join(["7"] * field.m) + "]"
+
+
 def test_scalar_wrapper_hash_and_repr():
     s = GF4.scalar([1, 1])
     assert repr(s) == "[1,1]"

@@ -240,6 +240,28 @@ def test_power_matches_repeated_multiplication(e):
     assert p**e == expected
 
 
+@pytest.mark.parametrize("field", [Q, GF81], ids=repr)
+def test_power_matches_repeated_products_and_skips_the_identity(field, monkeypatch):
+    a = random_matrix(field, 4, 4, rng_for("power", repr(field)))
+    expected = Matrix.identity(field, 4)
+    products = []
+    original = Matrix.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return original(self, other)
+
+    for e in range(6):
+        products.clear()
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+        power = a**e
+        monkeypatch.setattr(Matrix, "__mul__", original)
+        assert power == expected
+        # squarings plus one product per set bit after the first
+        assert len(products) == max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+        expected = expected * a
+
+
 # ``test_field_above_table_limit_agrees_with_oracle`` uses the same field
 GF_UNTABLED = ExtensionField(2, 17)
 

@@ -46,11 +46,14 @@ from support import (
     GF5,
     GF7,
     GF9,
+    GF81,
+    GF_LARGE,
     Q,
     mat,
     random_invertible,
     random_matrix,
     reference_classify,
+    reference_conjugator_from_images,
     rng_for,
 )
 
@@ -128,6 +131,137 @@ def test_conjugator_from_images_rejects_garbage():
     with pytest.raises(NotAnAutomorphismImagePair):
         # shift images of a non-automorphism: I - M has zero kernel
         conjugator_from_images(Matrix.zeros(Q, 3), Matrix.zeros(Q, 3), 3)
+
+
+def generator_pair(m, anti=False):
+    """(phi(S), phi(E(n,1))) from the unit images, or (phi(S^T), phi(E(1,n)))
+    for ``anti``: the pair ``recover`` passes to ``conjugator_from_images``."""
+    n = m.n
+    shift = Matrix.zeros(m.field, n)
+    for i in range(1, n):
+        shift = shift + (m.image(i + 1, i) if anti else m.image(i, i + 1))
+    return shift, m.image(1, n) if anti else m.image(n, 1)
+
+
+def _exact(m):
+    """The entries of a matrix with their types: equal values held in
+    different types differ."""
+    return [[(type(a), a) for a in row] for row in m.entries]
+
+
+def _outcome(build, phi_s, phi_en1, n):
+    try:
+        result, inverse = build(phi_s, phi_en1, n)
+    except NotAnAutomorphismImagePair as exc:
+        return "error", str(exc)
+    return (
+        _exact(result.conjugator),
+        _exact(result.kernel_vector),
+        result.verified,
+        result.scalar_class,
+        _exact(inverse),
+    )
+
+
+def assert_matches_reference(phi_s, phi_en1, n):
+    """The rank-1 construction against the dense one: the same result and
+    inverse, entry types included, or the same error text."""
+    got = _outcome(
+        lambda *args: conjugator_from_images(*args, return_inverse=True), phi_s, phi_en1, n
+    )
+    assert got == _outcome(reference_conjugator_from_images, phi_s, phi_en1, n)
+    return got
+
+
+def _outer(field, c, r):
+    return Matrix(field, [[field.mul(a, b) for b in r] for a in c])
+
+
+def _scalar_other_than_zero_and_one(field, rng):
+    while True:
+        t = field.random_scalar(rng)
+        if not field.is_zero(t) and t != field.one:
+            return t
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF4, GF81], ids=repr)
+def test_conjugator_matches_the_dense_reference(field, n):
+    rng = rng_for("rank-one-oracle", repr(field), n)
+    b = random_invertible(field, n, rng)
+    auto, anti = conjugation_map(b), transpose_conjugation_map(b)
+    for m, is_anti in ((auto, False), (anti, True)):
+        outcome = assert_matches_reference(*generator_pair(m, is_anti), n)
+        assert outcome[2] is True
+    assert_matches_reference(*generator_pair(anti), n)
+    zero = Matrix.zeros(field, n)
+    assert assert_matches_reference(zero, zero, n)[0] == "error"
+    # rank 1 with r.u = t != 1: u = S^(n-1) t e_n = t e_1 and r = e_1
+    t = _scalar_other_than_zero_and_one(field, rng)
+    shift = upper_shift(field, n)
+    assert assert_matches_reference(shift, E(n, n, 1, field).scale(t), n)[0] == "error"
+    # rank 1 with r.u = 1 and A singular for n > 1: every column is e_1
+    eye = Matrix.identity(field, n)
+    outcome = assert_matches_reference(eye, E(n, 1, 1, field), n)
+    assert (outcome[0] == "error") == (n > 1)
+    # random rank-1 pairs, once as drawn and once with r rescaled to r.u = 1
+    for _ in range(3):
+        phi_s = random_matrix(field, n, n, rng)
+        c = random_matrix(field, n, 1, rng).vectorize()
+        r = random_matrix(field, 1, n, rng).vectorize()
+        assert_matches_reference(phi_s, _outer(field, c, r), n)
+        u = (phi_s ** (n - 1) * Matrix(field, [[a] for a in c])).vectorize()
+        ru = field.dot(r, u)
+        if not field.is_zero(ru):
+            r = field.vec_scale(r, field.inv(ru))
+            assert_matches_reference(phi_s, _outer(field, c, r), n)
+
+
+@pytest.mark.parametrize("field", [Q, GF81], ids=repr)
+def test_conjugator_for_n_equal_to_one(field):
+    # phi(S) is the 1x1 zero and M = phi(E(1,1))
+    zero, one = Matrix.zeros(field, 1), Matrix.identity(field, 1)
+    result = conjugator_from_images(zero, one, 1)
+    assert (result.conjugator, result.kernel_vector, result.verified) == (one, one, True)
+    t = _scalar_other_than_zero_and_one(field, rng_for("n=1", repr(field)))
+    for phi_e in (zero, one.scale(t)):
+        with pytest.raises(NotAnAutomorphismImagePair, match="is invertible"):
+            conjugator_from_images(zero, phi_e, 1)
+        assert assert_matches_reference(zero, phi_e, 1)[0] == "error"
+    for m in (identity_map(1, field), transpose_map(1, field)):
+        assert recover(m, False).verified and recover(m, True).verified
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("field", [Q, GF5, GF4], ids=repr)
+def test_conjugator_reports_a_pair_it_does_not_reproduce(field, n):
+    # phi(S) = S + t E(n,n): r.u = 1 and A is invertible, but phi(S)^n c != 0
+    t = _scalar_other_than_zero_and_one(field, rng_for("unverified", repr(field), n))
+    phi_s = upper_shift(field, n) + E(n, n, n, field).scale(t)
+    phi_e = E(n, n, 1, field)
+    result = conjugator_from_images(phi_s, phi_e, n)
+    assert result.verified is False
+    assert assert_matches_reference(phi_s, phi_e, n)[2] is False
+    # phi(S) = S and phi(E(n,1)) = e_n (e_1 + t e_j)^T: A = I, but
+    # r.phi(S)^(n-j) c = t, so phi(E(n,1)) A != A E(n,1)
+    shift = upper_shift(field, n)
+    for j in range(2, n + 1):
+        phi_e = E(n, n, 1, field) + E(n, n, j, field).scale(t)
+        result = conjugator_from_images(shift, phi_e, n)
+        assert result.conjugator == Matrix.identity(field, n)
+        assert result.verified is False
+        assert assert_matches_reference(shift, phi_e, n)[2] is False
+
+
+def test_rank_two_unit_image_is_not_an_image_pair():
+    n = 4
+    rank_two = E(n, n, 1) + E(n, 1, n)
+    with pytest.raises(NotAnAutomorphismImagePair, match=r"^phi\(E\(n,1\)\) does not have rank 1$"):
+        conjugator_from_images(upper_shift(Q, n), rank_two, n)
+    images = list(identity_map(n).images)
+    images[(n - 1) * n] = rank_two  # the image of E(n,1)
+    with pytest.raises(NotAnAutomorphism, match="does not have rank 1"):
+        recover(AlgebraMap(n, Q, tuple(images)), False)
 
 
 def test_conjugator_roundtrip_gf7():
@@ -565,8 +699,9 @@ def test_decompose_never_classifies(monkeypatch):
 
 
 def test_recover_automorphism_product_count(monkeypatch):
-    # the generator check costs two full products, phi(S) A and phi(E(n,1)) A,
-    # where A S A^(-1) and A E(n,1) A^(-1) cost four
+    # the conjugator and its generator check come from matrix-vector
+    # products of the Krylov sequence; the one full product left is the
+    # check inside ``inverse``
     gf81 = ExtensionField(3, 4)
     m = conjugation_map(random_invertible(gf81, 16, rng_for("mul-count")))
     calls = []
@@ -578,4 +713,4 @@ def test_recover_automorphism_product_count(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
     assert recover_automorphism(m).verified
-    assert len(calls) <= 27
+    assert len(calls) == 1
