@@ -11,12 +11,12 @@ matrices or as a subspace; in the subspace case the brackets are
 multilinear in each slot, so quantifying over a basis is exact.
 
 Levels are computed iteratively: r lies in L_{k+1}(H) exactly when every
-[r, h] lies in L_k(H).  Each member h acts through its sparse operator
-ad_h : r -> [r, h], built once per chain, and each level is one stacked
-kernel: the images of the unit matrices under every ad_h, reduced modulo
-the RREF rows of L_k, are the linear constraints that cut out L_{k+1}
-(``lie.ad_kernel``).  Hereditary centralizers stack the composed
-operators of the admissible tuples in the same way.
+[r, h] lies in L_k(H).  Under <F, r> = sum F_ij r_ij the adjoint of
+ad_h : r -> [r, h] is ad_{hᵀ}, so L_{k+1} is the annihilator of the
+images ad_{hᵀ}(f), for every member h and every f in a basis of the
+annihilator of L_k (``lie.ad_kernel``).  Each ad_{hᵀ} is a sparse
+operator built once per chain.  Hereditary centralizers apply the
+composed adjoint operators of the admissible tuples in the same way.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
 
 def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
     """prev=None computes L_1; otherwise the level above prev.  ``ops`` are
-    the ad operators of the members."""
+    the ad operators of the members' transposes."""
     return ad_kernel(field, n, [(op,) for op in ops], prev)
 
 
@@ -74,7 +74,7 @@ def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | N
     Returns (levels, t) where t is the 1-based stabilization index if the
     repeat was reached (levels then ends with L_{t+1} = L_t).
     """
-    ops = [ad_operator(h) for h in dict.fromkeys(members)]
+    ops = [ad_operator(h.transpose()) for h in dict.fromkeys(members)]
     levels = [_next_level(ops, field, n, None)]
     while len(levels) < upto:
         nxt = _next_level(ops, field, n, levels[-1])
@@ -101,7 +101,7 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     checking persistence past the stabilization point directly.
     """
     members, field, n = _members(H)
-    return _next_level([ad_operator(h) for h in members], field, n, target)
+    return _next_level([ad_operator(h.transpose()) for h in members], field, n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
@@ -251,7 +251,7 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    ops = {x: ad_operator(x) for x in members}
+    ops = {x: ad_operator(x.transpose()) for x in members}
     chains = [
         [ops[x] for x in tup]
         for tup in itertools.product(members, repeat=k)

@@ -3,7 +3,7 @@ and subalgebra closure.
 
 ``ad_operator`` (r -> [r, h]) and ``right_operator`` (r -> r·h) act on
 sparse row-major vectors.  ``ad_kernel`` solves {r : [r, x1, ..., xk] in T
-for every chain} as one stacked kernel, as centralizer levels need.
+for every chain} as one annihilator, as centralizer levels need.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -24,8 +24,8 @@ multiple spans the same line, so the spans, the sweep order and ``rounds``
 are those of the raw values), residues over GF(p) and raw values over
 GF(p^m).  The builder forms every product in them (``SpanBuilder.apply``)
 and takes the result as it is.  ``ad_kernel`` forms its images on raw
-values with ``_apply``: each image is a column of its constraint system,
-so none may be rescaled.
+values with ``_apply`` and inserts each one in the builder's coordinates:
+each image is one constraint row, so a nonzero multiple serves as well.
 """
 
 from __future__ import annotations
@@ -87,50 +87,31 @@ def ad_kernel(
     chains: Sequence[Sequence[SparseMap]],
     target: Subspace | None = None,
 ) -> Subspace:
-    """{r : [r, x1, ..., xk] in target for every chain}, as one kernel.
+    """{r : [r, x1, ..., xk] in target for every chain}, as one annihilator.
 
-    Each chain lists the ``ad_operator`` of x1, ..., xk (chains may differ
-    in length); ``target=None`` means the zero subspace.  Every chain is
-    applied to the n² unit vectors, and each image is reduced by the RREF
-    rows of the target, which leaves its coordinates outside the target's
-    pivots: r meets the chain exactly when those vanish.  The transposed
-    images are the constraint rows, gathered in a ``SpanBuilder`` until
-    their rank reaches n², and the answer is their parametric kernel,
-    canonicalized into RREF like any other subspace.
+    Each chain lists the ``ad_operator`` of the transposes x1ᵀ, ..., xkᵀ
+    (chains may differ in length); ``target=None`` means the zero subspace.
+    Under <F, r> = sum F_ij r_ij the adjoint of r -> [r, h] is
+    F -> [F, hᵀ], so r meets a chain exactly when it is orthogonal to
+    ad_{x1ᵀ}(...ad_{xkᵀ}(f)) for every f in a basis of target^⊥.  Each
+    nonzero image is inserted into one ``SpanBuilder`` of constraints, and
+    the answer is the annihilator of their span, canonical RREF like any
+    other subspace.
     """
-    if target is not None and (target.field != field or target.shape != (n, n)):
+    if target is None:
+        target = Subspace.zero(field, (n, n))
+    elif target.field != field or target.shape != (n, n):
         raise MixedShapes("target subspace outside the ambient space of the chains")
     N = n * n
-    # reduction by the target: v -> v - sum_p v[p]·row_p, kept at the
-    # non-pivot coordinates (each other coordinate maps to itself)
-    reduce: SparseMap = {}
-    if target is not None:
-        pivots = set(target.pivots)
-        for p, row in zip(target.pivots, target.rows):
-            reduce[p] = [
-                (j, field.neg(a)) for j, a in enumerate(row)
-                if j not in pivots and not field.is_zero(a)
-            ]
-
+    seeds = [_sparse(field, f) for f in _kernel_from_rref(target.rows, target.pivots, N, field)]
     constraints = SpanBuilder(field, N)
     for chain in chains:
-        rows: dict[int, dict[int, object]] = {}  # non-pivot coordinate -> {unit: value}
-        for c in range(N):
-            img = {c: field.one}
-            for op in chain:
+        for img in seeds:
+            for op in reversed(chain):
                 img = _apply(field, op, img)
-            for j, a in _apply(field, reduce, img).items():
-                rows.setdefault(j, {})[c] = a
-        for entries in rows.values():
-            constraints.insert(constraints.coordinates(entries))
-            if constraints.dim == N:
-                return Subspace.zero(field, (n, n))
-
-    kernel = _kernel_from_rref(constraints.sorted_rows(), sorted(constraints.pivots), N, field)
-    builder = SpanBuilder(field, N)
-    for vec in kernel:
-        builder.insert(vec)
-    return Subspace._of(builder, (n, n))
+            if img:
+                constraints.insert(constraints.coordinates(img))
+    return Subspace._of(constraints, (n, n)).annihilator()
 
 
 ProductKind = Literal["lie", "associative"]
@@ -287,7 +268,7 @@ def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspa
     n = gens[0].nrows
     if any(g.field != field or not g.is_square or g.nrows != n for g in gens):
         raise MixedShapes("matrices do not share one ambient space")
-    inter = ad_kernel(field, n, [(ad_operator(g),) for g in gens])
+    inter = ad_kernel(field, n, [(ad_operator(g.transpose()),) for g in gens])
     generates = closure(gens, "associative").subspace.is_full
     scalars = Subspace.span([Matrix.identity(field, n)])
     return inter, generates and inter == scalars

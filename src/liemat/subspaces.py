@@ -155,6 +155,16 @@ class Subspace:
 
     # -- lattice operations -------------------------------------------------------
 
+    def annihilator(self) -> "Subspace":
+        """V^⊥ = {f : sum f_i v_i = 0 for every v in V}, in the same ambient
+        shape: the kernel of the RREF rows, canonicalized like any span.
+        The pairing is nondegenerate, so (V^⊥)^⊥ = V and
+        dim V + dim V^⊥ is the ambient dimension."""
+        builder = SpanBuilder(self.field, self.ambient_dim)
+        for vec in _kernel_from_rref(self.rows, self.pivots, self.ambient_dim, self.field):
+            builder.insert(vec)
+        return Subspace._of(builder, self.shape)
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         builder = SpanBuilder(self.field, self.ambient_dim)
@@ -167,22 +177,9 @@ class Subspace:
     __or__ = sum
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row-reduce [[U, U], [W, 0]]; rows whose left half
-        vanished carry a basis of the intersection in their right half."""
+        """U ∩ W = (U^⊥ + W^⊥)^⊥."""
         self._check_ambient(other)
-        F = self.field
-        n = self.ambient_dim
-        z = F.zero
-        stacked = [list(u) + list(u) for u in self.rows]
-        stacked += [list(w) + [z] * n for w in other.rows]
-        if not stacked:
-            return Subspace.zero(F, self.shape)
-        _rref_in_place(stacked, F)
-        builder = SpanBuilder(F, n)
-        for row in stacked:
-            if all(F.is_zero(a) for a in row[:n]):
-                builder.insert(row[n:])
-        return Subspace._of(builder, self.shape)
+        return self.annihilator().sum(other.annihilator()).annihilator()
 
     __and__ = intersect
 

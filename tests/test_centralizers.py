@@ -40,6 +40,8 @@ from support import (
     GF5,
     GF7,
     GF9,
+    GF81,
+    GF_LARGE,
     Q,
     mat,
     random_matrix,
@@ -172,7 +174,7 @@ def test_index_errors_are_typed():
 
 # -- the stacked kernel against the fold of per-member preimages -------------
 
-ORACLE_FIELDS = [Q, GF2, GF5, GF9]
+ORACLE_FIELDS = [Q, GF2, GF5, GF9, GF_LARGE, GF81]
 
 
 def _reference_chain(H):

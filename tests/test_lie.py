@@ -27,6 +27,7 @@ from support import (
     GF5,
     GF7,
     GF9,
+    GF4,
     GF81,
     GF_LARGE,
     Q,
@@ -289,6 +290,48 @@ def test_product_operators_match_dense_products(field):
             assert builder.apply(coords_op, builder.coordinates(r_vec)) == builder.coordinates(want)
 
 
+FIVE_FIELDS = [Q, GF5, GF_LARGE, GF4, GF81]
+
+
+def _as_matrix(field, op, size):
+    """A ``SparseMap`` as its size x size matrix: op[c] is column c."""
+    rows = [[field.zero] * size for _ in range(size)]
+    for c in range(size):
+        for r, a in op[c]:
+            rows[r][c] = field.add(rows[r][c], a)
+    return Matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_ad_operator_of_the_transpose_is_the_transposed_operator(field):
+    """Under <F, r> = sum F_ij r_ij the adjoint of r -> [r, h] is
+    F -> [F, hᵀ], the duality that ``ad_kernel`` rests on."""
+    rng = rng_for("ad-duality", repr(field))
+    for n in range(1, 5):
+        hs = [random_matrix(field, n, n, rng) for _ in range(3)]
+        hs += [E(n, 1, n, field), Matrix.identity(field, n), Matrix.zeros(field, n)]
+        for h in hs:
+            forward = _as_matrix(field, lie.ad_operator(h), n * n)
+            adjoint = _as_matrix(field, lie.ad_operator(h.transpose()), n * n)
+            assert adjoint == forward.transpose()
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_ad_kernel_follows_the_chain_order(field):
+    """Asymmetric chains, alone and together, with and without a nonzero
+    target, against the fold of preimages: r -> [r, x1, ..., xk] brackets
+    with x1 first, so the adjoint chain must apply xkᵀ first."""
+    rng = rng_for("ad-kernel-order", repr(field))
+    for n in (2, 3):
+        x1, x2, x3 = (random_matrix(field, n, n, rng) for _ in range(3))
+        target = Subspace.span([random_matrix(field, n, n, rng) for _ in range(n)])
+        for chains in ([(x1, x2)], [(x2, x3, x1)], [(x1, x2), (x3,), (x2, x3, x1)]):
+            ops = [[lie.ad_operator(x.transpose()) for x in chain] for chain in chains]
+            for t in (None, target):
+                expected = reference_ad_kernel(chains, field, n, t)
+                assert lie.ad_kernel(field, n, ops, t).rows == expected.rows
+
+
 @pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE, GF81], ids=repr)
 def test_integer_kernel_matches_raw_products(field):
     """``SpanBuilder.apply`` on ``SpanBuilder.coordinates`` gives the
@@ -417,7 +460,7 @@ def test_centralizer_intersection_examples():
     assert intersection.dim == 2 and not central
 
 
-@pytest.mark.parametrize("field", [Q, GF2, GF5, GF9], ids=repr)
+@pytest.mark.parametrize("field", [Q, GF2, GF5, GF9, GF_LARGE, GF81], ids=repr)
 def test_centralizer_intersection_matches_reference(field):
     cases = [
         [upper_shift(field, 3), matrix_unit(field, 3, 3, 1)],

@@ -7,7 +7,9 @@ import pytest
 from liemat import Matrix, Subspace, bracket, kernel, matrix_unit, preimage
 from liemat.errors import MixedShapes
 
-from support import GF5, Q, mat, random_matrix, rng_for
+from support import GF4, GF5, GF81, GF_LARGE, Q, mat, random_matrix, rng_for
+
+FIVE_FIELDS = [Q, GF5, GF_LARGE, GF4, GF81]
 
 
 def E(n, i, j, field=Q):
@@ -72,16 +74,71 @@ def test_lattice_examples():
 
 
 def test_dimension_formula_on_random_pairs():
-    for field in (Q, GF5):
+    for field in FIVE_FIELDS:
         rng = rng_for("dim-formula", repr(field))
-        for _ in range(25):
-            s = Subspace.span(
-                [random_matrix(field, 2, 2, rng) for _ in range(rng.randint(1, 3))]
+        for n, trials in ((2, 25), (3, 10)):
+            for _ in range(trials):
+                s, t = (
+                    Subspace.span(
+                        [random_matrix(field, n, n, rng) for _ in range(rng.randint(1, n * n - 1))]
+                    )
+                    for _ in range(2)
+                )
+                assert s.dim + t.dim == s.sum(t).dim + s.intersect(t).dim
+
+
+def _random_subspaces(field, shape, rng):
+    """The zero and full subspaces, and seeded spans of every size, some
+    from rank-deficient generators."""
+    r, c = shape
+    spaces = [Subspace.zero(field, shape), Subspace.full(field, shape)]
+    for k in range(1, r * c + 1):
+        gens = [random_matrix(field, r, c, rng) for _ in range(k)]
+        if k > 2:
+            gens[-1] = gens[0] + gens[1]
+        spaces.append(Subspace.span(gens))
+    return spaces
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_annihilator_laws(field):
+    rng = rng_for("annihilator", repr(field))
+    shapes = [(n, n) for n in range(1, 4)] + [(2, 3)] + [(n, 1) for n in range(1, 5)]
+    for shape in shapes:
+        assert Subspace.zero(field, shape).annihilator() == Subspace.full(field, shape)
+        assert Subspace.full(field, shape).annihilator() == Subspace.zero(field, shape)
+        for space in _random_subspaces(field, shape, rng):
+            dual = space.annihilator()
+            assert dual.shape == shape and dual.field == field
+            assert space.dim + dual.dim == space.ambient_dim
+            for v in space.rows:
+                for f in dual.rows:
+                    acc = field.zero
+                    for a, b in zip(v, f):
+                        acc = field.add(acc, field.mul(a, b))
+                    assert field.is_zero(acc)
+            assert dual.annihilator() == space
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_intersect_matches_preimage_under_inclusion(field):
+    """U ∩ W is the preimage of W under the inclusion of U, an elimination
+    of its own (``preimage``'s stacked kernel)."""
+    rng = rng_for("intersect-oracle", repr(field))
+    for n in range(1, 5):
+        for _ in range(6):
+            s, t = (
+                Subspace.span(
+                    [random_matrix(field, n, n, rng) for _ in range(rng.randint(0, n * n))],
+                    field=field,
+                    shape=(n, n),
+                )
+                for _ in range(2)
             )
-            t = Subspace.span(
-                [random_matrix(field, 2, 2, rng) for _ in range(rng.randint(1, 3))]
-            )
-            assert s.dim + t.dim == s.sum(t).dim + s.intersect(t).dim
+            assert s.intersect(t).rows == preimage(s.basis, s.basis, t).rows
+            assert (s & t) == t.intersect(s)
+    with pytest.raises(MixedShapes):
+        Subspace.zero(field, (2, 2)).intersect(Subspace.zero(field, (2, 3)))
 
 
 def test_sum_and_intersection_bounds():
