@@ -14,9 +14,11 @@ Levels are computed iteratively: r lies in L_{k+1}(H) exactly when every
 [r, h] lies in L_k(H).  Under <F, r> = sum F_ij r_ij the adjoint of
 ad_h : r -> [r, h] is ad_{hᵀ}, so L_{k+1} is the annihilator of the
 images ad_{hᵀ}(f), for every member h and every f in a basis of the
-annihilator of L_k (``lie.ad_kernel``).  Each ad_{hᵀ} is a sparse
-operator built once per chain.  Hereditary centralizers apply the
-composed adjoint operators of the admissible tuples in the same way.
+annihilator of L_k (``lie.ad_kernel``): the constraint rows that cut out
+L_k, kept with it, so each level takes one kernel.  Each ad_{hᵀ} is a
+sparse operator (``lie.adjoint_operator``) built once per chain for each
+distinct member.  Hereditary centralizers apply the composed adjoint
+operators of the admissible tuples in the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fields import Field
-from .lie import ad_kernel, ad_operator, closure, left_normed
+from .lie import ad_kernel, adjoint_operator, closure, left_normed
 from .matrices import Matrix, matrix_unit
 from .subspaces import Subspace
 
@@ -62,9 +64,14 @@ def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
     return mats, field, n
 
 
+def _adjoint_operators(members: Sequence[Matrix]) -> list:
+    """The ``adjoint_operator`` of each distinct member, built once per chain."""
+    return [adjoint_operator(h) for h in dict.fromkeys(members)]
+
+
 def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
     """prev=None computes L_1; otherwise the level above prev.  ``ops`` are
-    the ad operators of the members' transposes."""
+    the members' ``_adjoint_operators``."""
     return ad_kernel(field, n, [(op,) for op in ops], prev)
 
 
@@ -74,7 +81,7 @@ def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | N
     Returns (levels, t) where t is the 1-based stabilization index if the
     repeat was reached (levels then ends with L_{t+1} = L_t).
     """
-    ops = [ad_operator(h.transpose()) for h in dict.fromkeys(members)]
+    ops = _adjoint_operators(members)
     levels = [_next_level(ops, field, n, None)]
     while len(levels) < upto:
         nxt = _next_level(ops, field, n, levels[-1])
@@ -101,7 +108,7 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     checking persistence past the stabilization point directly.
     """
     members, field, n = _members(H)
-    return _next_level([ad_operator(h.transpose()) for h in members], field, n, target)
+    return _next_level(_adjoint_operators(members), field, n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
@@ -251,7 +258,7 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    ops = {x: ad_operator(x.transpose()) for x in members}
+    ops = {x: adjoint_operator(x) for x in members}
     chains = [
         [ops[x] for x in tup]
         for tup in itertools.product(members, repeat=k)
@@ -434,9 +441,15 @@ def associative_closure_probe(V: Subspace) -> ClosureIndexProbe:
 
 
 def bounds_table(max_n: int) -> list[tuple[int, int, int, int]]:
-    """Rows (n, k, index-k dimension bound, conjectured omega bound)."""
+    """Rows (n, k, index-k dimension bound, conjectured omega bound) for
+    1 <= k <= n <= max_n, at most ``ENUMERATION_GUARD`` of them."""
     if max_n < 1:
         raise MalformedJSON(f"table size max_n must be positive, got {max_n}")
+    count = max_n * (max_n + 1) // 2
+    if count > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(
+            f"{count} rows for max_n={max_n} exceed the guard of {ENUMERATION_GUARD}"
+        )
     return [
         (n, k, nilpotent_subalgebra_dim_bound(n, k), conjectured_dim_bound(n))
         for n in range(1, max_n + 1)

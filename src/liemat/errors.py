@@ -57,7 +57,7 @@ class InvalidIndex(LiematError, ValueError):
 
 
 class EnumerationTooLarge(LiematError):
-    """A tuple enumeration would exceed the configured guard."""
+    """A tuple enumeration or a table would exceed the configured guard."""
 
 
 class InvalidComposition(LiematError):

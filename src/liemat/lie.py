@@ -3,7 +3,8 @@ and subalgebra closure.
 
 ``ad_operator`` (r -> [r, h]) and ``right_operator`` (r -> r·h) act on
 sparse row-major vectors.  ``ad_kernel`` solves {r : [r, x1, ..., xk] in T
-for every chain} as one annihilator, as centralizer levels need.
+for every chain} as one annihilator, as centralizer levels need, with the
+``adjoint_operator`` of each x.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -23,9 +24,9 @@ The closure keeps its elements in the coordinates of its ``SpanBuilder``
 multiple spans the same line, so the spans, the sweep order and ``rounds``
 are those of the raw values), residues over GF(p) and raw values over
 GF(p^m).  The builder forms every product in them (``SpanBuilder.apply``)
-and takes the result as it is.  ``ad_kernel`` forms its images on raw
-values with ``_apply`` and inserts each one in the builder's coordinates:
-each image is one constraint row, so a nonzero multiple serves as well.
+and takes the result as it is.  ``ad_kernel`` works in them too, with
+operators built on the coordinates of xᵀ (``adjoint_operator``): each
+image is one constraint row, so a nonzero multiple serves as well.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Literal, Sequence
 
 from .errors import DimensionMismatch, EmptySequence, MixedShapes
 from .fields import Field
-from .matrices import Matrix, SparseMap, SparseVec, _apply, _kernel_from_rref, _sparse
+from .matrices import Matrix, SparseMap, SparseVec, _sparse
 from .subspaces import SpanBuilder, Subspace
 
 
@@ -81,6 +82,15 @@ def right_operator(h: Matrix) -> SparseMap:
     return _operator(h.field, h.nrows, _sparse(h.field, h.vectorize()), False)
 
 
+def adjoint_operator(h: Matrix) -> SparseMap:
+    """The adjoint of r -> [r, h] under <F, r> = sum F_ij r_ij, which is
+    r -> [r, hᵀ], in the coordinates of a ``SpanBuilder`` on h's field:
+    over Q a nonzero multiple of it, which spans the same images."""
+    field, n = h.field, h.nrows
+    coords = SpanBuilder(field, n * n).coordinates(_sparse(field, h.transpose().vectorize()))
+    return _operator(field, n, coords, True)
+
+
 def ad_kernel(
     field: Field,
     n: int,
@@ -89,29 +99,29 @@ def ad_kernel(
 ) -> Subspace:
     """{r : [r, x1, ..., xk] in target for every chain}, as one annihilator.
 
-    Each chain lists the ``ad_operator`` of the transposes x1ᵀ, ..., xkᵀ
-    (chains may differ in length); ``target=None`` means the zero subspace.
-    Under <F, r> = sum F_ij r_ij the adjoint of r -> [r, h] is
-    F -> [F, hᵀ], so r meets a chain exactly when it is orthogonal to
-    ad_{x1ᵀ}(...ad_{xkᵀ}(f)) for every f in a basis of target^⊥.  Each
-    nonzero image is inserted into one ``SpanBuilder`` of constraints, and
-    the answer is the annihilator of their span, canonical RREF like any
-    other subspace.
+    Each chain lists the ``adjoint_operator`` of x1, ..., xk (chains may
+    differ in length); ``target=None`` means the zero subspace.  The adjoint
+    of r -> [r, h] is F -> [F, hᵀ], so r meets a chain exactly when it is
+    orthogonal to ad_{x1ᵀ}(...ad_{xkᵀ}(f)) for every f in a basis of
+    target^⊥: the rows of the builder ``target`` keeps for its annihilator,
+    for a level the constraints that cut it out.  Each nonzero image is
+    formed and inserted in the coordinates of one ``SpanBuilder`` of
+    constraints, and the answer is their annihilator, which keeps them.
     """
     if target is None:
         target = Subspace.zero(field, (n, n))
     elif target.field != field or target.shape != (n, n):
         raise MixedShapes("target subspace outside the ambient space of the chains")
-    N = n * n
-    seeds = [_sparse(field, f) for f in _kernel_from_rref(target.rows, target.pivots, N, field)]
-    constraints = SpanBuilder(field, N)
+    seeds = target._perp_span().rows
+    constraints = SpanBuilder(field, n * n)
+    apply = constraints.apply
     for chain in chains:
         for img in seeds:
             for op in reversed(chain):
-                img = _apply(field, op, img)
+                img = apply(op, img)
             if img:
-                constraints.insert(constraints.coordinates(img))
-    return Subspace._of(constraints, (n, n)).annihilator()
+                constraints.insert(img)
+    return Subspace._of(constraints.annihilator(), (n, n), perp=constraints)
 
 
 ProductKind = Literal["lie", "associative"]
@@ -268,7 +278,7 @@ def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspa
     n = gens[0].nrows
     if any(g.field != field or not g.is_square or g.nrows != n for g in gens):
         raise MixedShapes("matrices do not share one ambient space")
-    inter = ad_kernel(field, n, [(ad_operator(g.transpose()),) for g in gens])
+    inter = ad_kernel(field, n, [(adjoint_operator(g),) for g in gens])
     generates = closure(gens, "associative").subspace.is_full
     scalars = Subspace.span([Matrix.identity(field, n)])
     return inter, generates and inter == scalars

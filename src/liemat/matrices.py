@@ -10,8 +10,9 @@ certificate and every ``Subspace`` do.  Its rows are sparse dicts in the
 builder's coordinates: fraction-free integers over Q
 (``_RationalSpanBuilder``), residues over GF(p) (``_ResidueSpanBuilder``)
 and raw values over GF(p^m).  ``SpanBuilder.apply`` forms the closure's
-products in the same coordinates; everywhere else Q entries are
-``Fraction``s.
+products and the centralizer levels' images in the same coordinates, and
+``SpanBuilder.annihilator`` reads the kernel of the rows off them;
+everywhere else Q entries are ``Fraction``s.
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -410,6 +411,30 @@ class SpanBuilder:
                     del row[j]
         by_pivot[pivot] = w
 
+    def annihilator(self) -> "SpanBuilder":
+        """A builder of the same class spanning {v : sum row_j v_j = 0 for
+        every row}, in the same coordinates.  The rows are reduced, so the
+        kernel has one vector per free column f, read off the rows' entries
+        in column f: v_f = 1 and v_q = -row_q[f] / row_q[q] for each pivot
+        q (``_kernel_vector``)."""
+        by_pivot = self.by_pivot
+        in_column: dict[int, list] = {}  # free column -> [(pivot, entry)]
+        for q, row in by_pivot.items():
+            for j, x in row.items():
+                if j != q:
+                    in_column.setdefault(j, []).append((q, x))
+        perp = SpanBuilder(self.field, self.length)
+        for f in range(self.length):
+            if f not in by_pivot:
+                perp.insert(self._kernel_vector(f, in_column.get(f, ())))
+        return perp
+
+    def _kernel_vector(self, f: int, entries) -> SparseVec:
+        """The kernel vector of free column f, given the (pivot q, row_q[f])
+        pairs of the rows with an entry in that column."""
+        neg = self.field.neg
+        return {f: self.field.one, **{q: neg(x) for q, x in entries}}
+
     def _raw_items(self, row: SparseVec, pivot: int):
         """The (column, raw value) pairs of a row."""
         return row.items()
@@ -436,6 +461,10 @@ class _ResidueSpanBuilder(SpanBuilder):
     def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
         p = self.field.p
         return {key: r for key, x in _int_sums(op, vec).items() if (r := x % p)}
+
+    def _kernel_vector(self, f: int, entries) -> SparseVec:
+        p = self.field.p
+        return {f: 1, **{q: p - x for q, x in entries}}
 
     def _eliminate(self, w: SparseVec) -> SparseVec:
         p, by_pivot = self.field.p, self.by_pivot
@@ -491,6 +520,12 @@ class _RationalSpanBuilder(SpanBuilder):
     def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
         """op(vec) divided by its content."""
         return _primitive({key: x for key, x in _int_sums(op, vec).items() if x})
+
+    def _kernel_vector(self, f: int, entries) -> SparseVec:
+        """Scaled by the lcm L of the rows' denominators d_q = row_q[q]."""
+        by_pivot = self.by_pivot
+        den = lcm(*(by_pivot[q][q] for q, _ in entries))
+        return {f: den, **{q: -(den // by_pivot[q][q]) * x for q, x in entries}}
 
     def _eliminate(self, w: SparseVec) -> SparseVec:
         by_pivot = self.by_pivot

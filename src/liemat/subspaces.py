@@ -7,7 +7,8 @@ bit-for-bit regardless of generator order.  Every basis is reduced by
 ``matrices.SpanBuilder``, the package's one elimination, and membership
 and pivots are answered by a builder of the rows: the one that made the
 subspace, kept by ``Subspace._of``, or one built from the rows on first
-use.
+use.  V^⊥ is read off that builder's rows (``SpanBuilder.annihilator``),
+and V and V^⊥ each keep the other's builder.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .matrices import Matrix, SpanBuilder, _kernel_from_rref, _rref_in_place
 class Subspace:
     """A linear subspace of the matrices of one shape over one field."""
 
-    __slots__ = ("field", "shape", "rows", "_basis_cache", "_builder")
+    __slots__ = ("field", "shape", "rows", "_basis_cache", "_builder", "_perp")
 
     def __init__(self, field: Field, shape: tuple[int, int], rows: tuple[tuple, ...]):
         self.field = field
@@ -30,13 +31,16 @@ class Subspace:
         self.rows = rows
         self._basis_cache = None
         self._builder = None
+        self._perp = None  # the builder of the annihilator, once known
 
     @staticmethod
-    def _of(builder: SpanBuilder, shape: tuple[int, int]) -> "Subspace":
+    def _of(builder: SpanBuilder, shape: tuple[int, int], perp: SpanBuilder | None = None) -> "Subspace":
         """The span of ``builder``, which the subspace keeps for its
-        membership tests; nothing may insert into the builder afterwards."""
+        membership tests, and ``perp`` if it spans the annihilator; nothing
+        may insert into either builder afterwards."""
         space = Subspace(builder.field, shape, builder.sorted_rows())
         space._builder = builder
+        space._perp = perp
         return space
 
     # -- constructors ---------------------------------------------------------
@@ -122,6 +126,12 @@ class Subspace:
             self._builder = builder
         return self._builder
 
+    def _perp_span(self) -> SpanBuilder:
+        """The builder of the annihilator, made from ``_span`` on first use."""
+        if self._perp is None:
+            self._perp = self._span().annihilator()
+        return self._perp
+
     @property
     def pivots(self) -> tuple[int, ...]:
         """The leading column of each row."""
@@ -158,12 +168,9 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """V^⊥ = {f : sum f_i v_i = 0 for every v in V}, in the same ambient
         shape: the kernel of the RREF rows, canonicalized like any span.
-        The pairing is nondegenerate, so (V^⊥)^⊥ = V and
-        dim V + dim V^⊥ is the ambient dimension."""
-        builder = SpanBuilder(self.field, self.ambient_dim)
-        for vec in _kernel_from_rref(self.rows, self.pivots, self.ambient_dim, self.field):
-            builder.insert(vec)
-        return Subspace._of(builder, self.shape)
+        The pairing is nondegenerate, so (V^⊥)^⊥ = V, which costs no
+        elimination, and dim V + dim V^⊥ is the ambient dimension."""
+        return Subspace._of(self._perp_span(), self.shape, perp=self._span())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -5,11 +5,13 @@ import itertools
 import pytest
 
 from liemat import (
+    ExtensionField,
     Matrix,
     Subspace,
     balanced_parts,
     bounds_table,
     centralizer_chain,
+    centralizer_intersection_check,
     centralizer_product_check,
     centralizer_step,
     conjectured_dim_bound,
@@ -21,7 +23,9 @@ from liemat import (
     nilpotency_report,
     nilpotent_subalgebra_dim_bound,
     permuted_insertion_check,
+    preimage,
 )
+from liemat import centralizers, lie, matrices, subspaces
 from liemat.errors import (
     EnumerationTooLarge,
     InvalidComposition,
@@ -271,6 +275,53 @@ def test_hereditary_matches_reference(field, prop):
     for k in (2, 3):
         space = hereditary_centralizer(single, k, prop)
         assert space.is_full and space == _reference_hereditary(single, k, prop)
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF81], ids=repr)
+def test_levels_make_no_dense_kernels_or_raw_products(field, monkeypatch):
+    """Levels run on the rows of ``SpanBuilder`` from start to finish: with
+    the dense kernel ``_kernel_from_rref`` and the raw-value product
+    ``_apply`` refused, every chain operation still gives the oracle's
+    answer.  Over GF(p^m) the raw values are the builder's coordinates and
+    ``SpanBuilder.apply`` is ``_apply``, so only the kernel is refused there."""
+    rng = rng_for("no-dense-kernels", repr(field))
+
+    def e(i, j):
+        return matrix_unit(field, 3, i, j)
+
+    upper = [e(1, 2), e(2, 3), e(1, 3)]
+    block = Subspace.span([e(1, 1) + e(1, 2), e(2, 3), e(3, 3)])
+    x, y = (random_matrix(field, 3, 3, rng) for _ in range(2))
+    target, s, t = (
+        Subspace.span([random_matrix(field, 3, 3, rng) for _ in range(k)]) for k in (4, 4, 5)
+    )
+    diagonal_and_unit = [e(1, 1), e(2, 2), e(1, 2)]
+    chains = [_reference_chain(H) for H in (upper, block)]
+    index = next(k for k, lvl in enumerate(chains[0], 1) if all(map(lvl.contains, upper)))
+    step = reference_next_level([x, y], target)
+    hereditary = {prop: _reference_hereditary(diagonal_and_unit, 2, prop) for prop in "DL"}
+    inter = reference_ad_kernel([(x,), (y,)], field, 3)
+    meet = preimage(s.basis, s.basis, t)
+
+    def refuse(*args):
+        raise AssertionError("dense kernel or raw-value product on the level path")
+
+    names = ["_kernel_from_rref"] + ([] if isinstance(field, ExtensionField) else ["_apply"])
+    for module in (matrices, subspaces, lie, centralizers):
+        for name in names:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+
+    for H, levels in zip((upper, block), chains):
+        assert [lvl.rows for lvl in centralizer_chain(H).levels] == [lvl.rows for lvl in levels]
+    report = nilpotency_report(upper)
+    assert report.index == index
+    assert [lvl.rows for lvl in report.chain.levels] == [lvl.rows for lvl in chains[0]]
+    assert centralizer_step([x, y, x], target).rows == step.rows
+    for prop, expected in hereditary.items():
+        assert hereditary_centralizer(diagonal_and_unit, 2, prop).rows == expected.rows
+    assert centralizer_intersection_check([x, y])[0].rows == inter.rows
+    assert s.intersect(t).rows == meet.rows
 
 
 def test_permuted_insertion():

@@ -16,7 +16,7 @@ from liemat import (
     matrix_unit,
     transpose_conjugation_map,
 )
-from liemat import jsonio
+from liemat import centralizers, jsonio
 from liemat.cli import build_parser, dispatch
 
 from support import GF4, GF5, Q, random_invertible, rng_for
@@ -251,6 +251,39 @@ def test_bounds_nonpositive_max_n_exit_2(capsys):
         assert dispatch(["bounds", "--max-n", max_n]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("MalformedJSON:") and captured.out == ""
+
+
+def test_bounds_past_the_enumeration_guard_exit_1(capsys, monkeypatch):
+    """max_n(max_n+1)/2 rows above ``ENUMERATION_GUARD`` are refused before
+    any row is built."""
+
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(centralizers, "nilpotent_subalgebra_dim_bound", refuse)
+    for max_n in ("100000", "1414"):  # 1414·1415/2 = 1,000,405
+        assert dispatch(["bounds", "--max-n", max_n]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("EnumerationTooLarge:") and captured.out == ""
+
+
+BOUNDS_UP_TO_6 = [
+    (1, 1, 1, 1), (2, 1, 2, 2), (2, 2, 2, 2), (3, 1, 3, 4), (3, 2, 4, 4), (3, 3, 4, 4),
+    (4, 1, 5, 7), (4, 2, 6, 7), (4, 3, 7, 7), (4, 4, 7, 7), (5, 1, 7, 11), (5, 2, 9, 11),
+    (5, 3, 10, 11), (5, 4, 11, 11), (5, 5, 11, 11), (6, 1, 10, 16), (6, 2, 13, 16),
+    (6, 3, 14, 16), (6, 4, 15, 16), (6, 5, 16, 16), (6, 6, 16, 16),
+]
+
+
+def test_bounds_rows_below_the_guard(capsys):
+    for max_n in range(1, 7):
+        code, out = run_cli(["bounds", "--max-n", str(max_n)], capsys)
+        assert code == 0
+        rows = json.loads(out)["outcome"]["rows"]
+        keys = ("n", "k", "index_dim_bound", "conjectured_bound")
+        assert [tuple(r[key] for key in keys) for r in rows] == [
+            row for row in BOUNDS_UP_TO_6 if row[0] <= max_n
+        ]
 
 
 def test_frobenius_twist_outside_field_exit_1(tmp_path, capsys):

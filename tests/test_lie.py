@@ -19,7 +19,7 @@ from liemat import (
     upper_shift,
 )
 from liemat import lie
-from liemat.matrices import SpanBuilder
+from liemat.matrices import SpanBuilder, _apply
 from liemat.errors import EmptySequence, MixedShapes
 
 from support import (
@@ -283,7 +283,7 @@ def test_product_operators_match_dense_products(field):
         pairs = ((lie.right_operator(h), r * h, False), (lie.ad_operator(h), bracket(r, h), True))
         for op, dense, kind in pairs:
             want = lie._sparse(field, dense.vectorize())
-            image = lie._apply(field, op, r_vec)
+            image = _apply(field, op, r_vec)
             assert all(not field.is_zero(a) for a in image.values())
             assert image == want
             coords_op = lie._operator(field, n, h_coords, kind)
@@ -320,13 +320,19 @@ def test_ad_operator_of_the_transpose_is_the_transposed_operator(field):
 def test_ad_kernel_follows_the_chain_order(field):
     """Asymmetric chains, alone and together, with and without a nonzero
     target, against the fold of preimages: r -> [r, x1, ..., xk] brackets
-    with x1 first, so the adjoint chain must apply xkᵀ first."""
+    with x1 first, so the adjoint chain must apply xkᵀ first.  Over Q the
+    members also carry entries 1/2, -3/4 and 7/10^6, whose operators are
+    nonzero multiples of r -> [r, xᵀ]."""
     rng = rng_for("ad-kernel-order", repr(field))
     for n in (2, 3):
         x1, x2, x3 = (random_matrix(field, n, n, rng) for _ in range(3))
+        if field == Q:
+            x1 = x1 + E(n, 1, 2).scale(Fraction(1, 2))
+            x2 = x2 + E(n, 2, 1).scale(Fraction(-3, 4))
+            x3 = x3 + E(n, n, n).scale(Fraction(7, 10**6))
         target = Subspace.span([random_matrix(field, n, n, rng) for _ in range(n)])
         for chains in ([(x1, x2)], [(x2, x3, x1)], [(x1, x2), (x3,), (x2, x3, x1)]):
-            ops = [[lie.ad_operator(x.transpose()) for x in chain] for chain in chains]
+            ops = [[lie.adjoint_operator(x) for x in chain] for chain in chains]
             for t in (None, target):
                 expected = reference_ad_kernel(chains, field, n, t)
                 assert lie.ad_kernel(field, n, ops, t).rows == expected.rows
@@ -350,7 +356,7 @@ def test_integer_kernel_matches_raw_products(field):
         if field == Q:
             assert all(type(x) is int for x in r_int.values()) and gcd(*r_int.values()) == 1
         for kind in (True, False):
-            raw = lie._apply(field, lie._operator(field, n, h_raw, kind), r_raw)
+            raw = _apply(field, lie._operator(field, n, h_raw, kind), r_raw)
             op = lie._operator(field, n, builder.coordinates(h_raw), kind)
             assert builder.apply(op, r_int) == builder.coordinates(raw)
 

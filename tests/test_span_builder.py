@@ -12,6 +12,7 @@ from liemat.matrices import (
     SpanBuilder,
     _RationalSpanBuilder,
     _ResidueSpanBuilder,
+    _kernel_from_rref,
     _rref_in_place,
 )
 
@@ -261,3 +262,58 @@ def test_extension_rows_have_pivot_one_and_no_zeros(field):
                 assert not any(field.is_zero(x) for x in row.values())
                 assert not any(q in row for q in builder.pivots if q != p)
         assert builder.dim == length
+
+
+def _reference_annihilator(builder):
+    """The span of the ``_kernel_from_rref`` vectors of the builder's RREF
+    rows, reduced by ``reference_rref``."""
+    rows = [list(r) for r in builder.sorted_rows()]
+    pivots = sorted(builder.pivots)
+    kernel = _kernel_from_rref(rows, pivots, builder.length, builder.field)
+    return tuple(tuple(r) for r in kernel[: len(reference_rref(kernel, builder.field))])
+
+
+def _check_annihilator(builder):
+    perp = builder.annihilator()
+    assert type(perp) is type(builder) and perp.length == builder.length
+    assert perp.sorted_rows() == _reference_annihilator(builder)
+    assert perp.dim + builder.dim == builder.length
+    assert perp.annihilator().sorted_rows() == builder.sorted_rows()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("shape", ["dense", "sparse"])
+def test_annihilator_matches_the_dense_kernel(field, shape):
+    rng = rng_for("builder-annihilator", repr(field), shape)
+    draw = _vector if shape == "dense" else _sparse_vector
+    for length in (0, 1, 4, 9):
+        empty, full = SpanBuilder(field, length), SpanBuilder(field, length)
+        for j in range(length):
+            full.insert([field.one if i == j else field.zero for i in range(length)])
+        assert empty.annihilator().sorted_rows() == full.sorted_rows()
+        assert full.annihilator().dim == 0
+        _check_annihilator(empty)
+        _check_annihilator(full)
+        for count in range(1, length + 1):
+            builder = SpanBuilder(field, length)
+            vectors = [draw(field, length, rng) for _ in range(count)]
+            vectors.append(_combination(field, vectors, rng))
+            for v in vectors:
+                builder.insert(v)
+            _check_annihilator(builder)
+
+
+def test_rational_annihilator_clears_different_denominators():
+    """Rows whose pivots carry different denominators: the kernel vector of
+    a free column is scaled by their lcm."""
+    builder = SpanBuilder(Q, 5)
+    for v in (
+        [1, 0, 0, Fraction(1, 2), Fraction(1, 3)],
+        [0, 1, 0, Fraction(-2, 3), Fraction(5, 4)],
+        [0, 0, 1, Fraction(3, 5), Fraction(-7, 10**6)],
+    ):
+        builder.insert([Q.coerce(a) for a in v])
+    assert sorted(row[p] for p, row in builder.by_pivot.items()) == [6, 12, 1000000]
+    _check_annihilator(builder)
+    perp = builder.annihilator()
+    assert all(type(x) is int for row in perp.rows for x in row.values())

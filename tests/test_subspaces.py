@@ -4,8 +4,18 @@ import itertools
 
 import pytest
 
-from liemat import Matrix, Subspace, bracket, kernel, matrix_unit, preimage
+from liemat import (
+    Matrix,
+    Subspace,
+    bracket,
+    centralizer_chain,
+    kernel,
+    matrix_unit,
+    preimage,
+    upper_shift,
+)
 from liemat.errors import MixedShapes
+from liemat.matrices import SpanBuilder
 
 from support import GF4, GF5, GF81, GF_LARGE, Q, mat, random_matrix, rng_for
 
@@ -118,6 +128,31 @@ def test_annihilator_laws(field):
                         acc = field.add(acc, field.mul(a, b))
                     assert field.is_zero(acc)
             assert dual.annihilator() == space
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_annihilator_builder_is_kept(field, monkeypatch):
+    """A level keeps the builder of its annihilator (the constraints that
+    cut it out), and the annihilator keeps the level's builder, so neither
+    is eliminated for again.  The kept builder spans what a fresh subspace
+    of the level's rows computes."""
+    rng = rng_for("annihilator-cache", repr(field))
+    n = 3
+    levels = centralizer_chain([upper_shift(field, n), matrix_unit(field, n, 1, n)]).levels
+    spaces = list(levels) + _random_subspaces(field, (n, n), rng)[:6]
+    fresh = [Subspace(field, (n, n), space.rows) for space in spaces]
+    duals = [space.annihilator() for space in fresh]
+
+    def refuse(*args):
+        raise AssertionError("the annihilator was computed again")
+
+    monkeypatch.setattr(SpanBuilder, "annihilator", refuse)
+    for space, dual in zip(fresh, duals):
+        assert space.annihilator() == dual
+        assert space.annihilator().annihilator() == space
+    for level, dual in zip(levels, duals):
+        assert level.annihilator() == dual
+        assert level.annihilator().annihilator() == level
 
 
 @pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
