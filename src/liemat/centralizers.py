@@ -17,7 +17,7 @@ images ad_{hᵀ}(f), for every member h and every f in a basis of the
 annihilator of L_k (``lie.ad_kernel``): the constraint rows that cut out
 L_k, kept with it, so each level takes one kernel.  Each ad_{hᵀ} is a
 sparse operator (``lie.adjoint_operator``) built once per chain for each
-distinct member.  Hereditary centralizers apply the composed adjoint
+member.  Hereditary centralizers apply the composed adjoint
 operators of the admissible tuples in the same way.
 """
 
@@ -65,8 +65,9 @@ def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
 
 
 def _adjoint_operators(members: Sequence[Matrix]) -> list:
-    """The ``adjoint_operator`` of each distinct member, built once per chain."""
-    return [adjoint_operator(h) for h in dict.fromkeys(members)]
+    """The ``adjoint_operator`` of each member, built once per chain; a
+    repeated member only inserts constraints the builder already has."""
+    return [adjoint_operator(h) for h in members]
 
 
 def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
@@ -258,11 +259,11 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    ops = {x: adjoint_operator(x) for x in members}
+    ops = _adjoint_operators(members)
     chains = [
-        [ops[x] for x in tup]
-        for tup in itertools.product(members, repeat=k)
-        if admissible(tup)
+        [ops[i] for i in tup]
+        for tup in itertools.product(range(len(members)), repeat=k)
+        if admissible(tuple(members[i] for i in tup))
     ]
     return ad_kernel(field, n, chains)
 

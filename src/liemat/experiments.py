@@ -88,37 +88,38 @@ def char2_generation_dims(max_n: int = 4) -> list[tuple[int, int]]:
     return out
 
 
-def write_bounds_csv(path, max_n: int) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "k", "index_dim_bound", "conjectured_bound"])
-        writer.writerows(bounds_table(max_n))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_bounds_csv(path, max_n: int) -> None:
+    _write_csv(path, ["n", "k", "index_dim_bound", "conjectured_bound"], bounds_table(max_n))
 
 
 def write_evidence_csv(path, max_n: int = 5) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["description", "field", "n", "dim", "measured_index",
-             "conjectured_bound", "within_bound"]
-        )
-        for name, rep in conjecture_evidence(max_n):
-            bc = rep.bound_comparison
-            writer.writerow(
-                [name, repr(rep.subject.field), bc.ambient_size, bc.dim,
-                 bc.measured_index, bc.conjectured_bound, bc.within_conjectured_bound]
-            )
+    _write_csv(
+        path,
+        ["description", "field", "n", "dim", "measured_index", "conjectured_bound", "within_bound"],
+        (
+            [name, repr(rep.subject.field), bc.ambient_size, bc.dim,
+             bc.measured_index, bc.conjectured_bound, bc.within_conjectured_bound]
+            for name, rep in conjecture_evidence(max_n)
+            for bc in (rep.bound_comparison,)
+        ),
+    )
 
 
 def write_closure_observations_csv(path, max_n: int = 4) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["description", "ambient_dim", "subspace_dim", "subspace_index",
-             "closure_dim", "closure_index"]
-        )
-        for name, probe in closure_index_observations(max_n):
-            writer.writerow(
-                [name, probe.ambient_dim, probe.subspace_dim,
-                 probe.subspace_index, probe.closure_dim, probe.closure_index]
-            )
+    _write_csv(
+        path,
+        ["description", "ambient_dim", "subspace_dim", "subspace_index",
+         "closure_dim", "closure_index"],
+        (
+            [name, probe.ambient_dim, probe.subspace_dim,
+             probe.subspace_index, probe.closure_dim, probe.closure_index]
+            for name, probe in closure_index_observations(max_n)
+        ),
+    )

@@ -43,19 +43,39 @@ _FRAC_ZERO = Fraction(0)
 _FRAC_ONE = Fraction(1)
 
 
+# Deterministic Miller-Rabin: the first 13 primes as bases decide every
+# n below psi_13, the least strong pseudoprime to all of them (Sorenson &
+# Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; the fields in scope keep p small."""
+    """Deterministic Miller-Rabin primality test, exact below
+    ``PRIMALITY_LIMIT``; raises ValueError at or above it."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(
+            f"{n} is at or above {PRIMALITY_LIMIT}, the limit of the exact primality test"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -237,9 +257,6 @@ class Rationals(Field):
     def vec_scale(self, u, c):
         return [c * a if a else a for a in u]
 
-    def vec_submul(self, u, c, v):
-        return [a - c * b if b else a for a, b in zip(u, v)]
-
     def is_scaled(self, v, c, u):
         # a == c*b  iff  a.n * c.d * b.d == c.n * b.n * a.d (denominators > 0)
         if len(v) != len(u):
@@ -324,10 +341,6 @@ class PrimeField(Field):
     def vec_scale(self, u, c):
         p = self.p
         return [(c * a) % p if a else 0 for a in u]
-
-    def vec_submul(self, u, c, v):
-        p = self.p
-        return [(a - c * b) % p if b else a for a, b in zip(u, v)]
 
     def format_scalar(self, a) -> str:
         return str(a)

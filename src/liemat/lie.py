@@ -1,10 +1,12 @@
 """Commutator brackets, left-normed products, sparse product operators,
 and subalgebra closure.
 
-``ad_operator`` (r -> [r, h]) and ``right_operator`` (r -> r·h) act on
-sparse row-major vectors.  ``ad_kernel`` solves {r : [r, x1, ..., xk] in T
-for every chain} as one annihilator, as centralizer levels need, with the
-``adjoint_operator`` of each x.
+``_operator`` builds every product operator, r -> [r, h] or r -> r·h, on
+sparse row-major vectors in the coordinates of a ``SpanBuilder``: the
+closure builds one for each of its elements, and ``adjoint_operator`` one
+for the transpose of each x.  ``ad_kernel`` solves {r : [r, x1, ..., xk]
+in T for every chain} as one annihilator, as centralizer levels need,
+with the ``adjoint_operator`` of each x.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -70,16 +72,6 @@ def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
         i * n + k: [(i * n + l, a) for l, a in rows[k]] + [(m * n + k, a) for m, a in cols[i]]
         for i in range(n) for k in range(n)
     }
-
-
-def ad_operator(h: Matrix) -> SparseMap:
-    """The map r -> [r, h] on sparse row-major vectors."""
-    return _operator(h.field, h.nrows, _sparse(h.field, h.vectorize()), True)
-
-
-def right_operator(h: Matrix) -> SparseMap:
-    """The map r -> r·h on sparse row-major vectors."""
-    return _operator(h.field, h.nrows, _sparse(h.field, h.vectorize()), False)
 
 
 def adjoint_operator(h: Matrix) -> SparseMap:

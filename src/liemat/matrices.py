@@ -11,8 +11,10 @@ builder's coordinates: fraction-free integers over Q
 (``_RationalSpanBuilder``), residues over GF(p) (``_ResidueSpanBuilder``)
 and raw values over GF(p^m).  ``SpanBuilder.apply`` forms the closure's
 products and the centralizer levels' images in the same coordinates, and
-``SpanBuilder.annihilator`` reads the kernel of the rows off them;
-everywhere else Q entries are ``Fraction``s.
+``SpanBuilder.kernel`` reads the kernel of the rows off them, the one
+kernel reader: ``annihilator`` keeps its vectors in a builder, while
+``Matrix.kernel_vectors`` and ``subspaces.preimage`` take their raw
+values.  Everywhere else Q entries are ``Fraction``s.
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -241,18 +243,17 @@ class Matrix:
         """Basis of the right kernel as column vectors.
 
         Deterministic parametric form: one vector per free column in
-        increasing order, with that free variable set to 1.
+        increasing order, with that free variable set to 1
+        (``SpanBuilder.kernel``).
         """
-        rows = [list(r) for r in self.entries]
-        pivots = _rref_in_place(rows, self.field)
+        span = _span_of(self.field, self.ncols, self.entries)
         return [
-            Matrix._make(self.field, tuple((v,) for v in vec))
-            for vec in _kernel_from_rref(rows, pivots, self.ncols, self.field)
+            Matrix._make(self.field, tuple((a,) for a in span._dense(v, f)))
+            for f, v in span.kernel()
         ]
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.entries]
-        return len(_rref_in_place(rows, self.field))
+        return _span_of(self.field, self.ncols, self.entries).dim
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -277,11 +278,17 @@ def _rref_in_place(rows: list[Sequence], field: Field) -> list[int]:
     """Reduced row-echelon form of raw-valued rows, in place: the rows go
     through a ``SpanBuilder`` and come back sorted by pivot, zero rows last.
     Returns the pivot columns in increasing order."""
-    builder = SpanBuilder(field, len(rows[0]) if rows else 0)
-    for row in rows:
-        builder.insert(row)
+    builder = _span_of(field, len(rows[0]) if rows else 0, rows)
     rows[:] = builder.sorted_rows() + ((field.zero,) * builder.length,) * (len(rows) - builder.dim)
     return sorted(builder.by_pivot)
+
+
+def _span_of(field: Field, length: int, rows) -> "SpanBuilder":
+    """A ``SpanBuilder`` of the given vectors."""
+    builder = SpanBuilder(field, length)
+    for row in rows:
+        builder.insert(row)
+    return builder
 
 
 SparseVec = dict  # column (row-major i*n + k for a matrix) -> nonzero value
@@ -411,22 +418,28 @@ class SpanBuilder:
                     del row[j]
         by_pivot[pivot] = w
 
-    def annihilator(self) -> "SpanBuilder":
-        """A builder of the same class spanning {v : sum row_j v_j = 0 for
-        every row}, in the same coordinates.  The rows are reduced, so the
-        kernel has one vector per free column f, read off the rows' entries
-        in column f: v_f = 1 and v_q = -row_q[f] / row_q[q] for each pivot
-        q (``_kernel_vector``)."""
+    def kernel(self):
+        """Yield (f, v) for each free column f in increasing order: v is the
+        vector of {v : sum row_j v_j = 0 for every row} with v_f = 1 and 0
+        at the other free columns, in the builder's coordinates.  The rows
+        are reduced, so v is read off their entries in column f:
+        v_q = -row_q[f] / row_q[q] for each pivot q (``_kernel_vector``)."""
         by_pivot = self.by_pivot
         in_column: dict[int, list] = {}  # free column -> [(pivot, entry)]
         for q, row in by_pivot.items():
             for j, x in row.items():
                 if j != q:
                     in_column.setdefault(j, []).append((q, x))
-        perp = SpanBuilder(self.field, self.length)
         for f in range(self.length):
             if f not in by_pivot:
-                perp.insert(self._kernel_vector(f, in_column.get(f, ())))
+                yield f, self._kernel_vector(f, in_column.get(f, ()))
+
+    def annihilator(self) -> "SpanBuilder":
+        """A builder of the same class spanning the ``kernel`` vectors, in
+        the same coordinates."""
+        perp = SpanBuilder(self.field, self.length)
+        for _, v in self.kernel():
+            perp.insert(v)
         return perp
 
     def _kernel_vector(self, f: int, entries) -> SparseVec:
@@ -436,18 +449,19 @@ class SpanBuilder:
         return {f: self.field.one, **{q: neg(x) for q, x in entries}}
 
     def _raw_items(self, row: SparseVec, pivot: int):
-        """The (column, raw value) pairs of a row."""
+        """The (column, raw value) pairs of a row, or of a kernel vector
+        with its free column as ``pivot``."""
         return row.items()
 
+    def _dense(self, row: SparseVec, pivot: int) -> tuple:
+        """A row, or a kernel vector, as a dense tuple of raw values."""
+        dense = [self.field.zero] * self.length
+        for j, a in self._raw_items(row, pivot):
+            dense[j] = a
+        return tuple(dense)
+
     def sorted_rows(self) -> tuple[tuple, ...]:
-        zero = self.field.zero
-        out = []
-        for p in sorted(self.by_pivot):
-            dense = [zero] * self.length
-            for j, a in self._raw_items(self.by_pivot[p], p):
-                dense[j] = a
-            out.append(tuple(dense))
-        return tuple(out)
+        return tuple(self._dense(self.by_pivot[p], p) for p in sorted(self.by_pivot))
 
 
 class _ResidueSpanBuilder(SpanBuilder):
@@ -507,7 +521,7 @@ class _RationalSpanBuilder(SpanBuilder):
     c of w at the row's pivot (no rescaling of w when d divides c), and
     divided by its content once, when it becomes a row.  Back-substitution
     into the existing rows works the same way, and divides each changed
-    row by its content.  ``sorted_rows`` is the one place where entries
+    row by its content.  ``_raw_items`` is the one place where entries
     become ``Fraction``s.
     """
 
@@ -522,7 +536,8 @@ class _RationalSpanBuilder(SpanBuilder):
         return _primitive({key: x for key, x in _int_sums(op, vec).items() if x})
 
     def _kernel_vector(self, f: int, entries) -> SparseVec:
-        """Scaled by the lcm L of the rows' denominators d_q = row_q[q]."""
+        """Scaled by the lcm L of the rows' denominators d_q = row_q[q], so
+        its entry L at f is its denominator, as a row's pivot entry is."""
         by_pivot = self.by_pivot
         den = lcm(*(by_pivot[q][q] for q, _ in entries))
         return {f: den, **{q: -(den // by_pivot[q][q]) * x for q, x in entries}}
@@ -591,20 +606,6 @@ def _primitive(w: SparseVec) -> SparseVec:
 
 
 _denominator = attrgetter("_denominator")  # Fraction's slot, behind its property
-
-
-def _kernel_from_rref(rows: list[Sequence], pivots: list[int], ncols: int, field: Field) -> list[list]:
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    z, o = field.zero, field.one
-    neg = field.neg
-    out = []
-    for f in free_cols:
-        vec = [z] * ncols
-        vec[f] = o
-        for r, pc in enumerate(pivots):
-            vec[pc] = neg(rows[r][f])
-        out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import MixedShapes
 from .fields import Field
-from .matrices import Matrix, SpanBuilder, _kernel_from_rref, _rref_in_place
+from .matrices import Matrix, SpanBuilder, _span_of
 
 
 class Subspace:
@@ -120,10 +120,7 @@ class Subspace:
     def _span(self) -> SpanBuilder:
         """The builder of the rows, made from them on first use."""
         if self._builder is None:
-            builder = SpanBuilder(self.field, self.ambient_dim)
-            for row in self.rows:
-                builder.insert(row)
-            self._builder = builder
+            self._builder = _span_of(self.field, self.ambient_dim, self.rows)
         return self._builder
 
     def _perp_span(self) -> SpanBuilder:
@@ -174,11 +171,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        builder = SpanBuilder(self.field, self.ambient_dim)
-        for row in self.rows:
-            builder.insert(row)
-        for row in other.rows:
-            builder.insert(row)
+        builder = _span_of(self.field, self.ambient_dim, self.rows + other.rows)
         return Subspace._of(builder, self.shape)
 
     __or__ = sum
@@ -208,13 +201,13 @@ def preimage(
 
     One kernel computation on the stacked system: coefficients c over the
     domain basis and t over the target basis with
-    sum c_i vec(images[i]) - sum t_j b_j = 0.
+    sum c_i vec(images[i]) - sum t_j b_j = 0, read off a ``SpanBuilder`` of
+    its rows (``SpanBuilder.kernel``).
     """
     if len(domain_basis) != len(images):
         raise MixedShapes("domain basis and image list differ in length")
     if not domain_basis:
-        dom_field, dom_shape = target.field, target.shape
-        return Subspace.zero(dom_field, dom_shape)
+        return Subspace.zero(target.field, target.shape)
     F = domain_basis[0].field
     dom_shape = (domain_basis[0].nrows, domain_basis[0].ncols)
     for m in domain_basis:
@@ -227,23 +220,15 @@ def preimage(
         return Subspace.span(domain_basis)
     r = len(domain_basis)
     img_vecs = [m.vectorize() for m in images]
-    n_out = target.ambient_dim
     neg = F.neg
-    rows = []
-    for row_idx in range(n_out):
-        row = [img_vecs[i][row_idx] for i in range(r)]
-        row += [neg(b[row_idx]) for b in target.rows]
-        rows.append(row)
-    pivots = _rref_in_place(rows, F)
-    sols = _kernel_from_rref(rows, pivots, r + target.dim, F)
+    rows = (
+        [v[k] for v in img_vecs] + [neg(b[k]) for b in target.rows]
+        for k in range(target.ambient_dim)
+    )
+    system = _span_of(F, r + target.dim, rows)
     out = []
-    for sol in sols:
-        acc = None
-        for c, basis_elt in zip(sol[:r], domain_basis):
-            if F.is_zero(c):
-                continue
-            term = basis_elt.scale(c)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out.append(acc)
+    for f, sol in system.kernel():
+        terms = [domain_basis[i].scale(c) for i, c in system._raw_items(sol, f) if i < r]
+        if terms:
+            out.append(sum(terms[1:], terms[0]))
     return Subspace.span(out, field=F, shape=dom_shape)

@@ -148,6 +148,23 @@ def reference_rref(rows, field):
     return pivots
 
 
+def reference_kernel_from_rref(rows, pivots, ncols, field):
+    """The right kernel of RREF rows with the given pivot columns, densely:
+    one vector per free column f in increasing order, with v_f = 1, the
+    other free entries 0 and v_q = -rows[i][f] at the i-th pivot q.  The
+    dense reading that ``SpanBuilder.kernel`` replaced: the oracle for it."""
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for r, q in enumerate(pivots):
+            vec[q] = field.neg(rows[r][f])
+        out.append(vec)
+    return out
+
+
 def reference_ad_kernel(chains, field, n, target=None):
     """{r : [r, x1, ..., xk] in target for every chain (x1, ..., xk)}, by a
     fold over the chains: each step keeps the preimage of the target under

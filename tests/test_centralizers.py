@@ -280,10 +280,12 @@ def test_hereditary_matches_reference(field, prop):
 @pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF81], ids=repr)
 def test_levels_make_no_dense_kernels_or_raw_products(field, monkeypatch):
     """Levels run on the rows of ``SpanBuilder`` from start to finish: with
-    the dense kernel ``_kernel_from_rref`` and the raw-value product
-    ``_apply`` refused, every chain operation still gives the oracle's
-    answer.  Over GF(p^m) the raw values are the builder's coordinates and
-    ``SpanBuilder.apply`` is ``_apply``, so only the kernel is refused there."""
+    the dense RREF ``_rref_in_place`` and the raw-value product ``_apply``
+    refused, every chain operation still gives the oracle's answer, and a
+    repeated member changes nothing.  ``SpanBuilder.kernel`` is the one
+    kernel reader, so no dense kernel is left to refuse.  Over GF(p^m) the
+    raw values are the builder's coordinates and ``SpanBuilder.apply`` is
+    ``_apply``, so only the dense RREF is refused there."""
     rng = rng_for("no-dense-kernels", repr(field))
 
     def e(i, j):
@@ -295,8 +297,9 @@ def test_levels_make_no_dense_kernels_or_raw_products(field, monkeypatch):
     target, s, t = (
         Subspace.span([random_matrix(field, 3, 3, rng) for _ in range(k)]) for k in (4, 4, 5)
     )
-    diagonal_and_unit = [e(1, 1), e(2, 2), e(1, 2)]
-    chains = [_reference_chain(H) for H in (upper, block)]
+    diagonal_and_unit = [e(1, 1), e(2, 2), e(1, 2), e(1, 1)]
+    subjects = (upper, block, [x, y, x])
+    chains = [_reference_chain(H) for H in subjects]
     index = next(k for k, lvl in enumerate(chains[0], 1) if all(map(lvl.contains, upper)))
     step = reference_next_level([x, y], target)
     hereditary = {prop: _reference_hereditary(diagonal_and_unit, 2, prop) for prop in "DL"}
@@ -304,19 +307,21 @@ def test_levels_make_no_dense_kernels_or_raw_products(field, monkeypatch):
     meet = preimage(s.basis, s.basis, t)
 
     def refuse(*args):
-        raise AssertionError("dense kernel or raw-value product on the level path")
+        raise AssertionError("dense RREF or raw-value product on the level path")
 
-    names = ["_kernel_from_rref"] + ([] if isinstance(field, ExtensionField) else ["_apply"])
+    names = ["_rref_in_place"] + ([] if isinstance(field, ExtensionField) else ["_apply"])
     for module in (matrices, subspaces, lie, centralizers):
         for name in names:
             if name in vars(module):
                 monkeypatch.setattr(module, name, refuse)
 
-    for H, levels in zip((upper, block), chains):
+    for H, levels in zip(subjects, chains):
         assert [lvl.rows for lvl in centralizer_chain(H).levels] == [lvl.rows for lvl in levels]
     report = nilpotency_report(upper)
     assert report.index == index
     assert [lvl.rows for lvl in report.chain.levels] == [lvl.rows for lvl in chains[0]]
+    repeated = nilpotency_report([x, y, x])
+    assert [lvl.rows for lvl in repeated.chain.levels] == [lvl.rows for lvl in chains[2]]
     assert centralizer_step([x, y, x], target).rows == step.rows
     for prop, expected in hereditary.items():
         assert hereditary_centralizer(diagonal_and_unit, 2, prop).rows == expected.rows

@@ -493,6 +493,22 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["outcome"]["rows"][0]["n"] == 1
 
 
+def test_large_prime_fields_run_and_oversized_ones_exit_2(tmp_path, capsys):
+    """A Mersenne prime above 2^60 is a field at once; a p at or above the
+    limit of the exact primality test is malformed input, also in JSON."""
+    argv = ["closure", "--preset", "P,E12", "--n", "3", "--field"]
+    code, out = run_cli([*argv, "gf:2305843009213693951"], capsys)
+    assert code == 0
+    assert json.loads(out)["outcome"]["dim"] == 8
+    too_big = "3317044064679887385961981"
+    assert dispatch([*argv, f"gf:{too_big}"]) == 2
+    assert capsys.readouterr().err.startswith("MalformedJSON: bad field flag")
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps([{"field": {"kind": "GF", "p": int(too_big)}, "entries": [[1]]}]))
+    assert dispatch(["closure", "--in", str(doc)]) == 2
+    assert capsys.readouterr().err.startswith("MalformedJSON: bad field descriptor")
+
+
 def test_non_integer_field_parameters_exit_2(tmp_path, capsys):
     gf5_unit = jsonio.matrix_to_json(matrix_unit(GF5, 1, 1, 1))
     gf4_unit = jsonio.matrix_to_json(matrix_unit(GF4, 1, 1, 1))

@@ -1,6 +1,7 @@
 """Field arithmetic: exactness, canonical forms, automorphisms."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from liemat import (
     smallest_irreducible,
 )
 from liemat.errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
+from liemat.fields import PRIMALITY_LIMIT, is_prime
 from liemat.polynomials import _poly_mod, _poly_mul
 
 from support import GF4, GF5, GF9, Q, oracle_add, oracle_dot, oracle_inv, oracle_mul, rng_for
@@ -140,6 +142,57 @@ def test_primality_checked():
         PrimeField(6)
     with pytest.raises(ValueError):
         ExtensionField(4, 2)
+
+
+def _trial_division(n):
+    return n >= 2 and (n < 4 or n % 2 != 0) and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(2 * 10**5) if is_prime(n) != _trial_division(n)] == []
+
+
+@pytest.mark.parametrize("bits", [64, 80])
+def test_is_prime_agrees_with_sympy(bits):
+    """Seeded draws, the next primes after them, and products of two primes
+    of half the size, which have no small factor."""
+    sympy = pytest.importorskip("sympy")
+    rng = rng_for("miller-rabin", bits)
+    draws = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(300)]
+    draws += [sympy.nextprime(n) for n in draws[:40]]
+    draws += [
+        sympy.nextprime(rng.getrandbits(bits // 2)) * sympy.nextprime(rng.getrandbits(bits // 2))
+        for _ in range(40)
+    ]
+    assert [n for n in draws if is_prime(n) != sympy.isprime(n)] == []
+    assert sum(map(is_prime, draws)) >= 40
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    """3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7;
+    3825123056546413051 to every prime base up to 31; psi_12 to every
+    prime base up to 37, and only the base 41 shows it composite."""
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+
+
+def test_large_primes_are_fields_at_once():
+    for p in (2**61 - 1, 10**18 + 3):
+        assert is_prime(p)
+        field = PrimeField(p)
+        assert field.mul(field.inv(2), 2) == 1
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    """psi_13, the least strong pseudoprime to every prime base up to 41,
+    is where the deterministic test stops being exact."""
+    for n in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match="limit of the exact primality test"):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
 
 
 def test_modulus_validation():

@@ -24,7 +24,7 @@ from liemat.errors import (
 )
 
 from liemat.fields import TABLE_MAX_ORDER
-from liemat.matrices import _kernel_from_rref, _rref_in_place
+from liemat.matrices import _rref_in_place
 
 from support import (
     GF2,
@@ -37,6 +37,7 @@ from support import (
     Q,
     mat,
     random_matrix,
+    reference_kernel_from_rref,
     reference_rref,
     rng_for,
 )
@@ -310,7 +311,7 @@ def _reference_inverse(rows, field):
 
 
 @pytest.mark.parametrize("shape", list(ELIMINATION_SHAPES))
-@pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE, GF9, GF81, GF_UNTABLED], ids=repr)
+@pytest.mark.parametrize("field", [Q, GF2, GF5, GF_LARGE, GF4, GF9, GF81, GF_UNTABLED], ids=repr)
 def test_eliminations_match_reference_rref(field, shape):
     assert GF_UNTABLED.order > TABLE_MAX_ORDER
     rng = rng_for("reference-rref", repr(field), shape)
@@ -325,8 +326,12 @@ def test_eliminations_match_reference_rref(field, shape):
             continue
         m = Matrix(field, rows)
         assert m.rank() == len(want_pivots)
-        kernel_rows = _kernel_from_rref(want, want_pivots, m.ncols, field)
-        assert [[v for (v,) in vec.entries] for vec in m.kernel_vectors()] == kernel_rows
+        kernel_rows = reference_kernel_from_rref(want, want_pivots, m.ncols, field)
+        got_kernel = [[v for (v,) in vec.entries] for vec in m.kernel_vectors()]
+        assert got_kernel == kernel_rows
+        assert [list(map(type, vec)) for vec in got_kernel] == [
+            list(map(type, vec)) for vec in kernel_rows
+        ]
         if m.is_square:
             inverse = _reference_inverse(rows, field)
             if inverse is None:

@@ -12,11 +12,21 @@ from liemat.matrices import (
     SpanBuilder,
     _RationalSpanBuilder,
     _ResidueSpanBuilder,
-    _kernel_from_rref,
     _rref_in_place,
 )
 
-from support import GF2, GF4, GF5, GF81, GF_LARGE, Q, _ReferenceSpan, reference_rref, rng_for
+from support import (
+    GF2,
+    GF4,
+    GF5,
+    GF81,
+    GF_LARGE,
+    Q,
+    _ReferenceSpan,
+    reference_kernel_from_rref,
+    reference_rref,
+    rng_for,
+)
 
 GF2_17 = ExtensionField(2, 17)  # above the table limit: polynomial arithmetic
 FIELDS = [Q, GF2, GF5, GF_LARGE, GF81, GF4, GF2_17]
@@ -265,11 +275,11 @@ def test_extension_rows_have_pivot_one_and_no_zeros(field):
 
 
 def _reference_annihilator(builder):
-    """The span of the ``_kernel_from_rref`` vectors of the builder's RREF
-    rows, reduced by ``reference_rref``."""
+    """The span of the ``reference_kernel_from_rref`` vectors of the
+    builder's RREF rows, reduced by ``reference_rref``."""
     rows = [list(r) for r in builder.sorted_rows()]
     pivots = sorted(builder.pivots)
-    kernel = _kernel_from_rref(rows, pivots, builder.length, builder.field)
+    kernel = reference_kernel_from_rref(rows, pivots, builder.length, builder.field)
     return tuple(tuple(r) for r in kernel[: len(reference_rref(kernel, builder.field))])
 
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from liemat import (
+    ExtensionField,
     Matrix,
     Subspace,
     bracket,
@@ -17,9 +18,22 @@ from liemat import (
 from liemat.errors import MixedShapes
 from liemat.matrices import SpanBuilder
 
-from support import GF4, GF5, GF81, GF_LARGE, Q, mat, random_matrix, rng_for
+from support import (
+    GF2,
+    GF4,
+    GF5,
+    GF81,
+    GF_LARGE,
+    Q,
+    mat,
+    random_matrix,
+    reference_kernel_from_rref,
+    reference_rref,
+    rng_for,
+)
 
 FIVE_FIELDS = [Q, GF5, GF_LARGE, GF4, GF81]
+SEVEN_FIELDS = FIVE_FIELDS + [GF2, ExtensionField(2, 17)]
 
 
 def E(n, i, j, field=Q):
@@ -213,6 +227,49 @@ def test_preimage_respects_restricted_domain():
     images = [bracket(E(2, 1, 2), E(2, 1, 1))]
     out = preimage(dom, images, Subspace.zero(Q, (2, 2)))
     assert out.dim == 0
+
+
+def _reference_preimage(domain_basis, images, target):
+    """``preimage``'s stacked system, solved by ``reference_rref`` and read
+    by ``reference_kernel_from_rref``."""
+    field, r = target.field, len(domain_basis)
+    img_vecs = [m.vectorize() for m in images]
+    rows = [
+        [v[k] for v in img_vecs] + [field.neg(b[k]) for b in target.rows]
+        for k in range(target.ambient_dim)
+    ]
+    pivots = reference_rref(rows, field)
+    out = []
+    for sol in reference_kernel_from_rref(rows, pivots, r + target.dim, field):
+        acc = Matrix.zeros(field, *target.shape)
+        for c, b in zip(sol[:r], domain_basis):
+            acc = acc + b.scale(c)
+        out.append(acc)
+    return Subspace.span(out, field=field, shape=target.shape)
+
+
+@pytest.mark.parametrize("field", SEVEN_FIELDS, ids=repr)
+def test_preimage_matches_the_dense_stacked_kernel(field):
+    """Seeded maps from a span of random matrices into random targets, the
+    zero target included, against the dense reading of the same system."""
+    rng = rng_for("preimage-dense", repr(field))
+    for n in range(1, 4):
+        for _ in range(5):
+            domain = Subspace.span(
+                [random_matrix(field, n, n, rng) for _ in range(rng.randint(1, n * n))]
+            ).basis
+            if not domain:  # every draw was zero
+                continue
+            images = [random_matrix(field, n, n, rng) for _ in domain]
+            if rng.random() < 0.5:
+                images[-1] = images[0]
+            target = Subspace.span(
+                [random_matrix(field, n, n, rng) for _ in range(rng.randint(0, n * n - 1))],
+                field=field,
+                shape=(n, n),
+            )
+            got = preimage(domain, images, target)
+            assert got.rows == _reference_preimage(domain, images, target).rows
 
 
 def test_subspace_json_identity_independent_of_generator_presentation():
