@@ -3,23 +3,29 @@ and subalgebra closure.
 
 ``_operator`` builds every product operator, r -> [r, h] or r -> r·h, on
 sparse row-major vectors in the coordinates of a ``SpanBuilder``: the
-closure builds one for each of its elements, and ``adjoint_operator`` one
-for the transpose of each x.  ``ad_kernel`` solves {r : [r, x1, ..., xk]
-in T for every chain} as one annihilator, as centralizer levels need,
-with the ``adjoint_operator`` of each x.
+closure builds one for each element that a sweep multiplies by, and
+``adjoint_operator`` one for the transpose of each x.  An operator lists
+only the units with a nonzero image, built from the nonzero rows of h (and,
+for the bracket, its nonzero columns); an unlisted unit maps to zero.
+``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
+annihilator, as centralizer levels need, with the ``adjoint_operator`` of
+each x.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
 application.  Each sweep pairs the elements added by the previous sweep
 with every element before them (one order per pair for the bracket, both
 orders and the square for the associative product), and stops as soon as
-the span is the whole matrix space.  Before each sweep the span V is
-tested against the generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the
-spanning lemma a pass proves that V is the closure (see
-``_certify_closed``), so no sweep that adds nothing is ever run.  The
-test asks the sweep's own ``SpanBuilder`` whether each product lies in V
-(``SpanBuilder.contains``), so no ``Subspace`` is built until the closure
-is returned.
+the span reaches its ceiling: the whole matrix space, or sl_n = ker tr for
+the Lie closure of traceless generators (n > 1), since tr[x, y] = 0 in
+every characteristic.  Before each sweep the span V is tested against the
+generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the spanning lemma a pass
+proves that V is the closure (see ``_certify_closed``), so no sweep that
+adds nothing is ever run.  The test asks the sweep's own ``SpanBuilder``
+whether each product lies in V (``SpanBuilder.contains``), so no
+``Subspace`` is built until the closure is returned.  An element's
+operator is built when a sweep first needs it, so the elements added by the
+last sweep get none.
 
 The closure keeps its elements in the coordinates of its ``SpanBuilder``
 (``SpanBuilder.coordinates``): primitive integer vectors over Q (a nonzero
@@ -60,18 +66,43 @@ def left_normed(xs: Sequence[Matrix]) -> Matrix:
 
 
 def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
-    """The unit images of r -> r·h, or of r -> [r, h] when ``lie``: E_ik·h
-    has h[k][l] at (i, l), and [E_ik, h] adds -h[m][i] at (m, k)."""
-    rows, cols = [[] for _ in range(n)], [[] for _ in range(n)]  # (column, a), (row, -a)
+    """The nonzero unit images of r -> r·h, or of r -> [r, h] when ``lie``,
+    built from the nonzeros of h; a unit it does not list maps to zero.
+
+    E_ik·h has h[k][l] at (i, l), so it needs row k of h.  [E_ik, h] adds
+    -h[m][i] at (m, k), so it also needs column i of h; its entry at (i, k)
+    is h[k][k] - h[i][i], one term, listed only when nonzero.
+    """
+    rows: dict[int, list] = {}  # k -> [(l, h[k][l])], off the diagonal for ``lie``
+    cols: dict[int, list] = {}  # i -> [(m, -h[m][i])], m != i
+    diag: SparseVec = {}  # k -> h[k][k], for ``lie``
+    neg = field.neg
     for idx, a in h.items():
         k, l = divmod(idx, n)
-        rows[k].append((l, a))
+        if lie and k == l:
+            diag[k] = a
+            continue
+        rows.setdefault(k, []).append((l, a))
         if lie:
-            cols[l].append((k, field.neg(a)))
-    return {
-        i * n + k: [(i * n + l, a) for l, a in rows[k]] + [(m * n + k, a) for m, a in cols[i]]
-        for i in range(n) for k in range(n)
-    }
+            cols.setdefault(l, []).append((k, neg(a)))
+    op: SparseMap = {}
+    for k, row in rows.items():
+        for i in range(n):
+            op[i * n + k] = [(i * n + l, a) for l, a in row]
+    for i, col in cols.items():
+        for k in range(n):
+            op.setdefault(i * n + k, []).extend([(m * n + k, a) for m, a in col])
+    for k, a in diag.items():  # h[k][k] - h[i][i] at (i, k)
+        for i in range(n):
+            b = diag.get(i)
+            if b != a:
+                op.setdefault(i * n + k, []).append((i * n + k, a if b is None else field.sub(a, b)))
+    for i, b in diag.items():  # -h[i][i] at (i, k), h[k][k] = 0
+        minus_b = neg(b)
+        for k in range(n):
+            if k not in diag:
+                op.setdefault(i * n + k, []).append((i * n + k, minus_b))
+    return op
 
 
 def adjoint_operator(h: Matrix) -> SparseMap:
@@ -130,10 +161,16 @@ class ClosureResult:
     closed subspace.
 
     A closure that is not the whole space was certified before it was
-    returned: [V, X] ⊆ V (V·X ⊆ V) holds for V = ``subspace``, which is
-    spanned by products of generators and contains X.  Every product is
-    formed on sparse vectors by the operator r -> [r, h] (r -> r·h) of its
-    right factor h, so no dense matrix product is made; the vectors are in
+    returned.  Either [V, X] ⊆ V (V·X ⊆ V) holds for V = ``subspace``,
+    which is spanned by products of generators and contains X; or the
+    generators are traceless, n > 1, and the Lie closure V reached
+    dimension n^2 - 1.  Then V = sl_n, which contains Lie(X) because
+    tr[x, y] = 0, and is closed, so B_k = B_{k-1} one round after the
+    sweep that reached it: ``rounds`` counts that round too.
+
+    Every product is formed on sparse vectors by the operator r -> [r, h]
+    (r -> r·h) of its right factor h, which lists only the units with a
+    nonzero image, so no dense matrix product is made; the vectors are in
     the coordinates of the closure's builder (see the module docstring).
     ``subspace`` holds raw values all the same: ``Fraction``s over Q,
     residues in [0, p) over GF(p).
@@ -165,28 +202,33 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
 
     full_dim = n * n
     lie = kind == "lie"
+    # tr[x, y] = 0, so a Lie closure of traceless generators lies in sl_n
+    in_sl = lie and n > 1 and all(field.is_zero(g.trace_raw()) for g in gens)
+    ceiling = full_dim - 1 if in_sl else full_dim
     builder = SpanBuilder(field, full_dim)
     # independent representatives, insertion order, in builder coordinates
     coords = (builder.coordinates(_sparse(field, g.vectorize())) for g in gens)
     basis = [u for u in coords if builder.insert(u)]
-    ops = [_operator(field, n, u, lie) for u in basis]  # r -> [r, u] or r -> r·u
-    generator_ops = list(ops)
+    generator_ops = [_operator(field, n, u, lie) for u in basis]  # r -> [r, u] or r -> r·u
+    ops = list(generator_ops)  # ops[j] of basis[j], built when a sweep first needs it
 
     rounds = frontier_start = 0
-    while basis and builder.dim < full_dim:
+    while basis and builder.dim < ceiling:
         rounds += 1
         if _certify_closed(builder, basis, generator_ops):
             break
         frontier_end = len(basis)
+        ops += [_operator(field, n, u, lie) for u in basis[len(ops):]]
         for prod in _sweep(builder.apply, basis, ops, frontier_start, frontier_end, lie):
             if prod and builder.insert(prod):
                 basis.append(prod)
-                ops.append(_operator(field, n, prod, lie))
-                if builder.dim == full_dim:
+                if builder.dim == ceiling:
                     break
         if len(basis) == frontier_end:
             raise AssertionError("a sweep after a failed certificate added nothing")
         frontier_start = frontier_end
+    if builder.dim == ceiling < full_dim:
+        rounds += 1  # the round whose certificate would pass: V = sl_n is closed
     return ClosureResult(Subspace._of(builder, (n, n)), rounds, kind)
 
 

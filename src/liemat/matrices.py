@@ -302,11 +302,11 @@ def _sparse(field: Field, vec: Sequence) -> SparseVec:
 
 
 def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
-    """op(vec) on raw values; a column that op does not list maps to itself."""
+    """op(vec) on raw values; a column that op does not list maps to zero."""
     add, mul = field.add, field.mul
     out: SparseVec = {}
     for idx, a in vec.items():
-        for key, b in op.get(idx, ((idx, field.one),)):
+        for key, b in op.get(idx, ()):
             out[key] = add(out[key], mul(a, b)) if key in out else mul(a, b)
     return {key: a for key, a in out.items() if not field.is_zero(a)}
 
@@ -387,8 +387,9 @@ class SpanBuilder:
         return vec
 
     def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
-        """op(vec) in the builder's coordinates, for an ``op`` that lists
-        every column, with coefficients in those coordinates too."""
+        """op(vec) in the builder's coordinates, for an ``op`` with
+        coefficients in those coordinates too; a column that ``op`` does not
+        list maps to zero."""
         return _apply(self.field, op, vec)
 
     def _eliminate(self, w: SparseVec) -> SparseVec:
@@ -590,11 +591,11 @@ class _RationalSpanBuilder(SpanBuilder):
 
 def _int_sums(op: SparseMap, vec: SparseVec) -> SparseVec:
     """op(vec) as plain int sums, zeros included, for an ``op`` on integer
-    coordinates that lists every column."""
+    coordinates; a column that ``op`` does not list maps to zero."""
     out: SparseVec = {}
     get = out.get
     for idx, a in vec.items():
-        for key, b in op[idx]:
+        for key, b in op.get(idx, ()):
             out[key] = get(key, 0) + a * b
     return out
 

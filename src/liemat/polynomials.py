@@ -98,26 +98,16 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p).
-
-    Degree 2 and 3 are settled by a root search; in general the
-    Frobenius-gcd criterion is used: f of degree m is irreducible iff
-    x^(p^m) = x mod f and gcd(x^(p^(m/q)) - x, f) = 1 for every prime
-    divisor q of m.
+    """Irreducibility of a monic polynomial over GF(p), by the Frobenius-gcd
+    criterion (Rabin): f of degree m is irreducible iff x^(p^m) = x mod f
+    and gcd(x^(p^(m/q)) - x, f) = 1 for every prime divisor q of m.  It
+    takes O(m log p) products mod f, so p may be large.
     """
     m = len(modulus) - 1
     if m < 1 or modulus[-1] % p != 1:
         return False
     mod = tuple(c % p for c in modulus)
     if m == 1:
-        return True
-    if m <= 3:
-        for a in range(p):
-            acc = 0
-            for c in reversed(mod):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
         return True
     x = (0, 1)
     if _poly_powmod(x, p**m, mod, p) != _poly_mod(x, mod, p):

@@ -509,6 +509,22 @@ def test_large_prime_fields_run_and_oversized_ones_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("MalformedJSON: bad field descriptor")
 
 
+def test_extension_of_a_large_prime_field_runs():
+    """GF((2^61 - 1)^2) is built in O(log p) products; a separate process
+    with a timeout, so that a regression to a search over GF(p) fails."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "liemat", "closure", "--preset", "P,E12", "--n", "3",
+         "--field", "gfext:2305843009213693951:2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcome = json.loads(proc.stdout)["outcome"]
+    assert outcome["dim"] == 8
+    assert outcome["subspace"]["ambient"]["field"]["modulus"] == [1, 0, 1]
+
+
 def test_non_integer_field_parameters_exit_2(tmp_path, capsys):
     gf5_unit = jsonio.matrix_to_json(matrix_unit(GF5, 1, 1, 1))
     gf4_unit = jsonio.matrix_to_json(matrix_unit(GF4, 1, 1, 1))

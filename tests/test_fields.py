@@ -1,6 +1,7 @@
 """Field arithmetic: exactness, canonical forms, automorphisms."""
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -202,6 +203,29 @@ def test_modulus_validation():
     assert ExtensionField(2, 2, [1, 1, 1]).modulus == (1, 1, 1)
     assert not is_irreducible((1, 0, 1), 2)
     assert is_irreducible((1, 1, 1), 2)
+
+
+def _monic(p, m):
+    """Every monic polynomial of degree m over GF(p), low coefficient first."""
+    return [(*low, 1) for low in itertools.product(range(p), repeat=m)]
+
+
+def _times(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def test_irreducibility_matches_brute_force_factoring():
+    """Every monic polynomial of degree 2 and 3 over GF(p), p <= 11, against
+    the products of two monic factors of positive degree."""
+    for p in (2, 3, 5, 7, 11):
+        for m in (2, 3):
+            reducible = {_times(f, g, p) for f in _monic(p, 1) for g in _monic(p, m - 1)}
+            for f in _monic(p, m):
+                assert is_irreducible(f, p) == (f not in reducible), (f, p)
 
 
 def test_default_moduli_are_deterministic():

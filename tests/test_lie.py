@@ -300,12 +300,46 @@ FIVE_FIELDS = [Q, GF5, GF_LARGE, GF4, GF81]
 
 
 def _as_matrix(field, op, size):
-    """A ``SparseMap`` as its size x size matrix: op[c] is column c."""
+    """A ``SparseMap`` as its size x size matrix: op[c] is column c, and a
+    column that op does not list is zero."""
     rows = [[field.zero] * size for _ in range(size)]
     for c in range(size):
-        for r, a in op[c]:
+        for r, a in op.get(c, ()):
             rows[r][c] = field.add(rows[r][c], a)
     return Matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_operators_list_exactly_the_units_with_a_nonzero_image(field):
+    """``_operator`` lists a unit iff its image is nonzero, each image
+    once per key with nonzero coefficients, and the images are the dense
+    products E_c·h and [E_c, h]; in builder coordinates it lists the same
+    units (over Q the coordinates are a nonzero multiple of h)."""
+    rng = rng_for("operator-units", repr(field))
+    for n in range(1, 5):
+        builder = SpanBuilder(field, n * n)
+        hs = [Matrix.zeros(field, n), Matrix.identity(field, n), E(n, 1, n, field), E(n, n, n, field)]
+        hs += [random_matrix(field, n, n, rng) for _ in range(3)]
+        if n > 1:  # a diagonal with a repeated entry: [E_ik, h] = 0 for some i != k
+            d = random_matrix(field, n, n, rng).entries[0]
+            hs.append(Matrix(field, [[d[0] if j == i else 0 for j in range(n)] for i in range(n)])
+                      + E(n, 1, 1, field).scale(d[1]))
+        for h in hs:
+            h_raw = lie._sparse(field, h.vectorize())
+            for kind in (True, False):
+                op = lie._operator(field, n, h_raw, kind)
+                want = {}
+                for c in range(n * n):
+                    unit = E(n, c // n + 1, c % n + 1, field)
+                    image = lie._sparse(field, (bracket(unit, h) if kind else unit * h).vectorize())
+                    if image:
+                        want[c] = image
+                assert set(op) == set(want)
+                for c, image in op.items():
+                    keys = [key for key, _ in image]
+                    assert len(keys) == len(set(keys))
+                    assert dict(image) == want[c]
+                assert set(lie._operator(field, n, builder.coordinates(h_raw), kind)) == set(want)
 
 
 @pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
@@ -434,6 +468,86 @@ def test_closure_rounds_edge_cases():
     assert closure(units, "associative").rounds == 0
     for kind in ("lie", "associative"):
         assert closure([E(3, 1, 1)], kind).rounds == 1
+
+
+def _sl_basis(field, n):
+    """E(i, j) for i != j and E(i, i) - E(n, n): a basis of sl_n."""
+    units = [E(n, i, j, field) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return units + [E(n, i, i, field) - E(n, n, n, field) for i in range(1, n)]
+
+
+def _ceiling_cases():
+    """Traceless generator sets, by id, whose Lie closure the sweep may stop
+    at the sl_n ceiling, and sets where it must not."""
+    P = cyclic_permutation
+    cases = []
+    for field in (Q, GF5, GF4):
+        for n in range(3, 8):
+            cases.append((f"P,E12 n={n} {field!r}", [P(field, n), E(n, 1, 2, field)], "lie"))
+    for field in (Q, GF2, GF5):
+        for n in (2, 3):
+            cases.append((f"sl_n basis n={n} {field!r}", _sl_basis(field, n), "lie"))
+    for n in (2, 4):  # tr I = n = 0 in GF(2)
+        I = Matrix.identity(GF2, n)
+        cycle = [E(n, i, i % n + 1, GF2) for i in range(1, n + 1)]
+        cases.append((f"I,P,E12 n={n} GF(2)", [I, P(GF2, n), E(n, 1, 2, GF2)], "lie"))
+        cases.append((f"I,E12,E21 n={n} GF(2)", [I, E(n, 1, 2, GF2), E(n, 2, 1, GF2)], "lie"))
+        cases.append((f"I,E12,..,En1 n={n} GF(2)", [I, *cycle], "lie"))
+    cases.append(("I,P,E12 n=3 GF(2)", [Matrix.identity(GF2, 3), P(GF2, 3), E(3, 1, 2, GF2)], "lie"))
+    for field in (Q, GF2, GF5):
+        # closure sl_2 in the corner, strictly inside sl_3
+        cases.append((f"E12,E21 n=3 {field!r}", [E(3, 1, 2, field), E(3, 2, 1, field)], "lie"))
+        # traceless, but E12·E21 = E11: the associative closure leaves sl_n
+        for n in (2, 3):
+            cases.append((f"assoc E12,E21 n={n} {field!r}",
+                          [E(n, 1, 2, field), E(n, 2, 1, field)], "associative"))
+        cases.append((f"zero n=1 {field!r}", [Matrix.zeros(field, 1)], "lie"))
+    return [pytest.param(gens, kind, id=case_id) for case_id, gens, kind in cases]
+
+
+@pytest.mark.parametrize("gens, kind", _ceiling_cases())
+def test_closure_stopped_at_the_sl_ceiling_matches_reference(gens, kind):
+    """A sweep that reaches dim n^2 - 1 with traceless generators stops
+    there, and counts the round whose certificate would pass."""
+    result = closure(gens, kind)
+    subspace, rounds = reference_closure(gens, kind)
+    assert result.subspace.rows == subspace.rows
+    assert result.rounds == rounds
+
+
+def test_sl_ceiling_cases_reach_it():
+    """The ceiling cases above include closures that are sl_n, from the
+    start (``rounds`` 1) and after sweeps, and ones strictly inside it."""
+    n = 3
+    assert closure(_sl_basis(Q, n), "lie").rounds == 1
+    assert closure(_sl_basis(GF2, 2), "lie").rounds == 1
+    assert closure([cyclic_permutation(Q, 5), E(5, 1, 2)], "lie").subspace.dim == 24
+    corner = closure([E(n, 1, 2), E(n, 2, 1)], "lie")
+    assert corner.subspace.dim == 3 and corner.rounds == 2
+    for m in (2, 4):
+        I = Matrix.identity(GF2, m)
+        cycle = [E(m, i, i % m + 1, GF2) for i in range(1, m + 1)]
+        assert closure([I, *cycle], "lie").subspace.dim == m * m - 1
+    assert closure([E(2, 1, 2), E(2, 2, 1)], "associative").subspace.is_full
+
+
+def test_closure_benchmark_jobs_keep_rounds_and_dim():
+    """``rounds`` and dim of the closure jobs of the benchmark, whose golden
+    digests pin ``rounds``: the same generators, built here."""
+    P, S = cyclic_permutation, upper_shift
+    jobs = [
+        ("lie", [P(Q, 8), E(8, 1, 1)], 9, 64),
+        ("lie", [P(GF5, 8), E(8, 1, 1, GF5)], 9, 64),
+        ("lie", [P(GF81, 6), E(6, 1, 1, GF81)], 7, 36),
+        ("associative", [S(Q, 7), E(7, 7, 1)], 4, 49),
+        ("associative", [S(GF5, 8), E(8, 8, 1, GF5)], 4, 64),
+        ("lie", [P(Q, 7), E(7, 1, 2)], 11, 48),
+        ("lie", [P(GF5, 7), E(7, 1, 2, GF5)], 11, 48),
+        ("associative", [S(Q, 7), E(7, 2, 1)], 4, 18),
+    ]
+    for kind, gens, rounds, dim in jobs:
+        result = closure(gens, kind)
+        assert (result.rounds, result.subspace.dim) == (rounds, dim), (kind, gens[0].field)
 
 
 def test_closure_rejects_mixed_input():
