@@ -260,7 +260,8 @@ def algebra_map_to_json(m: AlgebraMap) -> dict:
 
 def algebra_map_from_json(obj: Any) -> AlgebraMap:
     """Every image grid is checked before any scalar is parsed, and the
-    scalars of all images are parsed in one ``parse_scalars`` call."""
+    scalars of all images are parsed in one ``parse_scalars`` call.  The
+    image keys must be exactly the n^2 units "i,j"."""
     _expect(isinstance(obj, dict), "map must be an object")
     try:
         n = _size(obj, "n")
@@ -271,13 +272,14 @@ def algebra_map_from_json(obj: Any) -> AlgebraMap:
     twist = automorphism_from_json(obj.get("twist"))
     raw_images = obj.get("images")
     _expect(isinstance(raw_images, dict), "map needs an 'images' object")
+    units = dict.fromkeys(f"{i},{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     grids = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            key = f"{i},{j}"
-            _expect(key in raw_images, f"missing image for unit {key}")
-            rows, cols, entries = _grid(raw_images[key])
-            _expect(rows == n and cols == n, f"image {key} is not {n}x{n}")
-            grids.append(entries)
+    for key in units:
+        _expect(key in raw_images, f"missing image for unit {key}")
+        rows, cols, entries = _grid(raw_images[key])
+        _expect(rows == n and cols == n, f"image {key} is not {n}x{n}")
+        grids.append(entries)
+    extra = next((k for k in raw_images if k not in units), None)
+    _expect(extra is None, f"unexpected image {extra!r}: not a unit of a map with n = {n}")
     images = _matrices(field, n, n, _parse(field, grids))
     return AlgebraMap(n, field, tuple(images), twist)

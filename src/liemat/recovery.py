@@ -25,8 +25,12 @@ the four ``recover_*`` functions are thin aliases that fix the direction
 and the typed error.
 
 Every recovery re-verifies the conjugation formula on all n^2 units; the
-``verified`` flag is never assumed.  Conjugators are unique only up to a
-nonzero scalar.
+``verified`` flag is never assumed.  Row r of A E(i,j) A^(-1) is A[r][i]
+times row j of A^(-1), so the n^4-entry unit table has at most n*d
+distinct rows, d the number of distinct entries of A.  The check
+certifies the first image row of each with ``is_scaled`` and compares the
+repeats with it; ``conjugation_map`` forms each row once and shares it.
+Conjugators are unique only up to a nonzero scalar.
 
 Verification is also the certificate for the decomposition of a Lie
 automorphism psi as sigma + c*tr(.)*I: sigma is recovered from the
@@ -148,32 +152,35 @@ class AlgebraMap:
         return f"<map on {self.n}x{self.n} over {self.field!r}, twist={self.twist.kind}>"
 
 
-def conjugation_map(
-    b: Matrix, twist: FieldAutomorphism | None = None
-) -> AlgebraMap:
+def conjugation_map(b: Matrix, twist: FieldAutomorphism | None = None) -> AlgebraMap:
     """X |-> B X_f B^(-1) as an AlgebraMap (ring automorphism)."""
-    b_inv = b.inverse()
-    n = b.nrows
-    images = tuple(
-        _conjugate_unit(b, b_inv, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    return AlgebraMap(n, b.field, images, twist)
+    return AlgebraMap(b.nrows, b.field, _unit_images(b, False), twist)
 
 
-def transpose_conjugation_map(
-    b: Matrix, twist: FieldAutomorphism | None = None
-) -> AlgebraMap:
+def transpose_conjugation_map(b: Matrix, twist: FieldAutomorphism | None = None) -> AlgebraMap:
     """X |-> B X_f^T B^(-1) as an AlgebraMap (ring anti-automorphism)."""
-    b_inv = b.inverse()
-    n = b.nrows
-    images = tuple(
-        _conjugate_unit(b, b_inv, j, i)  # E(i,j)^T = E(j,i)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    return AlgebraMap(n, b.field, images, twist)
+    return AlgebraMap(b.nrows, b.field, _unit_images(b, True), twist)
+
+
+def _row_classes(a: Matrix, transposed: bool) -> tuple[list, list[tuple[int, tuple]]]:
+    """A's distinct entries, numbered once, and for each unit image of
+    conjugation by A in table order (E(j,i) for E(i,j) when ``transposed``)
+    the pair (j, numbers of A's column i): row r of A E(i,j) A^(-1) is
+    A[r][i] times row j of A^(-1), keyed by j and the number of A[r][i]."""
+    numbers: dict = {}
+    classes = [[numbers.setdefault(x, len(numbers)) for x in row] for row in a.entries]
+    columns, n = list(zip(*classes)), a.nrows
+    units = ((j, i) if transposed else (i, j) for i in range(n) for j in range(n))
+    return list(numbers), [(rw, columns[col]) for col, rw in units]
+
+
+def _unit_images(b: Matrix, transposed: bool) -> tuple[Matrix, ...]:
+    """The unit images of X |-> B X B^(-1) (B X^T B^(-1) when
+    ``transposed``); the images share one tuple per distinct row."""
+    F = b.field
+    values, units = _row_classes(b, transposed)
+    scaled = [[tuple(F.vec_scale(row, c)) for c in values] for row in b.inverse().entries]
+    return tuple(Matrix._make(F, tuple(map(scaled[rw].__getitem__, ks))) for rw, ks in units)
 
 
 @dataclass(frozen=True)
@@ -182,16 +189,6 @@ class RecoveryResult:
     kernel_vector: Matrix
     verified: bool
     scalar_class: str = SCALAR_CLASS_NOTE
-
-
-def _conjugate_unit(a: Matrix, a_inv: Matrix, i: int, j: int) -> Matrix:
-    """A E(i,j) A^(-1) as the outer product of A's column i with A^(-1)'s
-    row j (1-based); avoids two full matrix products per unit."""
-    F = a.field
-    col = [row[i - 1] for row in a.entries]
-    rw = a_inv.entries[j - 1]
-    mul = F.mul
-    return Matrix._make(F, tuple(tuple(mul(c, r) for r in rw) for c in col))
 
 
 _NO_KERNEL = "I - phi(S)^(n-1) phi(E(n,1)) is invertible"
@@ -269,15 +266,14 @@ def conjugator_from_images(
 
 def _extract_shift_image(m: AlgebraMap, transposed: bool) -> Matrix:
     """phi(S) = sum of the images of the superdiagonal units, or phi(S^T)
-    from the subdiagonal ones."""
-    n = m.n
-    acc = None
-    for i in range(1, n):
-        term = m.image(i + 1, i) if transposed else m.image(i, i + 1)
-        acc = term if acc is None else acc + term
-    if acc is None:  # n == 1: empty sum
-        acc = Matrix.zeros(m.field, n)
-    return acc
+    from the subdiagonal ones: one dot product with all ones per entry."""
+    n, F = m.n, m.field
+    if n == 1:  # empty sum
+        return Matrix.zeros(F, 1)
+    terms = (m.image(i + 1, i) if transposed else m.image(i, i + 1) for i in range(1, n))
+    ones, dot = (F.one,) * (n - 1), F.dot
+    rows = zip(*(t.entries for t in terms))  # row r of every term
+    return Matrix._make(F, tuple(tuple(dot(e, ones) for e in zip(*row)) for row in rows))
 
 
 def _verify_all_units(
@@ -286,16 +282,22 @@ def _verify_all_units(
     """Does A E(i,j) A^(-1) (or A E(j,i) A^(-1) for anti-maps) reproduce
     every unit image?  The twist never shows: units have 0/1 entries.
 
-    Row r of A E(i,j) A^(-1) is A[r][i] times row j of A^(-1), so each
-    image row is compared with a scaled row and no product is built."""
+    The first image row with each key of ``_row_classes`` is certified by
+    ``is_scaled``; a later row with that key must be the same scaled row
+    of A^(-1), so equality with the certified row is exact."""
     is_scaled = m.field.is_scaled
-    a, a_inv = conjugator.entries, conj_inv.entries
-    n = m.n
-    for i in range(n):
-        for j in range(n):
-            col, rw = (j, i) if transposed else (i, j)
-            image = m.images[i * n + j].entries
-            if not all(is_scaled(image[r], a[r][col], a_inv[rw]) for r in range(n)):
+    a_inv = conj_inv.entries
+    values, units = _row_classes(conjugator, transposed)
+    certified = [[None] * len(values) for _ in a_inv]
+    for image, (rw, ks) in zip(m.images, units):
+        done, a_row = certified[rw], a_inv[rw]
+        for row, k in zip(image.entries, ks):
+            seen = done[k]
+            if seen is None:
+                if not is_scaled(row, values[k], a_row):
+                    return False
+                done[k] = row
+            elif row != seen:
                 return False
     return True
 
@@ -396,9 +398,7 @@ def classify_map(m: AlgebraMap) -> MapKind | None:
         return None
     n = m.n
     zero = Matrix.zeros(m.field, n)
-    mult = True
-    anti = True
-    lie = True
+    mult = anti = lie = True
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             pij = m.image(i, j)
@@ -408,23 +408,17 @@ def classify_map(m: AlgebraMap) -> MapKind | None:
                     # E(i,j) E(k,l) = E(i,l) if j == k else 0
                     prod_img = m.image(i, l) if j == k else zero
                     rev_img = m.image(k, j) if l == i else zero
-                    ab = pij * pkl
-                    ba = pkl * pij
-                    if mult and ab != prod_img:
-                        mult = False
-                    if anti and ba != prod_img:
-                        anti = False
-                    if lie and ab - ba != prod_img - rev_img:
-                        lie = False
+                    ab, ba = pij * pkl, pkl * pij
+                    mult = mult and ab == prod_img
+                    anti = anti and ba == prod_img
+                    lie = lie and ab - ba == prod_img - rev_img
                     if not (mult or anti or lie):
                         return None
     if mult:
         return "automorphism"
     if anti:
         return "anti-automorphism"
-    if lie:
-        return "lie-automorphism"
-    return None
+    return "lie-automorphism" if lie else None
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 from liemat import (
+    AlgebraMap,
     ExtensionField,
     Matrix,
     PrimeField,
@@ -247,6 +248,34 @@ def reference_conjugator_from_images(phi_s, phi_en1, n):
     return RecoveryResult(conjugator, a_vec, verified), conj_inv
 
 
+def reference_conjugation_map(b, transposed=False, twist=None):
+    """X -> B X B^(-1), or B X^T B^(-1) when ``transposed``, as an
+    AlgebraMap built densely: the image A E(i,j) A^(-1) is the outer
+    product of A's column i with A^(-1)'s row j, n^2 products per unit and
+    no row shared between images.  The oracle for ``conjugation_map`` and
+    ``transpose_conjugation_map``."""
+    field, n = b.field, b.nrows
+    b_inv = b.inverse().entries
+
+    def image(i, j):  # 0-based
+        return Matrix(field, [[field.mul(row[i], x) for x in b_inv[j]] for row in b.entries])
+
+    units = [(j, i) if transposed else (i, j) for i in range(n) for j in range(n)]
+    return AlgebraMap(n, field, tuple(image(i, j) for i, j in units), twist)
+
+
+def repeating_invertible(field, n, rng):
+    """An invertible matrix with entries in {0, 1, 2}: few distinct
+    entries, so its conjugation table repeats rows."""
+    while True:
+        m = random_matrix(field, n, n, rng, lambda r: field.from_int(r.randrange(3)))
+        try:
+            m.inverse()
+        except SingularMatrix:
+            continue
+        return m
+
+
 def oracle_mul(field, a, b):
     """Product in GF(p^m) by schoolbook convolution and long division by
     the monic modulus, independent of the library's kernels and tables."""
@@ -304,8 +333,10 @@ __all__ = [
     "reference_ad_kernel",
     "reference_classify",
     "reference_closure",
+    "reference_conjugation_map",
     "reference_conjugator_from_images",
     "reference_next_level",
     "reference_rref",
+    "repeating_invertible",
     "rng_for",
 ]

@@ -138,6 +138,17 @@ def test_recover_auto_rank_two_unit_image_exit_1(tmp_path, capsys):
     assert captured.err.startswith("NotAnAutomorphism: phi(E(n,1)) does not have rank 1")
 
 
+def test_recover_auto_rejects_an_image_key_that_is_not_a_unit(tmp_path, capsys):
+    doc = jsonio.algebra_map_to_json(conjugation_map(Matrix.identity(Q, 2)))
+    doc["images"]["3,3"] = jsonio.matrix_to_json(Matrix.identity(Q, 2))
+    map_file = tmp_path / "extra-key.json"
+    map_file.write_text(json.dumps(doc))
+    assert dispatch(["recover-auto", "--in", str(map_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("MalformedJSON: unexpected image '3,3'")
+
+
 def test_recover_commands_on_twisted_maps(tmp_path, capsys):
     b = random_invertible(GF4, 3, rng_for("cli-twisted"))
     frob = FieldAutomorphism.frobenius(1)

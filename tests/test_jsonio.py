@@ -155,6 +155,26 @@ def test_algebra_map_grid_faults_are_malformed():
         jsonio.algebra_map_from_json(blob)
 
 
+def test_algebra_map_rejects_image_keys_that_are_not_units():
+    blob = jsonio.algebra_map_to_json(AlgebraMap.from_function(2, Q, lambda u: u))
+    blob["images"]["3,3"] = jsonio.matrix_to_json(Matrix.identity(Q, 2))
+    with pytest.raises(MalformedJSON, match="unexpected image '3,3': not a unit of a map with n = 2"):
+        jsonio.algebra_map_from_json(blob)
+    # the first unexpected key in document order is the one named
+    images = blob["images"]
+    blob["images"] = {"x": "junk", **images}
+    with pytest.raises(MalformedJSON, match="unexpected image 'x'"):
+        jsonio.algebra_map_from_json(blob)
+    # keys are checked before any scalar is parsed
+    blob["images"]["1,1"]["entries"][0][0] = "not a scalar"
+    with pytest.raises(MalformedJSON, match="unexpected image 'x'"):
+        jsonio.algebra_map_from_json(blob)
+    # a missing unit is still reported as missing, ahead of the extra keys
+    del blob["images"]["1,2"]
+    with pytest.raises(MalformedJSON, match="missing image for unit 1,2"):
+        jsonio.algebra_map_from_json(blob)
+
+
 def test_twist_round_trip():
     for twist in (FieldAutomorphism.identity(), FieldAutomorphism.frobenius(1)):
         assert jsonio.automorphism_from_json(jsonio.automorphism_to_json(twist)) == twist

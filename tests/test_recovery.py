@@ -7,9 +7,12 @@ import pytest
 from liemat import (
     AlgebraMap,
     ExtensionField,
+    Field,
     FieldAutomorphism,
+    LieDecomposition,
     Matrix,
     PrimeField,
+    Scalar,
     basis_unit_vector,
     classify_map,
     conjugation_map,
@@ -38,6 +41,7 @@ from liemat.errors import (
     NotDecomposable,
     ResidualNotScalar,
 )
+from liemat import jsonio
 from liemat.recovery import recover
 
 from support import (
@@ -53,7 +57,9 @@ from support import (
     random_invertible,
     random_matrix,
     reference_classify,
+    reference_conjugation_map,
     reference_conjugator_from_images,
+    repeating_invertible,
     rng_for,
 )
 
@@ -714,3 +720,176 @@ def test_recover_automorphism_product_count(monkeypatch):
     monkeypatch.setattr(Matrix, "__mul__", counting)
     assert recover_automorphism(m).verified
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF4, GF81], ids=repr)
+def test_unit_tables_match_the_dense_reference(field, n):
+    rng = rng_for("unit-table-oracle", repr(field), n)
+    twist = FieldAutomorphism.frobenius(1) if isinstance(field, ExtensionField) else None
+    for b in (random_invertible(field, n, rng), repeating_invertible(field, n, rng)):
+        for anti, make in ((False, conjugation_map), (True, transpose_conjugation_map)):
+            expected = reference_conjugation_map(b, anti, twist)
+            assert make(b, twist) == expected
+            dec = LieDecomposition(
+                sigma_kind="negative-anti-automorphism" if anti else "automorphism",
+                sigma_conjugator=b,
+                tau_coefficient=Scalar(field, field.zero),
+                residual_zero=True,
+                n=n,
+                field=field,
+                twist=expected.twist,
+            )
+            assert dec.sigma_map() == (negated(expected) if anti else expected)
+    # phi(S) in one pass against the sum of the unit images, on a random table
+    table = AlgebraMap(n, field, tuple(random_matrix(field, n, n, rng) for _ in range(n * n)))
+    for anti in (False, True):
+        assert recovery._extract_shift_image(table, anti) == generator_pair(table, anti)[0]
+
+
+def _repeated_row(b, anti):
+    """(unit index, row) of the first row of the table of b, in table
+    order, that repeats an earlier row with a nonzero scalar and lies in no
+    generator image.  Row r of b E(i,j) b^(-1) is b[r][i] times row j of
+    b^(-1), so (j, b[r][i]) names it; any scalar multiple of b keys its
+    table alike."""
+    n = b.nrows
+    generators = {(1, n)} | {(i + 1, i) for i in range(1, n)} if anti else (
+        {(n, 1)} | {(i, i + 1) for i in range(1, n)}
+    )
+    seen = set()
+    for index, (i, j) in enumerate((i, j) for i in range(1, n + 1) for j in range(1, n + 1)):
+        col, rw = (j, i) if anti else (i, j)
+        for r in range(n):
+            key = (rw, b.entries[r][col - 1])
+            if key in seen and (i, j) not in generators and not b.field.is_zero(key[1]):
+                return index, r
+            seen.add(key)
+    raise AssertionError("the table has no repeated row outside the generator images")
+
+
+def _perturbed(m, index, r):
+    """m with 1 added to entry (r, 0) of unit image ``index``."""
+    F = m.field
+    rows = [list(row) for row in m.images[index].entries]
+    rows[r][0] = F.add(rows[r][0], F.one)
+    images = list(m.images)
+    images[index] = Matrix(F, rows)
+    return AlgebraMap(m.n, F, tuple(images), m.twist)
+
+
+_UNIT_CHECK_FAILS = "^conjugation does not reproduce all unit images$"
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF81], ids=repr)
+def test_unit_check_rejects_a_change_in_a_repeated_row(field, n):
+    # the first row with each key is certified by is_scaled and the repeats
+    # by equality with it: a change in a repeat must fail all the same
+    b = repeating_invertible(field, n, rng_for("repeated-row", repr(field), n))
+    for anti, make, error in (
+        (False, conjugation_map, NotAnAutomorphism),
+        (True, transpose_conjugation_map, NotAnAntiAutomorphism),
+    ):
+        m = make(b)
+        assert recover(m, anti).verified
+        bad = _perturbed(m, *_repeated_row(b, anti))
+        with pytest.raises(error, match=_UNIT_CHECK_FAILS):
+            recover(bad, anti)
+
+
+@pytest.mark.parametrize("field", [GF4, GF81], ids=repr)
+def test_unit_check_on_twisted_maps_rejects_a_change_in_a_repeated_row(field):
+    b = repeating_invertible(field, 4, rng_for("repeated-row-twisted", repr(field)))
+    frob = FieldAutomorphism.frobenius(1)
+    for anti, make, recover_twisted, error in (
+        (False, conjugation_map, recover_twisted_automorphism, NotATwistedAutomorphism),
+        (True, transpose_conjugation_map, recover_twisted_antiautomorphism, NotATwistedAntiAutomorphism),
+    ):
+        m = make(b, frob)
+        assert recover_twisted(m).verified
+        with pytest.raises(error, match=_UNIT_CHECK_FAILS):
+            recover_twisted(_perturbed(m, *_repeated_row(b, anti)))
+
+
+def test_unit_check_with_all_distinct_entries():
+    # every row is the first with its key, so each one meets is_scaled
+    b = random_invertible(GF_LARGE, 4, rng_for("distinct-entries"))
+    assert len({x for row in b.entries for x in row}) == 16
+    n = b.nrows
+    for anti, make, error in (
+        (False, conjugation_map, NotAnAutomorphism),
+        (True, transpose_conjugation_map, NotAnAntiAutomorphism),
+    ):
+        m = make(b)
+        assert recover(m, anti).verified
+        for i, j, r in ((1, 1, 0), (n, n, n - 1), (2, 4, 1)):  # no generator images
+            with pytest.raises(error, match=_UNIT_CHECK_FAILS):
+                recover(_perturbed(m, (i - 1) * n + j - 1, r), anti)
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF81], ids=repr)
+def test_unit_check_for_n_equal_to_one(field):
+    # the one unit image is the generator image, so a change fails the build
+    b = Matrix(field, [[field.from_int(2)]])
+    for anti, make, error in (
+        (False, conjugation_map, NotAnAutomorphism),
+        (True, transpose_conjugation_map, NotAnAntiAutomorphism),
+    ):
+        m = make(b)
+        assert m.images == (Matrix.identity(field, 1),)
+        assert recover(m, anti).verified
+        with pytest.raises(error):
+            recover(_perturbed(m, 0, 0), anti)
+
+
+def test_unit_check_compares_values_not_spellings():
+    # a repeated row spelled "2/4" where its first occurrence reads "1/2"
+    # parses to the same values and still verifies
+    n = 4
+    rng = rng_for("respelled-rows")
+    for anti, make in ((False, conjugation_map), (True, transpose_conjugation_map)):
+        while True:
+            b = repeating_invertible(Q, n, rng)
+            index, r = _repeated_row(b, anti)
+            row = make(b).images[index].entries[r]
+            if any(x.denominator > 1 for x in row):
+                break
+        doc = jsonio.algebra_map_to_json(make(b))
+        unit = f"{index // n + 1},{index % n + 1}"
+        entries = doc["images"][unit]["entries"]
+        entries[r] = [f"{2 * x.numerator}/{2 * x.denominator}" for x in row]
+        assert any(t != str(x) for t, x in zip(entries[r], row))
+        m = jsonio.algebra_map_from_json(doc)
+        assert recover(m, anti).verified
+
+
+def test_unit_table_work_is_per_distinct_row(monkeypatch):
+    # the n^4-entry table has at most n*d distinct rows, d the number of
+    # distinct entries of the conjugator: conjugation_map scales each once,
+    # and the unit check certifies each once by is_scaled.  The conjugator
+    # build adds n is_scaled calls (the rank-1 check of phi(E(n,1))), and
+    # n + 1 scalings besides the one inside each generic is_scaled.
+    n = 16
+    b = random_invertible(GF5, n, rng_for("work-count"))
+    d = len({x for row in b.entries for x in row})
+    assert d <= 5
+    calls = {"is_scaled": 0, "vec_scale": 0}
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(Field, "is_scaled")
+    counting(PrimeField, "vec_scale")
+    m = conjugation_map(b)
+    assert calls == {"is_scaled": 0, "vec_scale": n * d}
+    calls.update(is_scaled=0, vec_scale=0)
+    assert recover_automorphism(m).verified
+    assert calls["is_scaled"] <= n * d + n
+    assert calls["vec_scale"] <= calls["is_scaled"] + n + 1
