@@ -4,7 +4,7 @@ Every field is an immutable descriptor object whose methods operate on
 *raw* element values:
 
 * ``Rationals``       -- :class:`fractions.Fraction` (always lowest terms);
-  ``dot`` and ``is_scaled`` compute on integer numerators and
+  ``dot``, ``is_scaled`` and ``krylov`` compute on integer numerators and
   denominators,
 * ``PrimeField(p)``   -- residues ``int`` in ``[0, p)``,
 * ``ExtensionField``  -- coefficient tuples of length ``m`` over GF(p),
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
@@ -90,10 +90,11 @@ class Field:
     matrix kernels stay cheap; ``scalar``/``parse_scalar`` produce
     :class:`Scalar` objects for the public surface.
 
-    The vector kernels ``dot``, ``vec_scale``, ``vec_submul`` and
-    ``is_scaled`` (is v == c*u?), and the batch parser ``parse_scalars``,
-    have generic definitions here in terms of the scalar methods; a field
-    overrides them where a faster idiom exists.
+    The vector kernels ``dot``, ``vec_scale``, ``vec_submul``,
+    ``is_scaled`` (is v == c*u?), ``vec_sum`` and ``krylov``, and the batch
+    parser ``parse_scalars``, have generic definitions here in terms of
+    the scalar methods; a field overrides them where a faster idiom
+    exists.
     """
 
     zero: object
@@ -149,6 +150,20 @@ class Field:
     def is_scaled(self, v: Sequence, c, u: Sequence) -> bool:
         """Is v == c*u, elementwise?"""
         return list(v) == self.vec_scale(u, c)
+
+    def vec_sum(self, vectors: Sequence[Sequence]) -> list:
+        """The elementwise sum of one or more vectors."""
+        ones = (self.one,) * len(vectors)
+        return [self.dot(col, ones) for col in zip(*vectors)]
+
+    def krylov(self, rows: Sequence[Sequence], v: Sequence, count: int) -> list[list]:
+        """v, M v, ..., M^(count-1) v for the square matrix M with ``rows``."""
+        dot = self.dot
+        out = [list(v)]
+        for _ in range(count - 1):
+            v = out[-1]
+            out.append([dot(row, v) for row in rows])
+        return out
 
     # -- text & sampling ----------------------------------------------------
 
@@ -267,10 +282,33 @@ class Rationals(Field):
                 return False
         return True
 
+    def krylov(self, rows, v, count):
+        # fraction-free: M = N/D and each vector x/e with N and x integer,
+        # so a step is one integer product and one gcd over the new vector
+        den = lcm(*(a._denominator for row in rows for a in row))
+        num = [[a._numerator * (den // a._denominator) for a in row] for row in rows]
+        e = lcm(*(a._denominator for a in v))
+        x = [a._numerator * (e // a._denominator) for a in v]
+        out = [list(v)]
+        for _ in range(count - 1):
+            x = [sum(map(int.__mul__, row, x)) for row in num]
+            g = gcd(*x, e * den)
+            x, e = [a // g for a in x], e * den // g
+            out.append([Fraction(a, e) if a else _FRAC_ZERO for a in x])
+        return out
+
     def format_scalar(self, a) -> str:
         return str(a)
 
     def parse_scalar(self, text: str):
+        # plain ASCII [-]digits[/digits] skips Fraction's text parser
+        num, slash, den = text.partition("/")
+        if (
+            text.isascii()
+            and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (den.isdigit() or not slash)
+        ):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text.strip())
 
     def random_scalar(self, rng):
@@ -341,6 +379,10 @@ class PrimeField(Field):
     def vec_scale(self, u, c):
         p = self.p
         return [(c * a) % p if a else 0 for a in u]
+
+    def vec_sum(self, vectors):
+        p = self.p
+        return [sum(col) % p for col in zip(*vectors)]
 
     def format_scalar(self, a) -> str:
         return str(a)
@@ -556,6 +598,11 @@ class ExtensionField(Field):
             else exp[la + zech[lb + lnc - la]]
             for a, b in zip(u, v)
         ]
+
+    def vec_sum(self, vectors):
+        # coefficientwise: a sum needs no table, so this serves every GF(p^m)
+        p = self.p
+        return [tuple([sum(cs) % p for cs in zip(*col)]) for col in zip(*vectors)]
 
     def is_zero(self, a) -> bool:
         return not any(a)

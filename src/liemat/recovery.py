@@ -14,8 +14,9 @@ through u.  With lambda the last nonzero entry of u,
 
 and then phi(X) = A X A^(-1) throughout.  The Krylov sequence c, phi(S) c,
 ..., phi(S)^n c carries the construction and the check of the two
-generator images: n matrix-vector products, no matrix power, and no
-elimination besides the inverse of A.
+generator images: n matrix-vector products and no matrix power.  Once
+the check passes, the left sequence lambda r^T phi(S)^k, k < n, is the
+rows of A^(-1), so a verified recovery does no elimination at all.
 
 Anti-automorphisms run the same pipeline on the transposed generators
 S^T and E_{1,n} and conjugate X^T.  Since S, E_{n,1}, S^T, E_{1,n} have
@@ -194,9 +195,9 @@ class RecoveryResult:
 _NO_KERNEL = "I - phi(S)^(n-1) phi(E(n,1)) is invertible"
 
 
-def _rank_one_factors(m: Matrix) -> tuple[tuple, list] | None:
-    """(c, r) with m = c r^T: c is m's first nonzero column and r is scaled
-    from the row of c's first nonzero entry.  None for m = 0, and
+def _rank_one_factors(m: Matrix) -> tuple[tuple, tuple, object] | None:
+    """(c, row, a) with m = c row^T / a: c is m's first nonzero column, a
+    its first nonzero entry and row the row of a.  None for m = 0, and
     NotAnAutomorphismImagePair when m's rank is above 1; every entry is
     checked."""
     F = m.field
@@ -205,11 +206,11 @@ def _rank_one_factors(m: Matrix) -> tuple[tuple, list] | None:
     if c is None:
         return None
     i0 = next(i for i, a in enumerate(c) if not is_zero(a))
-    r = F.vec_scale(m.entries[i0], F.inv(c[i0]))
-    is_scaled = F.is_scaled
-    if not all(is_scaled(row, a, r) for row, a in zip(m.entries, c)):
+    row, a_inv = m.entries[i0], F.inv(c[i0])
+    is_scaled, mul = F.is_scaled, F.mul
+    if not all(is_scaled(v, mul(a, a_inv), row) for v, a in zip(m.entries, c)):
         raise NotAnAutomorphismImagePair("phi(E(n,1)) does not have rank 1")
-    return c, r
+    return c, row, c[i0]
 
 
 def conjugator_from_images(
@@ -222,13 +223,18 @@ def conjugator_from_images(
     for I - M: the free column of its RREF is u's last nonzero coordinate.
     ``verified`` reports whether conjugation reproduces the two inputs
     themselves, by two O(n^2) tests on the Krylov sequence: phi(S) A = A S
-    iff phi(S)^n c = 0, and phi(E(n,1)) A = A E(n,1) iff r.phi(S)^k c = 0
-    for k < n-1.  Fails with NotAnAutomorphismImagePair when phi(E(n,1))
-    is zero or has rank above 1, when I - M is invertible, or when the
-    assembled matrix is singular; each way the inputs cannot be generator
-    images of an automorphism.  With ``return_inverse`` the result comes
-    paired with the conjugator's inverse, which the check has computed
-    anyway.
+    iff phi(S)^n c = 0, and phi(E(n,1)) A = A E(n,1) iff h_k = 0 for
+    k < n-1, where h_k = r.phi(S)^k c.  Fails with
+    NotAnAutomorphismImagePair when phi(E(n,1)) is zero or has rank above
+    1, when I - M is invertible, or when the assembled matrix is singular;
+    each way the inputs cannot be generator images of an automorphism.
+
+    With ``return_inverse`` the result comes paired with the conjugator's
+    inverse.  For verified inputs that is the left Krylov sequence
+    lambda [r; r phi(S); ...; r phi(S)^(n-1)]: its row k times column j of A
+    is h_(k+n-j), which the checks above proved to be 1 for j = k+1 and 0
+    otherwise, so it is A^(-1) with no elimination.  Unverified inputs
+    take ``Matrix.inverse``, which also decides the singular case.
     """
     if phi_s.nrows != n or phi_s.ncols != n:
         raise DimensionMismatch("phi(S) is not n-by-n")
@@ -240,40 +246,43 @@ def conjugator_from_images(
     factors = _rank_one_factors(phi_en1)
     if factors is None:
         raise NotAnAutomorphismImagePair(_NO_KERNEL)
-    c, r = factors
+    c, row, a = factors  # phi(E(n,1)) = c r^T with r = row / a
     dot, is_zero = F.dot, F.is_zero
-    krylov = [c]  # krylov[k] = phi(S)^k c
-    for _ in range(n):
-        v = krylov[-1]
-        krylov.append([dot(row, v) for row in phi_s.entries])
+    krylov = F.krylov(phi_s.entries, c, n + 1)  # krylov[k] = phi(S)^k c
     u = krylov[n - 1]
-    if dot(r, u) != F.one:
+    if dot(row, u) != a:  # r.u != 1
         raise NotAnAutomorphismImagePair(_NO_KERNEL)
-    lam_inv = F.inv(next(a for a in reversed(u) if not is_zero(a)))
+    lam = next(x for x in reversed(u) if not is_zero(x))
+    lam_inv = F.inv(lam)
     columns = [F.vec_scale(krylov[k], lam_inv) for k in range(n - 1, -1, -1)]
     conjugator = Matrix._make(F, tuple(zip(*columns)))
-    a_vec = Matrix._make(F, tuple((a,) for a in columns[0]))
+    a_vec = Matrix._make(F, tuple((x,) for x in columns[0]))
+    verified = all(map(is_zero, krylov[n])) and all(
+        is_zero(dot(row, krylov[k])) for k in range(n - 1)
+    )
+    result = RecoveryResult(conjugator=conjugator, kernel_vector=a_vec, verified=verified)
+    if verified:
+        if not return_inverse:
+            return result
+        start = F.vec_scale(row, F.div(lam, a))  # lambda r
+        rows = F.krylov(tuple(zip(*phi_s.entries)), start, n)
+        return result, Matrix._make(F, tuple(map(tuple, rows)))
     try:
         conj_inv = conjugator.inverse()
     except SingularMatrix as exc:
         raise NotAnAutomorphismImagePair("assembled conjugator is singular") from exc
-    verified = all(map(is_zero, krylov[n])) and all(
-        is_zero(dot(r, krylov[k])) for k in range(n - 1)
-    )
-    result = RecoveryResult(conjugator=conjugator, kernel_vector=a_vec, verified=verified)
     return (result, conj_inv) if return_inverse else result
 
 
 def _extract_shift_image(m: AlgebraMap, transposed: bool) -> Matrix:
     """phi(S) = sum of the images of the superdiagonal units, or phi(S^T)
-    from the subdiagonal ones: one dot product with all ones per entry."""
+    from the subdiagonal ones: one ``vec_sum`` per row."""
     n, F = m.n, m.field
     if n == 1:  # empty sum
         return Matrix.zeros(F, 1)
     terms = (m.image(i + 1, i) if transposed else m.image(i, i + 1) for i in range(1, n))
-    ones, dot = (F.one,) * (n - 1), F.dot
     rows = zip(*(t.entries for t in terms))  # row r of every term
-    return Matrix._make(F, tuple(tuple(dot(e, ones) for e in zip(*row)) for row in rows))
+    return Matrix._make(F, tuple(tuple(F.vec_sum(row)) for row in rows))
 
 
 def _verify_all_units(

@@ -248,6 +248,20 @@ def reference_conjugator_from_images(phi_s, phi_en1, n):
     return RecoveryResult(conjugator, a_vec, verified), conj_inv
 
 
+def plus_trace(sigma, c):
+    """sigma + c*tr(.)*I, keeping sigma's twist."""
+    n = sigma.n
+    shift = Matrix.identity(sigma.field, n).scale(c)
+    images = tuple(
+        img + shift if k % (n + 1) == 0 else img for k, img in enumerate(sigma.images)
+    )
+    return AlgebraMap(n, sigma.field, images, sigma.twist)
+
+
+def negated(m):
+    return AlgebraMap(m.n, m.field, tuple(-img for img in m.images), m.twist)
+
+
 def reference_conjugation_map(b, transposed=False, twist=None):
     """X -> B X B^(-1), or B X^T B^(-1) when ``transposed``, as an
     AlgebraMap built densely: the image A E(i,j) A^(-1) is the outer

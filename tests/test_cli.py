@@ -6,20 +6,36 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
+
 from liemat import (
+    ExtensionField,
     FieldAutomorphism,
     Matrix,
     conjugation_map,
     cyclic_permutation,
+    decompose_lie_automorphism,
     matrix_unit,
+    residual_trace_form_check,
     transpose_conjugation_map,
 )
-from liemat import centralizers, jsonio
+from liemat import centralizers, cli, jsonio
 from liemat.cli import build_parser, dispatch
 
-from support import GF4, GF5, Q, random_invertible, rng_for
+from support import (
+    GF4,
+    GF5,
+    GF81,
+    GF_LARGE,
+    Q,
+    negated,
+    plus_trace,
+    random_invertible,
+    rng_for,
+)
 
 
 def run_cli(argv, capsys):
@@ -183,6 +199,69 @@ def test_decompose(capsys):
     assert outcome["sigma_kind"] == "automorphism"
     assert outcome["tau_coefficient"] == "1"
     assert outcome["residual_zero"] and outcome["tau_trace_shaped"]
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF4, GF81], ids=repr)
+def test_decompose_tau_trace_shaped_is_the_residual_check(tmp_path, capsys, field):
+    # the report reads the key off the certificate; it must say what the
+    # independent residual check says, on both branches, twisted or not
+    n = 5 if field.characteristic != 5 else 4
+    rng = rng_for("cli-tau", repr(field))
+    b = random_invertible(field, n, rng)
+    twists = [None] + ([FieldAutomorphism.frobenius(1)] if isinstance(field, ExtensionField) else [])
+    for twist in twists:
+        for sigma, eps in (
+            (conjugation_map(b, twist), field.one),
+            (negated(transpose_conjugation_map(b, twist)), field.neg(field.one)),
+        ):
+            while True:  # c != 0 with psi(I) = (eps + n*c)*I != 0
+                c = field.random_scalar(rng)
+                if not field.is_zero(c) and not field.is_zero(
+                    field.add(eps, field.mul(field.from_int(n), c))
+                ):
+                    break
+            psi = plus_trace(sigma, c)
+            map_file = tmp_path / "psi.json"
+            map_file.write_text(json.dumps(jsonio.algebra_map_to_json(psi)))
+            assert dispatch(["decompose", "--in", str(map_file)]) == 0
+            outcome = json.loads(capsys.readouterr().out)["outcome"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dec = decompose_lie_automorphism(psi)
+            assert outcome["tau_trace_shaped"] is residual_trace_form_check(psi, dec.sigma_map())
+            assert outcome["tau_trace_shaped"] is True
+
+
+def _reports(argvs, capsys):
+    """(exit code, report without its timing, stderr) of each command."""
+    got = []
+    for argv in argvs:
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out) if captured.out else None
+        if report:
+            report.pop("timing_ms")
+        got.append((code, report, captured.err))
+    return got
+
+
+def test_the_cached_parser_answers_like_fresh_ones(monkeypatch, capsys):
+    # one parser serves every dispatch of a process; a usage error and then
+    # two different commands must come out as they do from fresh parsers
+    argvs = [
+        ["closure", "--preset", "P,E11", "--n", "3", "--seed", "1"],
+        ["closure", "--preset", "P,E11", "--n", "3", "--kind", "associative"],
+        ["recover-anti", "--preset", "symplectic", "--n", "4"],
+        ["closure", "--preset", "P,E11", "--n", "3"],
+    ]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    cached = _reports(argvs, capsys)
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert _reports(argvs, capsys) == cached
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    assert cached[1][1]["outcome"]["kind"] == "associative"
+    assert cached[3][1]["outcome"]["kind"] == "lie"
 
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):

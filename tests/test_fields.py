@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from liemat import (
     ExtensionField,
     FieldAutomorphism,
+    Matrix,
     PrimeField,
     Scalar,
     apply_field_automorphism,
@@ -22,7 +23,9 @@ from liemat.errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphis
 from liemat.fields import PRIMALITY_LIMIT, is_prime
 from liemat.polynomials import _poly_mod, _poly_mul
 
-from support import GF4, GF5, GF9, Q, oracle_add, oracle_dot, oracle_inv, oracle_mul, rng_for
+from support import (
+    GF4, GF5, GF9, Q, oracle_add, oracle_dot, oracle_inv, oracle_mul, random_matrix, rng_for,
+)
 
 
 def test_rational_examples():
@@ -431,6 +434,69 @@ def test_rational_parse_scalars_matches_parse_scalar(texts):
     first = {}
     for text, value in zip(texts, got):
         assert first.setdefault(text, value) is value
+
+
+def _parsed(parse, text):
+    """The value of ``parse(text)`` with its type, or the type it raised."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return "raised", type(exc)
+    return type(value), value
+
+
+def _fraction_text(text):
+    return Fraction(text.strip())
+
+
+# the [-]digits[/digits] fast path must agree with Fraction(text.strip()) on
+# every text, in value and type or in the type of what it raises
+@given(st.one_of(
+    st.text(alphabet="0123456789-/+_ .e\u0663\x1c", max_size=12),
+    st.fractions().map(str),
+))
+def test_rational_parse_scalar_matches_fraction_text(text):
+    assert _parsed(Q.parse_scalar, text) == _parsed(_fraction_text, text)
+
+
+@pytest.mark.parametrize("text", [
+    "+3", "--3", "-0", "007/010", "1_0", "\u0663", " 5/3 ", "1.5", "1e3", "3/0",
+    "\x1c5", "-", "/", "3/", "/3", "-3/-4", "1/2/3", "-7/2", "0/5",
+])
+def test_rational_parse_scalar_edge_cases(text):
+    assert _parsed(Q.parse_scalar, text) == _parsed(_fraction_text, text)
+
+
+_SUM_FIELDS = [Q, GF5, PrimeField(1000003), GF4, GF81, ExtensionField(2, 17)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("field", _SUM_FIELDS, ids=repr)
+def test_vec_sum_matches_matrix_addition(field, n):
+    rng = rng_for("vec-sum", repr(field), n)
+    for count in (1, 2, n + 1):
+        terms = [random_matrix(field, n, n, rng) for _ in range(count)]
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        for row, want in zip(zip(*(t.entries for t in terms)), total.entries):
+            assert field.vec_sum(row) == list(want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("field", _SUM_FIELDS, ids=repr)
+def test_krylov_matches_repeated_products(field, n):
+    rng = rng_for("krylov", repr(field), n)
+    m = random_matrix(field, n, n, rng)
+    v = Matrix(field, [[field.random_scalar(rng)] for _ in range(n)])
+    for start in (v, Matrix.zeros(field, n, 1)):
+        want = [start]
+        for _ in range(n):
+            want.append(m * want[-1])
+        got = field.krylov(m.entries, [row[0] for row in start.entries], n + 1)
+        assert [[(type(a), a) for a in vec] for vec in got] == [
+            [(type(row[0]), row[0]) for row in w.entries] for w in want
+        ]
 
 
 _BAD_TEXTS = ["abc", "1/0", "1/", "", "1//2", "[1,0]", "[1,0", "[a]", "1.5"]

@@ -41,7 +41,7 @@ from liemat.errors import (
     NotDecomposable,
     ResidualNotScalar,
 )
-from liemat import jsonio
+from liemat import jsonio, matrices
 from liemat.recovery import recover
 
 from support import (
@@ -54,6 +54,8 @@ from support import (
     GF_LARGE,
     Q,
     mat,
+    negated,
+    plus_trace,
     random_invertible,
     random_matrix,
     reference_classify,
@@ -81,20 +83,6 @@ def transpose_map(n, field=Q):
 def trace_shift_map(n, field=Q):
     eye = Matrix.identity(field, n)
     return AlgebraMap.from_function(n, field, lambda u: u + eye.scale(u.trace_raw()))
-
-
-def plus_trace(sigma, c):
-    """sigma + c*tr(.)*I, keeping sigma's twist."""
-    n = sigma.n
-    shift = Matrix.identity(sigma.field, n).scale(c)
-    images = tuple(
-        img + shift if k % (n + 1) == 0 else img for k, img in enumerate(sigma.images)
-    )
-    return AlgebraMap(n, sigma.field, images, sigma.twist)
-
-
-def negated(m):
-    return AlgebraMap(m.n, m.field, tuple(-img for img in m.images), m.twist)
 
 
 def singular_coefficient(field, n, eps):
@@ -705,9 +693,9 @@ def test_decompose_never_classifies(monkeypatch):
 
 
 def test_recover_automorphism_product_count(monkeypatch):
-    # the conjugator and its generator check come from matrix-vector
-    # products of the Krylov sequence; the one full product left is the
-    # check inside ``inverse``
+    # the conjugator, its generator check and, once that passes, its
+    # inverse all come from matrix-vector products of the two Krylov
+    # sequences: no full product is left
     gf81 = ExtensionField(3, 4)
     m = conjugation_map(random_invertible(gf81, 16, rng_for("mul-count")))
     calls = []
@@ -719,7 +707,54 @@ def test_recover_automorphism_product_count(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
     assert recover_automorphism(m).verified
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("field", [Q, GF_LARGE, GF81], ids=repr)
+def test_verified_recovery_does_no_elimination(monkeypatch, field):
+    # a verified map takes A^(-1) from the left Krylov sequence, so neither
+    # recover nor decompose runs an inverse or a row reduction
+    b = random_invertible(field, 5, rng_for("no-elimination", repr(field)))
+    twist = FieldAutomorphism.frobenius(1) if isinstance(field, ExtensionField) else None
+    maps = [
+        (conjugation_map(b, twist), False),
+        (transpose_conjugation_map(b, twist), True),
+    ]
+    # eps + n*c is 11 and 4, nonzero in every characteristic here
+    psis = [
+        plus_trace(conjugation_map(b, twist), field.from_int(2)),
+        plus_trace(negated(transpose_conjugation_map(b, twist)), field.one),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a verified recovery eliminated")
+
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    monkeypatch.setattr(matrices, "_rref_in_place", refuse)
+    for m, anti in maps:
+        assert recover(m, anti).verified
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the twist note
+        for psi, kind in zip(psis, ("automorphism", "negative-anti-automorphism")):
+            assert decompose_lie_automorphism(psi).sigma_kind == kind
+
+
+def _generator_images(b):
+    """(b S b^(-1), b E(n,1) b^(-1)) by two products: the pair ``recover``
+    builds from the table of conjugation by b, and from the table of
+    transpose-conjugation alike, without forming either n^4-entry table."""
+    n, b_inv = b.nrows, b.inverse()
+    return b * upper_shift(b.field, n) * b_inv, b * matrix_unit(b.field, n, n, 1) * b_inv
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF4, GF81], ids=repr)
+def test_left_krylov_inverse_is_the_inverse_at_scale(field, n):
+    rng = rng_for("left-krylov", repr(field), n)
+    for b in (random_invertible(field, n, rng), repeating_invertible(field, n, rng)):
+        result, inverse = conjugator_from_images(*_generator_images(b), n, return_inverse=True)
+        assert result.verified
+        assert _exact(inverse) == _exact(result.conjugator.inverse())
 
 
 @pytest.mark.parametrize("n", range(1, 7))
