@@ -24,7 +24,7 @@ Schema violations raise :class:`MalformedJSON`.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import DimensionMismatch, MalformedJSON
 from .fields import ExtensionField, Field, FieldAutomorphism, PrimeField, Rationals
@@ -183,7 +183,7 @@ def _text(value: Any) -> str:
     return str(value)
 
 
-def _parse(field: Field, grids: list[list[list]]) -> list:
+def _parse(field: Field, grids: Iterable[list[list]]) -> list:
     """The raw values of every entry of the checked grids, row-major and
     grid after grid."""
     texts = [v if type(v) is str else _text(v) for grid in grids for row in grid for v in row]
@@ -272,14 +272,13 @@ def algebra_map_from_json(obj: Any) -> AlgebraMap:
     twist = automorphism_from_json(obj.get("twist"))
     raw_images = obj.get("images")
     _expect(isinstance(raw_images, dict), "map needs an 'images' object")
-    units = dict.fromkeys(f"{i},{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    grids = []
-    for key in units:
+    grids = {}  # keyed one unit at a time, so a missing unit fails at once
+    for key in (f"{i},{j}" for i in range(1, n + 1) for j in range(1, n + 1)):
         _expect(key in raw_images, f"missing image for unit {key}")
         rows, cols, entries = _grid(raw_images[key])
         _expect(rows == n and cols == n, f"image {key} is not {n}x{n}")
-        grids.append(entries)
-    extra = next((k for k in raw_images if k not in units), None)
+        grids[key] = entries
+    extra = next((k for k in raw_images if k not in grids), None)
     _expect(extra is None, f"unexpected image {extra!r}: not a unit of a map with n = {n}")
-    images = _matrices(field, n, n, _parse(field, grids))
+    images = _matrices(field, n, n, _parse(field, grids.values()))
     return AlgebraMap(n, field, tuple(images), twist)

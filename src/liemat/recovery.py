@@ -39,14 +39,15 @@ shifted unit images psi(E(i,j)) - c*delta_ij*I, for sigma an automorphism
 (eps = 1) or the negative of an anti-automorphism (eps = -1).  A branch
 that verifies proves that form, and every map of that form preserves
 brackets.  It is bijective iff psi(I) = (eps + n*c)*I = tr(psi(E(1,1)))*I
-is nonzero.  ``classify_map`` does not rely on the form: it checks every
-pair of unit images.
+is nonzero.  ``classify_map`` reads both ring kinds off ``recover`` and
+checks brackets only against a Lie generating set of units.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Literal
 
 from .errors import (
@@ -396,38 +397,32 @@ def _is_bijective(m: AlgebraMap) -> bool:
 
 
 def classify_map(m: AlgebraMap) -> MapKind | None:
-    """The strongest structure the unit-image table satisfies.
-
-    Checks multiplicativity, anti-multiplicativity, and bracket
-    preservation on all pairs of matrix units (0/1 entries, so the twist
-    is irrelevant), plus bijectivity.  Returns None when even brackets are
-    not preserved or the map is not bijective.
-    """
+    """The strongest structure the unit-image table satisfies, or None."""
+    # By Skolem-Noether a bijection (anti-)multiplicative on the units is a
+    # (transpose-)conjugation, which the recovery rebuilds and verifies.
+    for anti, kind in ((False, "automorphism"), (True, "anti-automorphism")):
+        try:
+            recover(m, anti)
+        except _RECOVERY_FAILURES:
+            continue
+        return kind
     if not _is_bijective(m):
         return None
-    n = m.n
-    zero = Matrix.zeros(m.field, n)
-    mult = anti = lie = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pij = m.image(i, j)
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    pkl = m.image(k, l)
-                    # E(i,j) E(k,l) = E(i,l) if j == k else 0
-                    prod_img = m.image(i, l) if j == k else zero
-                    rev_img = m.image(k, j) if l == i else zero
-                    ab, ba = pij * pkl, pkl * pij
-                    mult = mult and ab == prod_img
-                    anti = anti and ba == prod_img
-                    lie = lie and ab - ba == prod_img - rev_img
-                    if not (mult or anti or lie):
-                        return None
-    if mult:
-        return "automorphism"
-    if anti:
-        return "anti-automorphism"
-    return "lie-automorphism" if lie else None
+    # The x with phi[x, y] = [phi x, phi y] for every unit y form a Lie
+    # subalgebra (Jacobi and additivity), and X0 = {E(1,1), E(i,i+1),
+    # E(i+1,i)} Lie-generates M_n: [E(i,j), E(j,k)] = E(i,k) for i != k, and
+    # [E(i,i+1), E(i+1,i)] = E(i,i) - E(i+1,i+1).  Units have 0/1 entries,
+    # so the twist never shows.
+    n, zero = m.n, Matrix.zeros(m.field, m.n)
+    x0 = [(1, 1)] + [u for i in range(1, n) for u in ((i, i + 1), (i + 1, i))]
+    units = range(1, n + 1)
+    for (i, j), k, l in product(x0, units, units):
+        pij, pkl = m.image(i, j), m.image(k, l)
+        # [E(i,j), E(k,l)] = delta_jk E(i,l) - delta_li E(k,j)
+        bracket = (m.image(i, l) if j == k else zero) - (m.image(k, j) if l == i else zero)
+        if pij * pkl - pkl * pij != bracket:
+            return None
+    return "lie-automorphism"
 
 
 @dataclass(frozen=True)

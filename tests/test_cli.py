@@ -3,7 +3,9 @@
 import argparse
 import json
 import os
+import random
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -22,7 +24,7 @@ from liemat import (
     residual_trace_form_check,
     transpose_conjugation_map,
 )
-from liemat import centralizers, cli, jsonio
+from liemat import centralizers, cli, jsonio, selftest
 from liemat.cli import build_parser, dispatch
 
 from support import (
@@ -163,6 +165,28 @@ def test_recover_auto_rejects_an_image_key_that_is_not_a_unit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("MalformedJSON: unexpected image '3,3'")
+
+
+def test_map_with_a_huge_n_and_no_images_fails_at_once(tmp_path):
+    """The unit keys are formed one at a time, so the first missing one is
+    reported before n^2 keys are built.  A separate process with a timeout
+    and a 1 GiB address-space cap, so that a regression fails here instead
+    of hanging the suite or exhausting memory."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    map_file = tmp_path / "huge-n.json"
+    map_file.write_text(json.dumps({"n": 10**6, "field": {"kind": "Q"}, "images": {}}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "liemat", "recover-auto", "--in", str(map_file)],
+        capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("MalformedJSON: missing image for unit 1,1")
 
 
 def test_recover_commands_on_twisted_maps(tmp_path, capsys):
@@ -485,6 +509,15 @@ def test_selftest_command(capsys):
     report = json.loads(out)  # stdout is exactly one JSON document
     assert report["outcome"]["ok"] is True
     assert any("GF(2) Lie-closure dims" in line for line in report["outcome"]["checks"])
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize(
+    "check", [check for _, check in selftest.CHECKS], ids=[name for name, _ in selftest.CHECKS]
+)
+def test_selftest_check(check, seed):
+    # each check of the CLI selftest on its own, with the runner's rng
+    check(random.Random(seed))
 
 
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys):

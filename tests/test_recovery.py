@@ -602,6 +602,17 @@ def classification_cases(field, n, rng, twist=None):
     if n > 1:
         swapped = (auto.images[-1],) + auto.images[1:-1] + (auto.images[0],)
         yield "first and last unit images swapped", AlgebraMap(n, field, swapped, twist)
+    if n >= 3:
+        # near misses: one image off by c*I, at a unit outside the generating
+        # set {E(1,1), E(i,i+1), E(i+1,i)} that classify_map takes x from
+        shift = Matrix.identity(field, n).scale(c)
+        for label, sigma, k in (
+            ("conjugation + c*tr, E(1,n) image moved", plus_trace(auto, c), n - 1),
+            ("negated transpose-conjugation, E(n,n) image moved", neg_anti, n * n - 1),
+        ):
+            images = list(sigma.images)
+            images[k] = images[k] + shift
+            yield label, AlgebraMap(n, field, tuple(images), twist)
 
 
 TWO_FORM_LABELS = {
@@ -692,12 +703,8 @@ def test_decompose_never_classifies(monkeypatch):
         assert dec.residual_zero and dec.sigma_map().images == sigma.images
 
 
-def test_recover_automorphism_product_count(monkeypatch):
-    # the conjugator, its generator check and, once that passes, its
-    # inverse all come from matrix-vector products of the two Krylov
-    # sequences: no full product is left
-    gf81 = ExtensionField(3, 4)
-    m = conjugation_map(random_invertible(gf81, 16, rng_for("mul-count")))
+def _counting_products(monkeypatch):
+    """A list that grows by one per ``Matrix.__mul__`` call from now on."""
     calls = []
     original = Matrix.__mul__
 
@@ -706,8 +713,45 @@ def test_recover_automorphism_product_count(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
+    return calls
+
+
+def test_recover_automorphism_product_count(monkeypatch):
+    # the conjugator, its generator check and, once that passes, its
+    # inverse all come from matrix-vector products of the two Krylov
+    # sequences: no full product is left
+    gf81 = ExtensionField(3, 4)
+    m = conjugation_map(random_invertible(gf81, 16, rng_for("mul-count")))
+    calls = _counting_products(monkeypatch)
     assert recover_automorphism(m).verified
     assert len(calls) == 0
+
+
+def test_classify_map_at_scale_forms_no_product(monkeypatch):
+    # n = 16 is out of reach of the O(n^7) oracle: both ring kinds come
+    # from a verified recovery, which forms no matrix product
+    frob = FieldAutomorphism.frobenius(1)
+    cases = [(field, None) for field in (Q, GF5, GF_LARGE, GF4, GF81)] + [(GF81, frob)]
+    maps = []
+    for field, twist in cases:
+        rng = rng_for("classify-at-scale", repr(field), twist is not None)
+        b = random_invertible(field, 16, rng)
+        maps.append((conjugation_map(b, twist), "automorphism"))
+        maps.append((transpose_conjugation_map(b, twist), "anti-automorphism"))
+    calls = _counting_products(monkeypatch)
+    for m, kind in maps:
+        assert classify_map(m) == kind, (m, kind)
+    assert len(calls) == 0
+
+
+def test_classify_map_checks_brackets_on_a_generating_set(monkeypatch):
+    n = 5
+    b = random_invertible(Q, n, rng_for("classify-lie-products"))
+    m = plus_trace(conjugation_map(b), Q.coerce("2/3"))
+    calls = _counting_products(monkeypatch)
+    assert classify_map(m) == "lie-automorphism"
+    # two products per pair (x, y), x in the 2n - 1 generators, y a unit
+    assert len(calls) <= 2 * (2 * n - 1) * n * n
 
 
 @pytest.mark.parametrize("field", [Q, GF_LARGE, GF81], ids=repr)
