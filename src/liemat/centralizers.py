@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import (
-    EnumerationTooLarge,
     InvalidComposition,
     InvalidIndex,
     MalformedJSON,
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .fields import Field
 from .lie import ad_kernel, adjoint_operator, closure, left_normed
-from .matrices import Matrix, matrix_unit
+from .matrices import ENUMERATION_GUARD, Matrix, check_guard, matrix_unit
 from .subspaces import Subspace
 
 SubsetLike = Union[Sequence[Matrix], Subspace]
@@ -48,31 +47,26 @@ def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
     matrix space they live in: the elements of a finite set, or a basis of
     a subspace (sufficient by multilinearity of the bracket).  A subspace
     names its ambient space itself, so the zero subspace quantifies over
-    nothing and every level is the whole space."""
+    nothing and every level is the whole space.  An ambient space of more
+    than ``ENUMERATION_GUARD`` scalars is refused (``check_guard``)."""
     if isinstance(H, Subspace):
-        rows, cols = H.shape
-        if rows != cols:
-            raise MixedShapes("H does not live in one square matrix space")
-        return H.basis, H.field, rows
-    mats = list(H)
-    if not mats:
-        raise MixedShapes("H must contain at least one matrix")
-    field, n = mats[0].field, mats[0].nrows
-    for m in mats:
-        if m.field != field or not m.is_square or m.nrows != n:
-            raise MixedShapes("H does not live in one square matrix space")
+        mats, field, (n, cols) = H.basis, H.field, H.shape
+        square = n == cols
+    else:
+        mats = list(H)
+        if not mats:
+            raise MixedShapes("H must contain at least one matrix")
+        field, n = mats[0].field, mats[0].nrows
+        square = all(m.field == field and m.is_square and m.nrows == n for m in mats)
+    if not square:
+        raise MixedShapes("H does not live in one square matrix space")
+    check_guard(n * n, f"{n * n} scalars of a {n}x{n} matrix")
     return mats, field, n
 
 
-def _adjoint_operators(members: Sequence[Matrix]) -> list:
-    """The ``adjoint_operator`` of each member, built once per chain; a
-    repeated member only inserts constraints the builder already has."""
-    return [adjoint_operator(h) for h in members]
-
-
 def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
-    """prev=None computes L_1; otherwise the level above prev.  ``ops`` are
-    the members' ``_adjoint_operators``."""
+    """prev=None computes L_1; otherwise the level above prev, from the
+    members' ``adjoint_operator``s (a repeat adds no new constraint)."""
     return ad_kernel(field, n, [(op,) for op in ops], prev)
 
 
@@ -82,7 +76,7 @@ def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | N
     Returns (levels, t) where t is the 1-based stabilization index if the
     repeat was reached (levels then ends with L_{t+1} = L_t).
     """
-    ops = _adjoint_operators(members)
+    ops = [adjoint_operator(h) for h in members]
     levels = [_next_level(ops, field, n, None)]
     while len(levels) < upto:
         nxt = _next_level(ops, field, n, levels[-1])
@@ -109,7 +103,7 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     checking persistence past the stabilization point directly.
     """
     members, field, n = _members(H)
-    return _next_level(_adjoint_operators(members), field, n, target)
+    return _next_level([adjoint_operator(h) for h in members], field, n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
@@ -225,9 +219,6 @@ _HEREDITARY_PROPS = {
     "independent": "L",
 }
 
-ENUMERATION_GUARD = 10**6
-
-
 def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
     """Centralizer quantified only over k-tuples from a finite H that
     satisfy a hereditary property: pairwise-distinct entries ("D") or
@@ -246,10 +237,8 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         raise ValueError(f"unknown hereditary property {prop!r}") from None
     _check_index(k)
     members, field, n = _members(H)
-    if len(members) ** k > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(
-            f"{len(members)}^{k} tuples exceed the guard of {ENUMERATION_GUARD}"
-        )
+    cap = min(k, ENUMERATION_GUARD.bit_length())  # 2^cap > the guard if cap < k
+    check_guard(len(members) ** cap, f"{len(members)}^{k} tuples")
 
     def admissible(tup: tuple[Matrix, ...]) -> bool:
         if prop == "D":
@@ -259,7 +248,7 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    ops = _adjoint_operators(members)
+    ops = [adjoint_operator(h) for h in members]
     chains = [
         [ops[i] for i in tup]
         for tup in itertools.product(range(len(members)), repeat=k)
@@ -447,10 +436,7 @@ def bounds_table(max_n: int) -> list[tuple[int, int, int, int]]:
     if max_n < 1:
         raise MalformedJSON(f"table size max_n must be positive, got {max_n}")
     count = max_n * (max_n + 1) // 2
-    if count > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(
-            f"{count} rows for max_n={max_n} exceed the guard of {ENUMERATION_GUARD}"
-        )
+    check_guard(count, f"{count} rows for max_n={max_n}")
     return [
         (n, k, nilpotent_subalgebra_dim_bound(n, k), conjectured_dim_bound(n))
         for n in range(1, max_n + 1)

@@ -4,9 +4,10 @@ and subalgebra closure.
 ``_operator`` builds every product operator, r -> [r, h] or r -> r·h, on
 sparse row-major vectors in the coordinates of a ``SpanBuilder``: the
 closure builds one for each element that a sweep multiplies by, and
-``adjoint_operator`` one for the transpose of each x.  An operator lists
-only the units with a nonzero image, built from the nonzero rows of h (and,
-for the bracket, its nonzero columns); an unlisted unit maps to zero.
+``adjoint_operator`` one for the transpose of each x.  An operator holds
+h's nonzeros by row (and, for the bracket, by column), each as a shift of
+the unit index, so it is built in one pass over them; the image of a unit
+is read off its row and column of h when the operator is applied.
 ``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
 annihilator, as centralizer levels need, with the ``adjoint_operator`` of
 each x.
@@ -40,6 +41,7 @@ image is one constraint row, so a nonzero multiple serves as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Sequence
 
 from .errors import DimensionMismatch, EmptySequence, MixedShapes
@@ -65,44 +67,32 @@ def left_normed(xs: Sequence[Matrix]) -> Matrix:
     return acc
 
 
-def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
-    """The nonzero unit images of r -> r·h, or of r -> [r, h] when ``lie``,
-    built from the nonzeros of h; a unit it does not list maps to zero.
+@lru_cache(maxsize=16)  # n^2 pairs each: keep a few sizes, not every one
+def _units(n: int) -> tuple[tuple[int, int], ...]:
+    """(i, k) = divmod(idx, n) of each unit index idx of the n x n units."""
+    return tuple(divmod(idx, n) for idx in range(n * n))
 
-    E_ik·h has h[k][l] at (i, l), so it needs row k of h.  [E_ik, h] adds
-    -h[m][i] at (m, k), so it also needs column i of h; its entry at (i, k)
-    is h[k][k] - h[i][i], one term, listed only when nonzero.
+
+def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
+    """r -> r·h, or r -> [r, h] when ``lie``, as (``_units(n)``, rows,
+    cols) from one pass over the nonzeros of h: the image of E_ik has b at
+    its index plus d for each (d, b) in rows[k] + cols[i].
+
+    E_ik·h has h[k][l] at (i, l), so rows[k] lists (l - k, h[k][l]).
+    [E_ik, h] adds -h[m][i] at (m, k), so cols[i] lists ((m - i)·n,
+    -h[m][i]), and is empty for the product.  At (i, k) h[k][k] and
+    -h[i][i] just sum; the appliers drop a sum that is zero.
     """
-    rows: dict[int, list] = {}  # k -> [(l, h[k][l])], off the diagonal for ``lie``
-    cols: dict[int, list] = {}  # i -> [(m, -h[m][i])], m != i
-    diag: SparseVec = {}  # k -> h[k][k], for ``lie``
+    units = _units(n)
+    rows = [()] * n
+    cols = [()] * n
     neg = field.neg
     for idx, a in h.items():
-        k, l = divmod(idx, n)
-        if lie and k == l:
-            diag[k] = a
-            continue
-        rows.setdefault(k, []).append((l, a))
+        k, l = units[idx]
+        rows[k] += ((l - k, a),)
         if lie:
-            cols.setdefault(l, []).append((k, neg(a)))
-    op: SparseMap = {}
-    for k, row in rows.items():
-        for i in range(n):
-            op[i * n + k] = [(i * n + l, a) for l, a in row]
-    for i, col in cols.items():
-        for k in range(n):
-            op.setdefault(i * n + k, []).extend([(m * n + k, a) for m, a in col])
-    for k, a in diag.items():  # h[k][k] - h[i][i] at (i, k)
-        for i in range(n):
-            b = diag.get(i)
-            if b != a:
-                op.setdefault(i * n + k, []).append((i * n + k, a if b is None else field.sub(a, b)))
-    for i, b in diag.items():  # -h[i][i] at (i, k), h[k][k] = 0
-        minus_b = neg(b)
-        for k in range(n):
-            if k not in diag:
-                op.setdefault(i * n + k, []).append((i * n + k, minus_b))
-    return op
+            cols[l] += (((k - l) * n, neg(a)),)
+    return units, rows, cols
 
 
 def adjoint_operator(h: Matrix) -> SparseMap:
@@ -169,9 +159,9 @@ class ClosureResult:
     sweep that reached it: ``rounds`` counts that round too.
 
     Every product is formed on sparse vectors by the operator r -> [r, h]
-    (r -> r·h) of its right factor h, which lists only the units with a
-    nonzero image, so no dense matrix product is made; the vectors are in
-    the coordinates of the closure's builder (see the module docstring).
+    (r -> r·h) of its right factor h, which holds h's nonzeros by row and
+    column, so no dense matrix product is made; the vectors are in the
+    coordinates of the closure's builder (see the module docstring).
     ``subspace`` holds raw values all the same: ``Fraction``s over Q,
     residues in [0, p) over GF(p).
     """

@@ -31,12 +31,22 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    EnumerationTooLarge,
     FieldMismatch,
     IndexOutOfRange,
     OddDimension,
     SingularMatrix,
 )
 from .fields import Field, FieldAutomorphism, PrimeField, Rationals, Scalar
+
+
+ENUMERATION_GUARD = 10**6
+
+
+def check_guard(count: int, what: str) -> None:
+    """Refuse ``count`` > ``ENUMERATION_GUARD`` items before any is built."""
+    if count > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(f"{what} exceed the guard of {ENUMERATION_GUARD}")
 
 
 class Matrix:
@@ -292,7 +302,7 @@ def _span_of(field: Field, length: int, rows) -> "SpanBuilder":
 
 
 SparseVec = dict  # column (row-major i*n + k for a matrix) -> nonzero value
-SparseMap = dict  # column -> [(column, coefficient)], its image
+SparseMap = tuple  # (units, rows, cols): unit idx maps as ``lie._operator`` says
 
 
 def _sparse(field: Field, vec: Sequence) -> SparseVec:
@@ -302,11 +312,14 @@ def _sparse(field: Field, vec: Sequence) -> SparseVec:
 
 
 def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
-    """op(vec) on raw values; a column that op does not list maps to zero."""
+    """op(vec) on raw values."""
+    units, rows, cols = op
     add, mul = field.add, field.mul
     out: SparseVec = {}
     for idx, a in vec.items():
-        for key, b in op.get(idx, ()):
+        i, k = units[idx]
+        for d, b in rows[k] + cols[i]:
+            key = idx + d
             out[key] = add(out[key], mul(a, b)) if key in out else mul(a, b)
     return {key: a for key, a in out.items() if not field.is_zero(a)}
 
@@ -388,8 +401,7 @@ class SpanBuilder:
 
     def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
         """op(vec) in the builder's coordinates, for an ``op`` with
-        coefficients in those coordinates too; a column that ``op`` does not
-        list maps to zero."""
+        coefficients in those coordinates too."""
         return _apply(self.field, op, vec)
 
     def _eliminate(self, w: SparseVec) -> SparseVec:
@@ -591,11 +603,14 @@ class _RationalSpanBuilder(SpanBuilder):
 
 def _int_sums(op: SparseMap, vec: SparseVec) -> SparseVec:
     """op(vec) as plain int sums, zeros included, for an ``op`` on integer
-    coordinates; a column that ``op`` does not list maps to zero."""
+    coordinates."""
+    units, rows, cols = op
     out: SparseVec = {}
     get = out.get
     for idx, a in vec.items():
-        for key, b in op.get(idx, ()):
+        i, k = units[idx]
+        for d, b in rows[k] + cols[i]:
+            key = idx + d
             out[key] = get(key, 0) + a * b
     return out
 

@@ -21,6 +21,7 @@ from .errors import MalformedJSON
 from .fields import Field
 from .matrices import (
     Matrix,
+    check_guard,
     cyclic_permutation,
     matrix_unit,
     symplectic_involution,
@@ -38,6 +39,7 @@ def _check_size(n: int) -> None:
 
 def preset_matrix(token: str, field: Field, n: int) -> Matrix:
     _check_size(n)
+    check_guard(n * n, f"{n * n} scalars of a {n}x{n} matrix")
     token = token.strip()
     if token == "I":
         return Matrix.identity(field, n)

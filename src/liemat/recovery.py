@@ -65,7 +65,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import Field, FieldAutomorphism, Scalar
-from .matrices import Matrix, matrix_unit, scalar_multiple_of_identity
+from .matrices import Matrix, check_guard, matrix_unit, scalar_multiple_of_identity
 
 SCALAR_CLASS_NOTE = "any nonzero scalar multiple of the conjugator verifies identically"
 
@@ -108,6 +108,8 @@ class AlgebraMap:
         fn: Callable[[Matrix], Matrix],
         twist: FieldAutomorphism | None = None,
     ) -> "AlgebraMap":
+        """E(i, j) -> fn(E(i, j)): n^4 scalars, refused past the guard."""
+        check_guard(n**4, f"{n**4} scalars of the {n * n} unit images")
         images = tuple(
             fn(matrix_unit(field, n, i, j))
             for i in range(1, n + 1)
@@ -409,12 +411,16 @@ def classify_map(m: AlgebraMap) -> MapKind | None:
     if not _is_bijective(m):
         return None
     # The x with phi[x, y] = [phi x, phi y] for every unit y form a Lie
-    # subalgebra (Jacobi and additivity), and X0 = {E(1,1), E(i,i+1),
-    # E(i+1,i)} Lie-generates M_n: [E(i,j), E(j,k)] = E(i,k) for i != k, and
-    # [E(i,i+1), E(i+1,i)] = E(i,i) - E(i+1,i+1).  Units have 0/1 entries,
-    # so the twist never shows.
+    # subalgebra (Jacobi and additivity), and X0 = {E(i,i+1), E(i+1,i)}
+    # Lie-generates sl_n: [E(i,j), E(j,k)] = E(i,k) for i != k, and
+    # [E(i,i+1), E(i+1,i)] = E(i,i) - E(i+1,i+1).  So if X0 passes, all of
+    # sl_n does, and so does E(1,1), which needs no check: M_n = sl_n +
+    # K*E(1,1) in every characteristic (tr E(1,1) = 1), E(1,1) pairs with s
+    # in sl_n by antisymmetry, phi[E(1,1), s] = -phi[s, E(1,1)] =
+    # [phi E(1,1), phi s], and with c*E(1,1) both sides are 0.  Units have
+    # 0/1 entries, so the twist never shows.
     n, zero = m.n, Matrix.zeros(m.field, m.n)
-    x0 = [(1, 1)] + [u for i in range(1, n) for u in ((i, i + 1), (i + 1, i))]
+    x0 = [u for i in range(1, n) for u in ((i, i + 1), (i + 1, i))]
     units = range(1, n + 1)
     for (i, j), k, l in product(x0, units, units):
         pij, pkl = m.image(i, j), m.image(k, l)

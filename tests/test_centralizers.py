@@ -406,6 +406,29 @@ def test_hereditary_enumeration_guard():
         hereditary_centralizer(mats * 4, 10, "D")
 
 
+def test_huge_ambient_spaces_are_refused_before_any_level(monkeypatch):
+    """Past ``ENUMERATION_GUARD`` scalars, n^2 > 10^6, every chain entry
+    point refuses the subject before it forms a constraint; at the guard
+    itself nothing is refused."""
+
+    def refuse(*args):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(centralizers, "ad_kernel", refuse)
+    huge = Subspace.zero(Q, (1001, 1001))
+    for call in (
+        lambda: centralizer_chain(huge),
+        lambda: nilpotency_report(huge),
+        lambda: lie_centralizer(huge, 1),
+        lambda: centralizer_step(huge, huge),
+    ):
+        with pytest.raises(EnumerationTooLarge, match="1002001 scalars"):
+            call()
+    matrices.check_guard(10**6, "at the guard")
+    with pytest.raises(EnumerationTooLarge):
+        matrices.check_guard(10**6 + 1, "past the guard")
+
+
 def test_nilpotency_scalars():
     rep = nilpotency_report([Matrix.identity(Q, 2).scale(3)])
     assert rep.is_lie_nilpotent and rep.index == 1 and rep.is_omega_lie_nilpotent

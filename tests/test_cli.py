@@ -24,8 +24,9 @@ from liemat import (
     residual_trace_form_check,
     transpose_conjugation_map,
 )
-from liemat import centralizers, cli, jsonio, selftest
+from liemat import centralizers, cli, jsonio, presets, recovery, selftest
 from liemat.cli import build_parser, dispatch
+from liemat.errors import EnumerationTooLarge
 
 from support import (
     GF4,
@@ -187,6 +188,60 @@ def test_map_with_a_huge_n_and_no_images_fails_at_once(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("MalformedJSON: missing image for unit 1,1")
+
+
+HUGE_AMBIENT = {"ambient": {"field": {"kind": "Q"}, "rows": 100000, "cols": 100000}, "basis": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--in", "{doc}"],
+        ["nilpotency", "--in", "{doc}"],
+        ["closure", "--preset", "P,E11", "--n", "100000"],
+        ["chain", "--preset", "E11,E12", "--n", "100000"],
+        ["recover-auto", "--preset", "identity", "--n", "100000"],
+        ["hereditary", "--preset", "E11,E12,E21", "--n", "2", "--k", "1000000000", "--prop", "D"],
+    ],
+    ids=" ".join,
+)
+def test_sizes_past_the_enumeration_guard_fail_at_once(tmp_path, argv):
+    """An input of more than ``ENUMERATION_GUARD`` scalars, n^2 for a
+    matrix or an ambient space and n^4 for a map preset, or an enumeration
+    of more tuples than that, is refused before any of it is built.  A separate process with a timeout and a 1 GiB
+    address-space cap, as for the huge map above."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    doc = tmp_path / "huge-ambient.json"
+    doc.write_text(json.dumps(HUGE_AMBIENT))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "liemat", *(a.format(doc=doc) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("EnumerationTooLarge:")
+    assert "exceed the guard of 1000000" in proc.stderr
+
+
+def test_presets_past_the_enumeration_guard_build_nothing(monkeypatch):
+    """The guard sits in the preset builders, so library callers get it
+    too: n^2 > 10^6 scalars for a matrix, n^4 for a map."""
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(presets, "cyclic_permutation", refuse)
+    with pytest.raises(EnumerationTooLarge, match="1002001 scalars"):
+        presets.preset_matrix("P", Q, 1001)
+    assert presets.preset_matrix("E11", Q, 1) == Matrix.identity(Q, 1)
+    monkeypatch.setattr(recovery, "matrix_unit", refuse)
+    with pytest.raises(EnumerationTooLarge, match="1048576 scalars"):
+        presets.preset_map("identity", Q, 32)
 
 
 def test_recover_commands_on_twisted_maps(tmp_path, capsys):

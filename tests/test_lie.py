@@ -300,46 +300,63 @@ FIVE_FIELDS = [Q, GF5, GF_LARGE, GF4, GF81]
 
 
 def _as_matrix(field, op, size):
-    """A ``SparseMap`` as its size x size matrix: op[c] is column c, and a
-    column that op does not list is zero."""
+    """A ``SparseMap`` as its size x size matrix: column c is the image of
+    unit c, ``_apply(op, {c: 1})``."""
     rows = [[field.zero] * size for _ in range(size)]
     for c in range(size):
-        for r, a in op.get(c, ()):
-            rows[r][c] = field.add(rows[r][c], a)
+        for r, a in _apply(field, op, {c: field.one}).items():
+            rows[r][c] = a
     return Matrix(field, rows)
+
+
+def _operator_cases(field, n, rng):
+    """The zero, identity, unit and random h of ``n`` x ``n``, and a diagonal
+    with a repeated entry, where [E_ik, h] = 0 for some i != k."""
+    hs = [Matrix.zeros(field, n), Matrix.identity(field, n), E(n, 1, n, field), E(n, n, n, field)]
+    hs += [random_matrix(field, n, n, rng) for _ in range(3)]
+    if n > 1:
+        d = random_matrix(field, n, n, rng).entries[0]
+        hs.append(Matrix(field, [[d[0] if j == i else 0 for j in range(n)] for i in range(n)])
+                  + E(n, 1, 1, field).scale(d[1]))
+    return hs
 
 
 @pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
 def test_operators_list_exactly_the_units_with_a_nonzero_image(field):
-    """``_operator`` lists a unit iff its image is nonzero, each image
-    once per key with nonzero coefficients, and the images are the dense
-    products E_c·h and [E_c, h]; in builder coordinates it lists the same
-    units (over Q the coordinates are a nonzero multiple of h)."""
+    """``_operator`` maps each unit E_c to the dense products E_c·h and
+    [E_c, h], with no zero coefficient, a unit with a zero image to the
+    empty vector, and does so in builder coordinates too (over Q the
+    coordinates are a nonzero multiple of h)."""
     rng = rng_for("operator-units", repr(field))
     for n in range(1, 5):
         builder = SpanBuilder(field, n * n)
-        hs = [Matrix.zeros(field, n), Matrix.identity(field, n), E(n, 1, n, field), E(n, n, n, field)]
-        hs += [random_matrix(field, n, n, rng) for _ in range(3)]
-        if n > 1:  # a diagonal with a repeated entry: [E_ik, h] = 0 for some i != k
-            d = random_matrix(field, n, n, rng).entries[0]
-            hs.append(Matrix(field, [[d[0] if j == i else 0 for j in range(n)] for i in range(n)])
-                      + E(n, 1, 1, field).scale(d[1]))
-        for h in hs:
+        for h in _operator_cases(field, n, rng):
             h_raw = lie._sparse(field, h.vectorize())
             for kind in (True, False):
                 op = lie._operator(field, n, h_raw, kind)
-                want = {}
+                coords_op = lie._operator(field, n, builder.coordinates(h_raw), kind)
                 for c in range(n * n):
                     unit = E(n, c // n + 1, c % n + 1, field)
-                    image = lie._sparse(field, (bracket(unit, h) if kind else unit * h).vectorize())
-                    if image:
-                        want[c] = image
-                assert set(op) == set(want)
-                for c, image in op.items():
-                    keys = [key for key, _ in image]
-                    assert len(keys) == len(set(keys))
-                    assert dict(image) == want[c]
-                assert set(lie._operator(field, n, builder.coordinates(h_raw), kind)) == set(want)
+                    want = lie._sparse(field, (bracket(unit, h) if kind else unit * h).vectorize())
+                    assert _apply(field, op, {c: field.one}) == want
+                    unit_coords = builder.coordinates({c: field.one})
+                    assert builder.apply(coords_op, unit_coords) == builder.coordinates(want)
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_operators_hold_one_term_per_nonzero_of_h(field):
+    """An operator is built from h's nonzeros alone: ``rows`` holds one term
+    per nonzero, and so does ``cols`` for the bracket, none for the
+    product."""
+    rng = rng_for("operator-terms", repr(field))
+    for n in range(1, 5):
+        for h in _operator_cases(field, n, rng):
+            h_raw = lie._sparse(field, h.vectorize())
+            for kind in (True, False):
+                units, rows, cols = lie._operator(field, n, h_raw, kind)
+                assert len(units) == n * n and len(rows) == len(cols) == n
+                assert sum(map(len, rows)) == len(h_raw)
+                assert sum(map(len, cols)) == (len(h_raw) if kind else 0)
 
 
 @pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)

@@ -32,6 +32,7 @@ from liemat import (
 )
 from liemat.errors import (
     CharacteristicDividesN,
+    EnumerationTooLarge,
     IncompatibleAutomorphism,
     NotAnAntiAutomorphism,
     NotAnAutomorphism,
@@ -430,6 +431,15 @@ def test_classification():
     assert classify_map(scramble) is None
 
 
+def test_maps_past_the_enumeration_guard_build_no_image():
+    # n^2 images of n^2 scalars: 31^4 < 10^6 < 32^4
+    def refuse(u):
+        raise AssertionError("an image was built")
+
+    with pytest.raises(EnumerationTooLarge, match="1048576 scalars"):
+        AlgebraMap.from_function(32, Q, refuse)
+
+
 def test_decompose_identity():
     dec = decompose_lie_automorphism(identity_map(2))
     assert dec.sigma_kind == "automorphism"
@@ -604,11 +614,15 @@ def classification_cases(field, n, rng, twist=None):
         yield "first and last unit images swapped", AlgebraMap(n, field, swapped, twist)
     if n >= 3:
         # near misses: one image off by c*I, at a unit outside the generating
-        # set {E(1,1), E(i,i+1), E(i+1,i)} that classify_map takes x from
+        # set {E(i,i+1), E(i+1,i)} that classify_map takes x from
         shift = Matrix.identity(field, n).scale(c)
         for label, sigma, k in (
             ("conjugation + c*tr, E(1,n) image moved", plus_trace(auto, c), n - 1),
             ("negated transpose-conjugation, E(n,n) image moved", neg_anti, n * n - 1),
+            # E(1,n) and E(n,1) are brackets of shift units in one direction
+            # only, so these two tell both directions of the set apart
+            ("negated transpose-conjugation + c*tr, E(n,1) image moved",
+             plus_trace(neg_anti, c), (n - 1) * n),
         ):
             images = list(sigma.images)
             images[k] = images[k] + shift
@@ -750,8 +764,9 @@ def test_classify_map_checks_brackets_on_a_generating_set(monkeypatch):
     m = plus_trace(conjugation_map(b), Q.coerce("2/3"))
     calls = _counting_products(monkeypatch)
     assert classify_map(m) == "lie-automorphism"
-    # two products per pair (x, y), x in the 2n - 1 generators, y a unit
-    assert len(calls) <= 2 * (2 * n - 1) * n * n
+    # two products per pair (x, y), x in the 2n - 2 generators of sl_n, y a
+    # unit
+    assert len(calls) <= 2 * (2 * n - 2) * n * n
 
 
 @pytest.mark.parametrize("field", [Q, GF_LARGE, GF81], ids=repr)
