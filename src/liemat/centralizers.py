@@ -28,15 +28,17 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import (
+    ENUMERATION_GUARD,
     InvalidComposition,
     InvalidIndex,
     MalformedJSON,
     MixedShapes,
     PreconditionViolated,
+    check_guard,
 )
 from .fields import Field
 from .lie import ad_kernel, adjoint_operator, closure, left_normed
-from .matrices import ENUMERATION_GUARD, Matrix, check_guard, matrix_unit
+from .matrices import Matrix, matrix_unit
 from .subspaces import Subspace
 
 SubsetLike = Union[Sequence[Matrix], Subspace]
@@ -239,6 +241,8 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
     members, field, n = _members(H)
     cap = min(k, ENUMERATION_GUARD.bit_length())  # 2^cap > the guard if cap < k
     check_guard(len(members) ** cap, f"{len(members)}^{k} tuples")
+    if k > len(members):  # every k-tuple repeats a member: none is admissible
+        return ad_kernel(field, n, [])
 
     def admissible(tup: tuple[Matrix, ...]) -> bool:
         if prop == "D":

@@ -12,11 +12,11 @@ Every subcommand prints one JSON document, its run report, to stdout:
      "warnings": [...]}
 
 where ``warnings`` holds the text of every warning the command raised
-(on failure they follow the error line on stderr), and, with ``--out
-FILE``, writes the primary artifact (matrix, subspace, recovery result,
-...) as plain JSON that the same tool accepts back as input.  Exit
-codes: 0 success, 1 domain error (the typed error name is printed), 2
-malformed input or usage.
+(on failure they follow the typed error line on stderr).  ``--out FILE``
+first writes the primary artifact (matrix, subspace, recovery result,
+...) as JSON that the same tool accepts back; a failed write prints no
+report.  Exit codes: 0 success, 1 domain error, 2 malformed input, usage,
+or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -288,19 +288,22 @@ def dispatch(argv: list[str]) -> int:
         warnings.simplefilter("always")
         try:
             outcome, artifact = args.handler(args)
+            elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
+            if args.outfile:
+                with open(args.outfile, "w", encoding="utf-8") as fh:
+                    json.dump(artifact, fh, sort_keys=True, indent=1)
         except MalformedJSON as exc:
             error, code = f"{type(exc).__name__}: {exc}", 2
         except LiematError as exc:
             error, code = f"{type(exc).__name__}: {exc}", 1
-        except FileNotFoundError as exc:
-            error, code = f"MalformedJSON: cannot read input: {exc}", 2
+        except OSError as exc:  # inputs are read by jsonio, so this is a write
+            error, code = f"MalformedJSON: cannot write output: {exc}", 2
         except (TypeError, ValueError) as exc:
             error, code = f"{type(exc).__name__}: {exc}", 2
     notes = [str(w.message) for w in caught]
     if error is not None:
         print("\n".join([error] + notes), file=sys.stderr)
         return code
-    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
     report = {
         "command": args.command,
         "inputs": [p for p in [getattr(args, "infile", None)] if p],
@@ -309,9 +312,6 @@ def dispatch(argv: list[str]) -> int:
         "warnings": notes,
     }
     print(json.dumps(report, sort_keys=True))
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, sort_keys=True, indent=1)
     return 0
 
 

@@ -1,9 +1,12 @@
-"""Typed errors shared by every module.
+"""Typed errors shared by every module, and the size guard that raises
+:class:`EnumerationTooLarge`.
 
 Each class name doubles as the stable error code the CLI prints, so the
 names follow the domain vocabulary rather than the usual ``...Error``
 suffix convention.
 """
+
+ENUMERATION_GUARD = 10**6
 
 
 class LiematError(Exception):
@@ -60,6 +63,12 @@ class EnumerationTooLarge(LiematError):
     """A tuple enumeration or a table would exceed the configured guard."""
 
 
+def check_guard(count: int, what: str) -> None:
+    """Refuse ``count`` > ``ENUMERATION_GUARD`` items before any is built."""
+    if count > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(f"{what} exceed the guard of {ENUMERATION_GUARD}")
+
+
 class InvalidComposition(LiematError):
     """Block sizes are not positive integers summing to n."""
 
@@ -98,4 +107,5 @@ class ResidualNotScalar(LiematError):
 
 
 class MalformedJSON(LiematError):
-    """Input text is not valid JSON or does not match the documented schema."""
+    """Input text is not valid JSON or breaks the documented schema, or the
+    command line is unusable: a bad flag, or a file that cannot be read or written."""

@@ -10,10 +10,10 @@ Every field is an immutable descriptor object whose methods operate on
 * ``ExtensionField``  -- coefficient tuples of length ``m`` over GF(p),
   ascending degree, reduced modulo a monic irreducible polynomial.  Up to
   order ``TABLE_MAX_ORDER`` = 2^16 the arithmetic is lookups in log,
-  antilog and Zech tables built once per (p, modulus), with packed-int
-  dot products; larger extension fields use the polynomial kernels of
-  :mod:`liemat.polynomials`.  The tables map tuples, so raw values are
-  tuples either way.
+  antilog and Zech tables built once per (p, modulus), and dot products
+  sum the table products coefficientwise; larger extension fields use
+  the polynomial kernels of :mod:`liemat.polynomials`.  The tables map
+  tuples, so raw values are tuples either way.
 
 Matrix and subspace code calls the field methods directly on raw values;
 :class:`Scalar` wraps a ``(field, value)`` pair with operator overloading
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
+from .errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism, check_guard
 from .polynomials import (
     _poly_invmod,
     _poly_mod,
@@ -409,9 +409,6 @@ class PrimeField(Field):
 # Extension fields up to this order compute by lookup tables (O(q) memory
 # and set-up time); larger ones keep the polynomial kernels.
 TABLE_MAX_ORDER = 1 << 16
-# A packed dot-product word holds the coefficients of at least this many
-# products without a carry between slots.
-_PACK_TERMS = 1 << 10
 # (p, modulus) -> the table attributes of an ExtensionField, built once
 _TABLES: dict[tuple, dict] = {}
 
@@ -441,8 +438,6 @@ class ExtensionField(Field):
     * ``_zech[d] = log(1 + g^d)`` gives a + b = g^(log a + _zech[log b -
       log a]).  It repeats with period q - 1 over twice that length, so
       every difference that arises indexes it directly.
-    * ``_pack`` maps a to the int a(2^w), so ``dot`` sums whole products
-      as ints and reduces once per word.
     * ``_text`` and ``_names`` map each element's text to the element and
       back, so ``parse_scalar`` and ``format_scalar`` are lookups.
 
@@ -464,6 +459,8 @@ class ExtensionField(Field):
             raise ValueError(f"{p} is not prime")
         if m < 2:
             raise ValueError("extension degree must be at least 2")
+        cost = m**3 * p.bit_length()  # of one irreducibility test, O(m^3 log p)
+        check_guard(cost, f"{cost} steps of a degree-{m} irreducibility test over GF({p})")
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         modulus = tuple(c % p for c in modulus)
@@ -511,10 +508,6 @@ class ExtensionField(Field):
         zlog = 2 * q - 3
         log = {e: k for k, e in enumerate(powers)}
         log[self.zero] = zlog
-        # a word of ``terms`` products plus the folded-in reductions of
-        # x^m .. x^(2m-2) keeps every slot below 2^width
-        slot, spill = m * (p - 1) ** 2, (m - 1) * (p - 1)
-        width = (slot * _PACK_TERMS + spill).bit_length()
         text = {self.format_scalar(e): e for e in log}
         return {
             "_log": log,
@@ -523,11 +516,6 @@ class ExtensionField(Field):
             "_zlog": zlog,
             # log(-1): -1 = g^((q-1)/2) in odd characteristic, 1 in characteristic 2
             "_neg_log": 0 if p == 2 else (q - 1) // 2,
-            "_pack": {e: sum(c << (width * i) for i, c in enumerate(e)) for e in log},
-            "_width": width,
-            "_terms": ((1 << width) - 1 - spill) // slot,
-            # c x^k mod modulus, packed, for k = m .. 2m-2 and every digit c
-            "_folds": tuple(_packed_multiples(red, p, width) for red in self._xpow),
             "_text": text,
             "_names": {e: t for t, e in text.items()},
         }
@@ -566,20 +554,12 @@ class ExtensionField(Field):
         return self._exp[self.order - 1 - la]
 
     def dot(self, u, v):
-        terms = self._terms
-        if len(u) > terms:  # one packed word per ``terms`` products
-            acc = self.zero
-            for i in range(0, len(u), terms):
-                acc = self.add(acc, self.dot(u[i:i + terms], v[i:i + terms]))
-            return acc
-        pack = self._pack.__getitem__
-        word = sum(map(int.__mul__, map(pack, u), map(pack, v)))
-        p, m, w = self.p, self.m, self._width
-        mask = (1 << w) - 1
-        low = word & ((1 << (w * m)) - 1)
-        for k, fold in enumerate(self._folds, m):
-            low += fold[((word >> (w * k)) & mask) % p]
-        return tuple([((low >> (w * i)) & mask) % p for i in range(m)])
+        # as ``vec_sum``: products by the tables, one reduction per coefficient
+        if not u:
+            return self.zero
+        log, exp, p = self._log, self._exp, self.p
+        products = [exp[log[a] + log[b]] for a, b in zip(u, v)]
+        return tuple([sum(cs) % p for cs in zip(*products)])
 
     def vec_scale(self, u, c):
         exp, lc = self._exp, self._log[c]

@@ -52,15 +52,20 @@ def _size(obj: dict, key: str) -> int:
 
 
 def loads(text: str) -> Any:
+    # ValueError: bad syntax or an int past the digit limit; RecursionError: deep nesting
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedJSON(f"invalid JSON: {exc}") from exc
 
 
 def load_path(path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedJSON(f"cannot read input: {exc}") from exc
+    return loads(text)
 
 
 # -- fields -------------------------------------------------------------------

@@ -31,22 +31,12 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
-    EnumerationTooLarge,
     FieldMismatch,
     IndexOutOfRange,
     OddDimension,
     SingularMatrix,
 )
 from .fields import Field, FieldAutomorphism, PrimeField, Rationals, Scalar
-
-
-ENUMERATION_GUARD = 10**6
-
-
-def check_guard(count: int, what: str) -> None:
-    """Refuse ``count`` > ``ENUMERATION_GUARD`` items before any is built."""
-    if count > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(f"{what} exceed the guard of {ENUMERATION_GUARD}")
 
 
 class Matrix:

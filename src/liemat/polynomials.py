@@ -123,8 +123,12 @@ def is_irreducible(modulus: Sequence[int], p: int) -> bool:
 
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Deterministic default modulus: the first monic irreducible of degree m,
-    enumerating the low coefficients (c0, ..., c_{m-1}) as base-p digits."""
-    for k in range(p**m):
+    enumerating the low coefficients (c0, ..., c_{m-1}) as base-p digits.
+    The first p are the binomials x^m + c: some is irreducible iff every prime
+    r | m divides p - 1, and p = 1 (mod 4) if 4 | m (Lidl & Niederreiter,
+    *Finite Fields*, Thm 3.75, with -c primitive); else they are skipped."""
+    binomials = all((p - 1) % r == 0 for r in _prime_divisors(m)) and (m % 4 or p % 4 == 1)
+    for k in range(0 if binomials else p, p**m):
         coeffs = []
         kk = k
         for _ in range(m):

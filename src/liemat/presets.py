@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import re
 
-from .errors import MalformedJSON
+from .errors import MalformedJSON, check_guard
 from .fields import Field
 from .matrices import (
     Matrix,
-    check_guard,
     cyclic_permutation,
     matrix_unit,
     symplectic_involution,

@@ -63,9 +63,10 @@ from .errors import (
     NotDecomposable,
     ResidualNotScalar,
     SingularMatrix,
+    check_guard,
 )
 from .fields import Field, FieldAutomorphism, Scalar
-from .matrices import Matrix, check_guard, matrix_unit, scalar_multiple_of_identity
+from .matrices import Matrix, matrix_unit, scalar_multiple_of_identity
 
 SCALAR_CLASS_NOTE = "any nonzero scalar multiple of the conjugator verifies identically"
 

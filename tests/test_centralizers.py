@@ -32,6 +32,7 @@ from liemat.errors import (
     InvalidIndex,
     MixedShapes,
     PreconditionViolated,
+    check_guard,
 )
 from liemat.experiments import (
     char2_generation_dims,
@@ -424,9 +425,9 @@ def test_huge_ambient_spaces_are_refused_before_any_level(monkeypatch):
     ):
         with pytest.raises(EnumerationTooLarge, match="1002001 scalars"):
             call()
-    matrices.check_guard(10**6, "at the guard")
+    check_guard(10**6, "at the guard")
     with pytest.raises(EnumerationTooLarge):
-        matrices.check_guard(10**6 + 1, "past the guard")
+        check_guard(10**6 + 1, "past the guard")
 
 
 def test_nilpotency_scalars():

@@ -24,7 +24,7 @@ from liemat import (
     residual_trace_form_check,
     transpose_conjugation_map,
 )
-from liemat import centralizers, cli, jsonio, presets, recovery, selftest
+from liemat import centralizers, cli, errors, jsonio, presets, recovery, selftest
 from liemat.cli import build_parser, dispatch
 from liemat.errors import EnumerationTooLarge
 
@@ -168,23 +168,28 @@ def test_recover_auto_rejects_an_image_key_that_is_not_a_unit(tmp_path, capsys):
     assert captured.err.startswith("MalformedJSON: unexpected image '3,3'")
 
 
-def test_map_with_a_huge_n_and_no_images_fails_at_once(tmp_path):
-    """The unit keys are formed one at a time, so the first missing one is
-    reported before n^2 keys are built.  A separate process with a timeout
-    and a 1 GiB address-space cap, so that a regression fails here instead
-    of hanging the suite or exhausting memory."""
+def _run_capped(argv, timeout=30):
+    """``python -m liemat argv`` with a timeout and a 1 GiB address-space
+    cap, so that a regression fails the test instead of hanging the suite
+    or exhausting memory."""
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    map_file = tmp_path / "huge-n.json"
-    map_file.write_text(json.dumps({"n": 10**6, "field": {"kind": "Q"}, "images": {}}))
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "liemat", "recover-auto", "--in", str(map_file)],
-        capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory,
+    return subprocess.run(
+        [sys.executable, "-m", "liemat", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=cap_memory,
     )
+
+
+def test_map_with_a_huge_n_and_no_images_fails_at_once(tmp_path):
+    """The unit keys are formed one at a time, so the first missing one is
+    reported before n^2 keys are built.  Run in a capped process."""
+    map_file = tmp_path / "huge-n.json"
+    map_file.write_text(json.dumps({"n": 10**6, "field": {"kind": "Q"}, "images": {}}))
+    proc = _run_capped(["recover-auto", "--in", str(map_file)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("MalformedJSON: missing image for unit 1,1")
@@ -208,24 +213,91 @@ HUGE_AMBIENT = {"ambient": {"field": {"kind": "Q"}, "rows": 100000, "cols": 1000
 def test_sizes_past_the_enumeration_guard_fail_at_once(tmp_path, argv):
     """An input of more than ``ENUMERATION_GUARD`` scalars, n^2 for a
     matrix or an ambient space and n^4 for a map preset, or an enumeration
-    of more tuples than that, is refused before any of it is built.  A separate process with a timeout and a 1 GiB
-    address-space cap, as for the huge map above."""
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+    of more tuples than that, is refused before any of it is built.  Run in
+    a capped process."""
     doc = tmp_path / "huge-ambient.json"
     doc.write_text(json.dumps(HUGE_AMBIENT))
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "liemat", *(a.format(doc=doc) for a in argv)],
-        capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory,
-    )
+    proc = _run_capped([a.format(doc=doc) for a in argv])
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("EnumerationTooLarge:")
     assert "exceed the guard of 1000000" in proc.stderr
+
+
+def test_hereditary_tuples_longer_than_the_set_are_vacuous_at_once():
+    """k > |H| leaves no admissible k-tuple for either property, so the
+    whole space comes back without a k-tuple being formed."""
+    for prop in "DL":
+        proc = _run_capped(
+            ["hereditary", "--preset", "E11", "--n", "2", "--k", "1000000000", "--prop", prop]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outcome"]["dim"] == 4
+
+
+def test_default_moduli_of_large_or_deep_extensions():
+    """GF(1000003^4) has no irreducible x^4 + c (1000003 = 3 mod 4), so the
+    search starts past the binomials; degree 320 is refused before any
+    irreducibility test."""
+    proc = _run_capped(
+        ["closure", "--preset", "E11", "--n", "2", "--field", "gfext:1000003:4"], timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    field = json.loads(proc.stdout)["outcome"]["subspace"]["ambient"]["field"]
+    assert field["modulus"] == [1, 1, 0, 0, 1]
+    proc = _run_capped(
+        ["closure", "--preset", "E11", "--n", "2", "--field", "gfext:2:320"], timeout=10
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("EnumerationTooLarge:")
+    assert "Traceback" not in proc.stderr
+
+
+def _bad_files(tmp_path):
+    """Unreadable inputs, by kind: a directory, bytes that are not UTF-8,
+    an integer past the digit limit and nesting past the parser's stack."""
+    files = {"directory": tmp_path}
+    for name, data in [
+        ("non-utf8", b"[\xff\xfe]"),
+        ("long-int", b"[" + b"1" * 5000 + b"]"),
+        ("deep", b"[" * 200000 + b"]" * 200000),
+    ]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_bytes(data)
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--in", "{directory}"],
+        ["closure", "--in", "{non-utf8}"],
+        ["closure", "--in", "{long-int}"],
+        ["recover-auto", "--in", "{deep}"],
+        ["closure", "--in", "{missing}"],
+        ["closure", "--preset", "P,E11", "--n", "2", "--out", "{missing}/x.json"],
+        ["closure", "--preset", "P,E11", "--n", "2", "--out", "{directory}"],
+        ["verify-example", "--out", "/dev/full"],
+        ["bounds", "--max-n", "3", "--csv", "{missing}/x.csv"],
+        ["bounds", "--max-n", "3", "--csv", "{directory}"],
+    ],
+    ids=" ".join,
+)
+def test_unreadable_inputs_and_unwritable_outputs_exit_2(tmp_path, capsys, argv):
+    """A file that cannot be read or decoded, or an output that cannot be
+    written, is a typed usage error; a failed write prints no report."""
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    paths = {**_bad_files(tmp_path), "missing": tmp_path / "missing"}
+    code = dispatch([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.split(":", 1)[0] in vars(errors), first
+    assert "cannot write output" in first or "--in" in argv
+    assert "Traceback" not in captured.err
 
 
 def test_presets_past_the_enumeration_guard_build_nothing(monkeypatch):

@@ -19,7 +19,9 @@ from liemat import (
     is_irreducible,
     smallest_irreducible,
 )
-from liemat.errors import DivisionByZero, FieldMismatch, IncompatibleAutomorphism
+from liemat.errors import (
+    DivisionByZero, EnumerationTooLarge, FieldMismatch, IncompatibleAutomorphism,
+)
 from liemat.fields import PRIMALITY_LIMIT, is_prime
 from liemat.polynomials import _poly_mod, _poly_mul
 
@@ -244,6 +246,32 @@ def test_default_moduli_are_deterministic():
             assert f.mul(a, f.inv(a)) == f.one
 
 
+def test_default_moduli_match_the_plain_enumeration():
+    """Skipping the binomials x^m + c where none is irreducible changes no
+    default modulus: the first irreducible in base-p digit order, c0 fastest."""
+    for p in (q for q in range(2, 50) if is_prime(q)):
+        for m in range(2, 7):
+            if p**m > 3 * 10**6:
+                continue
+            first = next(
+                f for digits in itertools.product(range(p), repeat=m)
+                if is_irreducible(f := (*reversed(digits), 1), p)
+            )
+            assert smallest_irreducible(p, m) == first, (p, m)
+
+
+def test_extension_degrees_past_the_guard_are_refused():
+    """An irreducibility test of degree m costs O(m^3 log p), so a degree
+    whose m^3 * bitlength(p) exceeds the enumeration guard is refused
+    before any search, with or without a modulus."""
+    for p, m in [(2, 100), (2, 320), (3, 80)]:
+        with pytest.raises(EnumerationTooLarge, match="irreducibility test"):
+            ExtensionField(p, m)
+    with pytest.raises(EnumerationTooLarge):
+        ExtensionField(2, 100, [1] + [0] * 99 + [1])
+    assert ExtensionField(2, 17).modulus == (1, 0, 0, 1) + (0,) * 13 + (1,)
+
+
 def test_scalar_text_round_trip():
     for field, texts in [
         (Q, ["0", "3", "-7/2", "5/6"]),
@@ -309,12 +337,22 @@ def test_extension_arithmetic_exhaustive_against_oracle(field):
 
 @pytest.mark.parametrize("field", [GF4, ExtensionField(5, 2), GF81], ids=lambda f: repr(f))
 def test_dot_at_packing_width_boundary(field):
-    # every coefficient p - 1 fills the slots of a packed word the most
+    # every coefficient p - 1 makes the unreduced coefficient sums largest
     top = (field.p - 1,) * field.m
     square = oracle_mul(field, top, top)
-    for length in (field._terms, field._terms + 1):
+    for length in (0, 1, 1024, 1025):
         expected = tuple(length * c % field.p for c in square)
         assert field.dot([top] * length, [top] * length) == expected
+    assert field.dot([], []) == field.zero
+
+
+@pytest.mark.parametrize("field", [GF4, ExtensionField(5, 2), GF81], ids=lambda f: repr(f))
+def test_dot_of_random_vectors_agrees_with_oracle(field):
+    rng = rng_for("dot-lengths", repr(field))
+    for length in (0, 1, 16, 1024, 1025):
+        u = [field.random_scalar(rng) for _ in range(length)]
+        v = [field.random_scalar(rng) for _ in range(length)]
+        assert field.dot(u, v) == oracle_dot(field, u, v)
 
 
 def test_field_above_table_limit_agrees_with_oracle():
