@@ -89,9 +89,9 @@ def _load_matrices(args) -> list[Matrix]:
     return subject.basis if isinstance(subject, Subspace) else subject
 
 
-def _load_map(args):
+def _load_map(args, from_json=jsonio.algebra_map_from_json):
     if _infile(args):
-        return jsonio.algebra_map_from_json(jsonio.load_path(args.infile))
+        return from_json(jsonio.load_path(args.infile))
     return preset_map(args.preset, *_preset_args(args))
 
 
@@ -158,7 +158,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_recover(args):
-    result = recover(_load_map(args), anti=args.anti)
+    # a document is recovered from its generator images, the rest checked on its texts
+    result = recover(_load_map(args, jsonio.unparsed_map_from_json), anti=args.anti)
     outcome = {
         "conjugator": jsonio.matrix_to_json(result.conjugator),
         "kernel_vector": jsonio.matrix_to_json(result.kernel_vector),

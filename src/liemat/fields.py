@@ -5,7 +5,7 @@ Every field is an immutable descriptor object whose methods operate on
 
 * ``Rationals``       -- :class:`fractions.Fraction` (always lowest terms);
   ``dot``, ``is_scaled`` and ``krylov`` compute on integer numerators and
-  denominators,
+  denominators, and ``texts_scaled`` on the integers of plain texts,
 * ``PrimeField(p)``   -- residues ``int`` in ``[0, p)``,
 * ``ExtensionField``  -- coefficient tuples of length ``m`` over GF(p),
   ascending degree, reduced modulo a monic irreducible polynomial.  Up to
@@ -41,6 +41,19 @@ from .polynomials import (
 
 _FRAC_ZERO = Fraction(0)
 _FRAC_ONE = Fraction(1)
+
+
+def _plain_rational(text: str) -> tuple[int, int] | None:
+    """The numerator and denominator of a plain ASCII [-]digits[/digits]
+    text, as written; None for any other text."""
+    num, slash, den = text.partition("/")
+    if (
+        text.isascii()
+        and (num[1:] if num[:1] == "-" else num).isdigit()
+        and (den.isdigit() or not slash)
+    ):
+        return int(num), int(den) if slash else 1
+    return None
 
 
 # Deterministic Miller-Rabin: the first 13 primes as bases decide every
@@ -94,7 +107,9 @@ class Field:
     ``is_scaled`` (is v == c*u?), ``vec_sum`` and ``krylov``, and the batch
     parser ``parse_scalars``, have generic definitions here in terms of
     the scalar methods; a field overrides them where a faster idiom
-    exists.
+    exists.  ``texts_scaled`` asks ``is_scaled`` of texts before they are
+    parsed; it may answer None (cannot tell without parsing), which is
+    all the generic definition does.
     """
 
     zero: object
@@ -150,6 +165,15 @@ class Field:
     def is_scaled(self, v: Sequence, c, u: Sequence) -> bool:
         """Is v == c*u, elementwise?"""
         return list(v) == self.vec_scale(u, c)
+
+    def texts_scaled(self, texts: Sequence, c, u: Sequence) -> bool | None:
+        """Is ``parse_scalars(texts)`` == c*u, elementwise, asked of the
+        texts as read?  True only when every text is a string that
+        ``parse_scalar`` reads to its entry of c*u; False when some text
+        reads to another value; None when the field cannot tell without
+        parsing, as for a spelling it does not read here or an entry that
+        is not a string."""
+        return None
 
     def vec_sum(self, vectors: Sequence[Sequence]) -> list:
         """The elementwise sum of one or more vectors."""
@@ -282,6 +306,22 @@ class Rationals(Field):
                 return False
         return True
 
+    def texts_scaled(self, texts, c, u):
+        # plain texts cross-multiplied as in ``is_scaled``; no Fraction is built
+        if len(texts) != len(u):
+            return False
+        cn, cd = c._numerator, c._denominator
+        try:
+            for t, b in zip(texts, u):
+                plain = _plain_rational(t)
+                if plain is None or not plain[1]:
+                    return None
+                if plain[0] * cd * b._denominator != cn * b._numerator * plain[1]:
+                    return False
+        except (AttributeError, ValueError):  # not a string; past the int digit limit
+            return None
+        return True
+
     def krylov(self, rows, v, count):
         # fraction-free: M = N/D and each vector x/e with N and x integer,
         # so a step is one integer product and one gcd over the new vector
@@ -301,15 +341,9 @@ class Rationals(Field):
         return str(a)
 
     def parse_scalar(self, text: str):
-        # plain ASCII [-]digits[/digits] skips Fraction's text parser
-        num, slash, den = text.partition("/")
-        if (
-            text.isascii()
-            and (num[1:] if num[:1] == "-" else num).isdigit()
-            and (den.isdigit() or not slash)
-        ):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(text.strip())
+        # a plain text skips Fraction's text parser
+        plain = _plain_rational(text)
+        return Fraction(*plain) if plain else Fraction(text.strip())
 
     def random_scalar(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -383,6 +417,16 @@ class PrimeField(Field):
     def vec_sum(self, vectors):
         p = self.p
         return [sum(col) % p for col in zip(*vectors)]
+
+    def texts_scaled(self, texts, c, u):
+        # every text ``parse_scalar`` reads; str.strip refuses a non-string
+        try:
+            values = list(map(int, map(str.strip, texts)))
+        except (TypeError, ValueError):
+            return None
+        scaled, p = self.vec_scale(u, c), self.p
+        # residue texts read to themselves; other integers are reduced first
+        return values == scaled or [a % p for a in values] == scaled
 
     def format_scalar(self, a) -> str:
         return str(a)
@@ -584,6 +628,14 @@ class ExtensionField(Field):
         p = self.p
         return [tuple([sum(cs) % p for cs in zip(*col)]) for col in zip(*vectors)]
 
+    def texts_scaled(self, texts, c, u):
+        # the table's own texts; any other spelling is left to the parser
+        try:
+            values = list(map(self._text.__getitem__, texts))
+        except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+            return None
+        return values == self.vec_scale(u, c)
+
     def is_zero(self, a) -> bool:
         return not any(a)
 
@@ -699,6 +751,7 @@ class _PolynomialExtensionField(ExtensionField):
     dot = Field.dot
     vec_scale = Field.vec_scale
     vec_submul = Field.vec_submul
+    texts_scaled = Field.texts_scaled
 
 
 # ---------------------------------------------------------------------------

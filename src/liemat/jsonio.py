@@ -18,7 +18,15 @@ Formats (all exact, text-based scalars):
 
 Sizes (``rows``, ``cols``, ``n``), field parameters (``p``, ``m``, the
 ``modulus`` coefficients) and the twist power ``e`` must be JSON integers.
-Schema violations raise :class:`MalformedJSON`.
+Schema violations raise :class:`MalformedJSON`, and so does an input file
+longer than ``MAX_INPUT_CHARS``.
+
+A map document loads in two forms.  ``unparsed_map_from_json`` checks its
+structure and keeps the image rows as read, as an :class:`UnparsedMap`,
+which parses an image the first time it is read; ``recover`` takes it,
+parses only the generator images and certifies the other rows on their
+texts.  ``algebra_map_from_json`` is the same loader with every image
+parsed.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .errors import DimensionMismatch, MalformedJSON
+from .errors import ENUMERATION_GUARD, DimensionMismatch, MalformedJSON
 from .fields import ExtensionField, Field, FieldAutomorphism, PrimeField, Rationals
 from .matrices import Matrix
 from .recovery import AlgebraMap
@@ -59,12 +67,23 @@ def loads(text: str) -> Any:
         raise MalformedJSON(f"invalid JSON: {exc}") from exc
 
 
+# The longest input read, in characters: ENUMERATION_GUARD scalars, the most
+# a matrix (n^2) or a map preset (n^4) may hold, at 128 characters of JSON
+# text each (a dense n = 16 map over Q spends 39).  A longer input, or a path
+# that never ends such as /dev/zero, is refused after that many.
+MAX_INPUT_CHARS = 128 * ENUMERATION_GUARD
+
+
 def load_path(path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_INPUT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedJSON(f"cannot read input: {exc}") from exc
+    _expect(
+        len(text) <= MAX_INPUT_CHARS,
+        f"cannot read input: longer than {MAX_INPUT_CHARS} characters",
+    )
     return loads(text)
 
 
@@ -188,10 +207,9 @@ def _text(value: Any) -> str:
     return str(value)
 
 
-def _parse(field: Field, grids: Iterable[list[list]]) -> list:
-    """The raw values of every entry of the checked grids, row-major and
-    grid after grid."""
-    texts = [v if type(v) is str else _text(v) for grid in grids for row in grid for v in row]
+def _parse(field: Field, rows: Iterable[list]) -> list:
+    """The raw values of every entry of the checked rows, in order."""
+    texts = [v if type(v) is str else _text(v) for row in rows for v in row]
     try:
         return field.parse_scalars(texts)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -211,7 +229,7 @@ def matrix_from_json(obj: Any, field: Field | None = None) -> Matrix:
         _expect("field" in obj, "matrix needs a 'field'")
         field = field_from_json(obj["field"])
     rows, cols, entries = _grid(obj)
-    return _matrices(field, rows, cols, _parse(field, [entries]))[0]
+    return _matrices(field, rows, cols, _parse(field, entries))[0]
 
 
 def matrix_list_from_json(obj: Any) -> list[Matrix]:
@@ -263,10 +281,44 @@ def algebra_map_to_json(m: AlgebraMap) -> dict:
     }
 
 
-def algebra_map_from_json(obj: Any) -> AlgebraMap:
-    """Every image grid is checked before any scalar is parsed, and the
-    scalars of all images are parsed in one ``parse_scalars`` call.  The
-    image keys must be exactly the n^2 units "i,j"."""
+class UnparsedMap:
+    """A map document as read: the field, the twist and, per unit in table
+    order, the grid of its image, rows of JSON values as decoded.  ``image``
+    parses an image the first time it is read; ``parsed`` parses the others,
+    in document order, into the :class:`AlgebraMap`, which checks the twist
+    against the field (``recover`` checks it first)."""
+
+    __slots__ = ("n", "field", "twist", "grids", "_images")
+
+    def __init__(self, n: int, field: Field, twist: FieldAutomorphism, grids: list[list[list]]):
+        self.n, self.field, self.twist, self.grids = n, field, twist, grids
+        self._images: list[Matrix | None] = [None] * len(grids)
+
+    def image(self, i: int, j: int) -> Matrix:
+        """The image of E(i, j), 1-based, parsed the first time it is read."""
+        n, k = self.n, (i - 1) * self.n + (j - 1)
+        if self._images[k] is None:
+            self._images[k] = _matrices(self.field, n, n, _parse(self.field, self.grids[k]))[0]
+        return self._images[k]
+
+    def parse_row(self, row: list) -> list:
+        """The raw values of one image row."""
+        return _parse(self.field, [row])
+
+    def parsed(self) -> AlgebraMap:
+        """The map, with the images not read yet parsed in one
+        ``parse_scalars`` call: the first bad scalar text of the document
+        raises."""
+        todo = [k for k, image in enumerate(self._images) if image is None]
+        values = _parse(self.field, [row for k in todo for row in self.grids[k]])
+        for k, image in zip(todo, _matrices(self.field, self.n, self.n, values)):
+            self._images[k] = image
+        return AlgebraMap(self.n, self.field, tuple(self._images), self.twist)
+
+
+def unparsed_map_from_json(obj: Any) -> UnparsedMap:
+    """Every image grid is checked, and no scalar is parsed.  The image
+    keys must be exactly the n^2 units "i,j"."""
     _expect(isinstance(obj, dict), "map must be an object")
     try:
         n = _size(obj, "n")
@@ -285,5 +337,11 @@ def algebra_map_from_json(obj: Any) -> AlgebraMap:
         grids[key] = entries
     extra = next((k for k in raw_images if k not in grids), None)
     _expect(extra is None, f"unexpected image {extra!r}: not a unit of a map with n = {n}")
-    images = _matrices(field, n, n, _parse(field, grids.values()))
-    return AlgebraMap(n, field, tuple(images), twist)
+    return UnparsedMap(n, field, twist, list(grids.values()))
+
+
+def algebra_map_from_json(obj: Any) -> AlgebraMap:
+    """``unparsed_map_from_json`` with every image parsed: every image grid
+    is checked before any scalar is parsed, and the scalars of all images
+    are parsed in one ``parse_scalars`` call."""
+    return unparsed_map_from_json(obj).parsed()

@@ -33,6 +33,13 @@ certifies the first image row of each with ``is_scaled`` and compares the
 repeats with it; ``conjugation_map`` forms each row once and shares it.
 Conjugators are unique only up to a nonzero scalar.
 
+A map document as read (``jsonio.UnparsedMap``) goes through the same
+pipeline: only the n images that phi(S) and phi(E(n,1)) need are parsed,
+and every other row is certified on its texts by ``Field.texts_scaled``,
+or parsed where that kernel cannot tell.  A failure parses the whole
+document first, so a bad scalar text outranks a recovery error, as it
+does when the map is parsed before it is recovered.
+
 Verification is also the certificate for the decomposition of a Lie
 automorphism psi as sigma + c*tr(.)*I: sigma is recovered from the
 shifted unit images psi(E(i,j)) - c*delta_ij*I, for sigma an automorphism
@@ -48,12 +55,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Literal
+from typing import TYPE_CHECKING, Callable, Literal
 
 from .errors import (
     CharacteristicDividesN,
     DimensionMismatch,
     FieldMismatch,
+    LiematError,
     MixedShapes,
     NotAnAntiAutomorphism,
     NotAnAutomorphism,
@@ -67,6 +75,9 @@ from .errors import (
 )
 from .fields import Field, FieldAutomorphism, Scalar
 from .matrices import Matrix, matrix_unit, scalar_multiple_of_identity
+
+if TYPE_CHECKING:
+    from .jsonio import UnparsedMap
 
 SCALAR_CLASS_NOTE = "any nonzero scalar multiple of the conjugator verifies identically"
 
@@ -278,7 +289,7 @@ def conjugator_from_images(
     return (result, conj_inv) if return_inverse else result
 
 
-def _extract_shift_image(m: AlgebraMap, transposed: bool) -> Matrix:
+def _extract_shift_image(m: AlgebraMap | UnparsedMap, transposed: bool) -> Matrix:
     """phi(S) = sum of the images of the superdiagonal units, or phi(S^T)
     from the subdiagonal ones: one ``vec_sum`` per row."""
     n, F = m.n, m.field
@@ -290,32 +301,45 @@ def _extract_shift_image(m: AlgebraMap, transposed: bool) -> Matrix:
 
 
 def _verify_all_units(
-    m: AlgebraMap, conjugator: Matrix, conj_inv: Matrix, transposed: bool
+    m: AlgebraMap | UnparsedMap, conjugator: Matrix, conj_inv: Matrix, transposed: bool
 ) -> bool:
     """Does A E(i,j) A^(-1) (or A E(j,i) A^(-1) for anti-maps) reproduce
     every unit image?  The twist never shows: units have 0/1 entries.
 
-    The first image row with each key of ``_row_classes`` is certified by
-    ``is_scaled``; a later row with that key must be the same scaled row
-    of A^(-1), so equality with the certified row is exact."""
-    is_scaled = m.field.is_scaled
+    Every image row with one key of ``_row_classes`` is the same scaled row
+    of A^(-1), so a row equal to a certified row of its key passes.  Any
+    other row is certified by ``is_scaled`` on raw values, or by
+    ``texts_scaled`` on the texts of an unparsed map.  A row of texts that
+    kernel cannot settle is parsed and checked by ``is_scaled``, and
+    certifies no other row: a certified row of texts is all strings, so a
+    JSON number, bool or null never passes by equality with it."""
+    F = m.field
+    if isinstance(m, AlgebraMap):
+        grids, scaled = (image.entries for image in m.images), F.is_scaled
+    else:
+        grids, scaled = m.grids, F.texts_scaled
     a_inv = conj_inv.entries
     values, units = _row_classes(conjugator, transposed)
     certified = [[None] * len(values) for _ in a_inv]
-    for image, (rw, ks) in zip(m.images, units):
+    for grid, (rw, ks) in zip(grids, units):
         done, a_row = certified[rw], a_inv[rw]
-        for row, k in zip(image.entries, ks):
-            seen = done[k]
-            if seen is None:
-                if not is_scaled(row, values[k], a_row):
-                    return False
+        for row, k in zip(grid, ks):
+            if row == done[k]:
+                continue
+            c = values[k]
+            ok = scaled(row, c, a_row)
+            if ok is None:
+                ok = F.is_scaled(m.parse_row(row), c, a_row)
+            elif ok:
                 done[k] = row
-            elif row != seen:
+            if not ok:
                 return False
     return True
 
 
-def _recover(m: AlgebraMap, anti: bool, error: type[Exception]) -> RecoveryResult:
+def _recover(
+    m: AlgebraMap | UnparsedMap, anti: bool, error: type[Exception]
+) -> RecoveryResult:
     n = m.n
     phi_gen_shift = _extract_shift_image(m, transposed=anti)
     phi_gen_unit = m.image(1, n) if anti else m.image(n, 1)
@@ -343,15 +367,25 @@ _RECOVERY_ERRORS = {
 _RECOVERY_FAILURES = tuple(_RECOVERY_ERRORS.values())
 
 
-def recover(m: AlgebraMap, anti: bool) -> RecoveryResult:
+def recover(m: AlgebraMap | UnparsedMap, anti: bool) -> RecoveryResult:
     """Conjugator A with phi(X) = A X_f A^(-1), or A X_f^T A^(-1) if ``anti``.
 
     The one recovery pipeline behind the CLI, the decomposition and the
     ``recover_*`` aliases.  A failure raises NotAnAutomorphism or
     NotAnAntiAutomorphism for an untwisted map, and the NotATwisted...
-    error of the same direction for a twisted one.
+    error of the same direction for a twisted one.  On an unparsed map
+    any failure, an invalid twist included, first parses the whole
+    document, so its first bad scalar text raises MalformedJSON instead.
     """
-    return _recover(m, anti, _RECOVERY_ERRORS[anti, m.twist.is_identity_kind])
+    error = _RECOVERY_ERRORS[anti, m.twist.is_identity_kind]
+    if isinstance(m, AlgebraMap):
+        return _recover(m, anti, error)
+    try:
+        m.twist.check_field(m.field)
+        return _recover(m, anti, error)
+    except LiematError:
+        m.parsed()
+        raise
 
 
 def recover_automorphism(m: AlgebraMap) -> RecoveryResult:

@@ -300,6 +300,27 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(tmp_path, capsys, argv)
     assert "Traceback" not in captured.err
 
 
+def test_inputs_past_the_read_bound_exit_2(tmp_path, capsys, monkeypatch):
+    """``load_path`` reads at most ``MAX_INPUT_CHARS`` characters, so a
+    longer file, or /dev/zero, which never ends, is refused with exit 2;
+    a file of exactly the bound is read.  The bound is set small here."""
+    monkeypatch.setattr(jsonio, "MAX_INPUT_CHARS", 200)
+    text = json.dumps([jsonio.matrix_to_json(cyclic_permutation(Q, 2))])
+    path = tmp_path / "matrices.json"
+    path.write_text(text.ljust(200))
+    assert dispatch(["closure", "--in", str(path)]) == 0
+    capsys.readouterr()
+    paths = [path]
+    if os.path.exists("/dev/zero"):
+        paths.append("/dev/zero")
+    path.write_text(text.ljust(201))
+    for p in paths:
+        assert dispatch(["closure", "--in", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "MalformedJSON: cannot read input: longer than 200 characters\n"
+
+
 def test_presets_past_the_enumeration_guard_build_nothing(monkeypatch):
     """The guard sits in the preset builders, so library callers get it
     too: n^2 > 10^6 scalars for a matrix, n^4 for a map."""

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from liemat import (
     ExtensionField,
+    Field,
     FieldAutomorphism,
     Matrix,
     PrimeField,
@@ -637,3 +638,74 @@ def test_is_scaled_and_parse_scalars_agree_with_the_scalar_kernels(field):
         texts = [field.format_scalar(a) for a in u + scaled + u]
         assert field.parse_scalars(texts) == [field.parse_scalar(t) for t in texts]
     assert field.parse_scalars([]) == []
+
+
+def _spellings(field, a):
+    """Texts that ``parse_scalar`` reads to ``a``: its canonical text, padded
+    ones, and those of the plain grammar or not that spell it otherwise."""
+    text = field.format_scalar(a)
+    out = [text, f" {text}", f"{text}\n", f"\u2003{text}"]
+    if field == Q:
+        num, den = a.numerator, a.denominator
+        out += [f"{2 * num}/{2 * den}", f"{3 * num}/{3 * den}" if num else "-0/7"]
+        if den == 1:
+            out += [f"{num:+d}", f"{num}.0", f"{'-' if num < 0 else ''}00{abs(num)}"]
+    elif isinstance(field, PrimeField):
+        out += [f"+{a}", f"00{a}", str(a + field.p), str(a - field.p), f"{a + field.p:_}"]
+    else:
+        coeffs = list(a)
+        while len(coeffs) > 1 and not coeffs[-1]:
+            coeffs.pop()
+        out += [
+            "[" + ",".join(map(str, coeffs)) + "]",
+            "[ " + ", ".join(map(str, coeffs)) + " ]",
+            "[" + ",".join(str(x + field.p) for x in coeffs) + "]",
+        ]
+        if len(coeffs) == 1:
+            out += [str(coeffs[0]), str(coeffs[0] - field.p)]
+    return out
+
+
+_NOT_SCALARS = ["abc", "1/0", "0/0", "", "[1,0", "1//2", "1" + "0" * 5000]
+_NOT_STRINGS = [1, True, 1.0, None, [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, GF5, PrimeField(1000003), GF4, GF81, ExtensionField(2, 17)],
+    ids=lambda f: repr(f),
+)
+def test_texts_scaled_agrees_with_is_scaled_on_the_parsed_texts(field):
+    """``texts_scaled`` answers None, or what ``is_scaled`` answers on the
+    parsed texts; True never for a text that does not parse or an entry
+    that is not a string; and a bool on canonical texts wherever the field
+    has a text kernel."""
+    rng = rng_for("texts-scaled", repr(field))
+    kernel = type(field).texts_scaled is not Field.texts_scaled
+    settled = 0
+    for _ in range(120):
+        u = [field.random_scalar(rng) for _ in range(rng.randint(0, 6))]
+        if u and rng.random() < 0.3:
+            u[rng.randrange(len(u))] = field.zero
+        c = field.zero if rng.random() < 0.15 else field.random_scalar(rng)
+        want = field.vec_scale(u, c)
+        if u and rng.random() < 0.4:
+            k = rng.randrange(len(u))
+            want[k] = field.add(want[k], field.one)
+        canonical = [field.format_scalar(a) for a in want]
+        expected = field.is_scaled(want, c, u)
+        got = field.texts_scaled(canonical, c, u)
+        assert got is expected if kernel else got is None
+        texts = [rng.choice(_spellings(field, a)) for a in want]
+        got = field.texts_scaled(texts, c, u)
+        assert got is None or got is field.is_scaled(field.parse_scalars(texts), c, u), texts
+        settled += got is not None
+        if u:
+            k = rng.randrange(len(u))
+            for bad in (rng.choice(_NOT_SCALARS), rng.choice(_NOT_STRINGS)):
+                spoiled = texts[:k] + [bad] + texts[k + 1:]
+                assert field.texts_scaled(spoiled, c, u) is not True, spoiled
+            if expected:
+                spoiled = canonical[:k] + [rng.choice(_NOT_STRINGS)] + canonical[k + 1:]
+                assert field.texts_scaled(spoiled, c, u) is None, spoiled
+    assert settled > 10 if kernel else settled == 0
