@@ -17,15 +17,22 @@ images ad_{hᵀ}(f), for every member h and every f in a basis of the
 annihilator of L_k (``lie.ad_kernel``): the constraint rows that cut out
 L_k, kept with it, so each level takes one kernel.  Each ad_{hᵀ} is a
 sparse operator (``lie.adjoint_operator``) built once per chain for each
-member.  Hereditary centralizers apply the composed adjoint
-operators of the admissible tuples in the same way.
+member that is not a scalar c·I: [r, c·I] = 0, so a scalar member adds no
+constraint, and a hereditary tuple that holds one is dropped after its
+admissibility is decided (``lie._adjoint_operators``).  Hereditary
+centralizers apply the composed adjoint operators of the admissible tuples
+in the same way.  Level L_1 is seeded with only the units each operator
+moves and the annihilator of the zero span costs no elimination (see
+``lie`` and ``matrices``), so the levels are the same RREF with less work.
+``nilpotency_report`` still tests every member, scalars included: each is
+put in builder coordinates once and tested on each level's builder.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import (
     ENUMERATION_GUARD,
@@ -37,11 +44,13 @@ from .errors import (
     check_guard,
 )
 from .fields import Field
-from .lie import ad_kernel, adjoint_operator, closure, left_normed
-from .matrices import Matrix, matrix_unit
+from .lie import _adjoint_operators, ad_kernel, closure, left_normed
+from .matrices import Matrix, _sparse, matrix_unit
 from .subspaces import Subspace
 
-SubsetLike = Union[Sequence[Matrix], Subspace]
+# A string, so that no typing cache keeps this module's classes, and with them
+# a copy of the package that was dropped from sys.modules, alive.
+SubsetLike = "Sequence[Matrix] | Subspace"
 
 
 def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
@@ -78,7 +87,7 @@ def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | N
     Returns (levels, t) where t is the 1-based stabilization index if the
     repeat was reached (levels then ends with L_{t+1} = L_t).
     """
-    ops = [adjoint_operator(h) for h in members]
+    ops = _adjoint_operators(members).values()
     levels = [_next_level(ops, field, n, None)]
     while len(levels) < upto:
         nxt = _next_level(ops, field, n, levels[-1])
@@ -105,7 +114,7 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     checking persistence past the stabilization point directly.
     """
     members, field, n = _members(H)
-    return _next_level([adjoint_operator(h) for h in members], field, n, target)
+    return _next_level(_adjoint_operators(members).values(), field, n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
@@ -252,11 +261,11 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    ops = [adjoint_operator(h) for h in members]
+    ops = _adjoint_operators(members)  # a tuple with a scalar member constrains nothing
     chains = [
         [ops[i] for i in tup]
         for tup in itertools.product(range(len(members)), repeat=k)
-        if admissible(tuple(members[i] for i in tup))
+        if all(i in ops for i in tup) and admissible(tuple(members[i] for i in tup))
     ]
     return ad_kernel(field, n, chains)
 
@@ -299,12 +308,18 @@ def nilpotency_report(subject: SubsetLike) -> NilpotencyReport:
     """
     members, field, n = _members(subject)
     chain = centralizer_chain(subject)
-    index: int | None = None
-    for k in range(1, chain.stabilization_index + 1):
-        if all(chain.levels[k - 1].contains(m) for m in members):
-            index = k
-            break
-    is_omega = all(chain.omega.contains(m) for m in members)
+    # every member once in builder coordinates, tested on each level's builder
+    to_coords = chain.omega._span().coordinates
+    coords = [to_coords(_sparse(field, m.vectorize())) for m in members]
+
+    def holds_members(level: Subspace) -> bool:
+        return all(map(level._span().contains, coords))
+
+    index = next(
+        (k for k in range(1, chain.stabilization_index + 1) if holds_members(chain.levels[k - 1])),
+        None,
+    )
+    is_omega = holds_members(chain.omega)
     if (index is not None) != is_omega:
         raise AssertionError("omega-nilpotency must coincide with bounded index")
     if isinstance(subject, Subspace):

@@ -194,8 +194,10 @@ def _grid(obj: Any) -> tuple[int, int, list[list]]:
     if cols is None:
         _expect(isinstance(entries[0], list), "entry grid does not match 'cols'")
         cols = len(entries[0])
-    for row in entries:
-        _expect(isinstance(row, list) and len(row) == cols, "entry grid does not match 'cols'")
+    _expect(
+        all(isinstance(row, list) and len(row) == cols for row in entries),
+        "entry grid does not match 'cols'",
+    )
     if not cols:
         raise DimensionMismatch("matrices must have positive dimensions")
     return rows, cols, entries

@@ -10,7 +10,13 @@ the unit index, so it is built in one pass over them; the image of a unit
 is read off its row and column of h when the operator is applied.
 ``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
 annihilator, as centralizer levels need, with the ``adjoint_operator`` of
-each x.
+each x.  Two kinds of work whose result is known are skipped.
+``_adjoint_operators`` builds no operator for a scalar x = c·I, since
+[r, c·I] = 0 makes every chain through it constrain nothing.  When T = 0
+the seeds of T^⊥ are the units, and a chain's first operator moves only
+the E_ik whose row k or column i of its matrix is nonempty
+(``_moved_units``): ``ad_kernel`` seeds the chain with those alone, as the
+images of the others are 0 and were never inserted.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -46,7 +52,7 @@ from typing import Literal, Sequence
 
 from .errors import DimensionMismatch, EmptySequence, MixedShapes
 from .fields import Field
-from .matrices import Matrix, SparseMap, SparseVec, _sparse
+from .matrices import Matrix, SparseMap, SparseVec, _sparse, scalar_multiple_of_identity
 from .subspaces import SpanBuilder, Subspace
 
 
@@ -95,6 +101,13 @@ def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
     return units, rows, cols
 
 
+def _moved_units(op: SparseMap) -> list[int]:
+    """The unit indices, in increasing order, that ``op`` may send to a
+    nonzero image: E_ik moves only if h's row k or column i is nonempty."""
+    units, rows, cols = op
+    return [idx for idx, (i, k) in enumerate(units) if rows[k] or cols[i]]
+
+
 def adjoint_operator(h: Matrix) -> SparseMap:
     """The adjoint of r -> [r, h] under <F, r> = sum F_ij r_ij, which is
     r -> [r, hᵀ], in the coordinates of a ``SpanBuilder`` on h's field:
@@ -102,6 +115,17 @@ def adjoint_operator(h: Matrix) -> SparseMap:
     field, n = h.field, h.nrows
     coords = SpanBuilder(field, n * n).coordinates(_sparse(field, h.transpose().vectorize()))
     return _operator(field, n, coords, True)
+
+
+def _adjoint_operators(members: Sequence[Matrix]) -> dict[int, SparseMap]:
+    """The ``adjoint_operator`` of each member that is not a scalar c·I, by
+    the member's index: [r, c·I] = 0, so a scalar member constrains nothing
+    and gets no operator."""
+    return {
+        i: adjoint_operator(h)
+        for i, h in enumerate(members)
+        if scalar_multiple_of_identity(h) is None
+    }
 
 
 def ad_kernel(
@@ -125,10 +149,12 @@ def ad_kernel(
         target = Subspace.zero(field, (n, n))
     elif target.field != field or target.shape != (n, n):
         raise MixedShapes("target subspace outside the ambient space of the chains")
-    seeds = target._perp_span().rows
+    perp = target._perp_span().by_pivot
     constraints = SpanBuilder(field, n * n)
     apply = constraints.apply
     for chain in chains:
+        # the zero target's perp is the units: seed only those chain[-1] moves
+        seeds = perp.values() if target.dim else map(perp.get, _moved_units(chain[-1]))
         for img in seeds:
             for op in reversed(chain):
                 img = apply(op, img)
@@ -302,7 +328,7 @@ def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspa
     n = gens[0].nrows
     if any(g.field != field or not g.is_square or g.nrows != n for g in gens):
         raise MixedShapes("matrices do not share one ambient space")
-    inter = ad_kernel(field, n, [(adjoint_operator(g),) for g in gens])
+    inter = ad_kernel(field, n, [(op,) for op in _adjoint_operators(gens).values()])
     generates = closure(gens, "associative").subspace.is_full
     scalars = Subspace.span([Matrix.identity(field, n)])
     return inter, generates and inter == scalars

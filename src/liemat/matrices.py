@@ -14,7 +14,12 @@ products and the centralizer levels' images in the same coordinates, and
 ``SpanBuilder.kernel`` reads the kernel of the rows off them, the one
 kernel reader: ``annihilator`` keeps its vectors in a builder, while
 ``Matrix.kernel_vectors`` and ``subspaces.preimage`` take their raw
-values.  Everywhere else Q entries are ``Fraction``s.
+values.  When every row has a single entry, as for the zero span whose
+annihilator seeds every centralizer level L_1, each kernel vector is the
+unit of its free column, already a reduced row with that pivot, so
+``annihilator`` takes them without an ``insert``: O(length), where inserts
+that each scan every earlier row for back-substitution cost O(length^2).
+Everywhere else Q entries are ``Fraction``s.
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -439,10 +444,16 @@ class SpanBuilder:
 
     def annihilator(self) -> "SpanBuilder":
         """A builder of the same class spanning the ``kernel`` vectors, in
-        the same coordinates."""
+        the same coordinates.  When every row has a single entry (no row at
+        all, for the zero span), each kernel vector is the unit of its free
+        column, already a reduced row with that pivot: the builder takes
+        them as they are, in the order ``insert`` would have kept them."""
         perp = SpanBuilder(self.field, self.length)
-        for _, v in self.kernel():
-            perp.insert(v)
+        if all(len(row) == 1 for row in self.by_pivot.values()):
+            perp.by_pivot = dict(self.kernel())
+        else:
+            for _, v in self.kernel():
+                perp.insert(v)
         return perp
 
     def _kernel_vector(self, f: int, entries) -> SparseVec:

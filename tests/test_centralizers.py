@@ -26,6 +26,7 @@ from liemat import (
     preimage,
 )
 from liemat import centralizers, lie, matrices, subspaces
+from liemat.matrices import SpanBuilder
 from liemat.errors import (
     EnumerationTooLarge,
     InvalidComposition,
@@ -196,6 +197,8 @@ def _oracle_subjects(field):
     def e(n, i, j):
         return matrix_unit(field, n, i, j)
 
+    eye = Matrix.identity(field, 3)
+    two = field.add(field.one, field.one)
     subjects = {
         "E11,E12 n=3": [e(3, 1, 1), e(3, 1, 2)],
         "zero,identity,duplicates n=3": [
@@ -206,7 +209,11 @@ def _oracle_subjects(field):
         "only zero n=2": [Matrix.zeros(field, 2)],
         "subspace n=3": Subspace.span([e(3, 1, 1) + e(3, 1, 2), e(3, 2, 3), e(3, 3, 3)]),
         "block algebra (2,2) n=4": extremal_block_algebra(4, [2, 2], field),
+        "only scalars n=3": [eye, Matrix.zeros(field, 3), eye.scale(two), eye],
+        "subspace with identity n=3": Subspace.span([eye, e(3, 1, 2) + e(3, 2, 2), e(3, 2, 3)]),
     }
+    if two not in (field.zero, field.one):  # c·I with c outside {0, 1}
+        subjects["2I,E12,E23 n=3"] = [eye.scale(two), e(3, 1, 2), e(3, 2, 3)]
     rng = rng_for("oracle-levels", repr(field))
     for n in range(1, 5):
         for trial in range(2):
@@ -244,6 +251,94 @@ def test_centralizer_step_matches_reference_on_arbitrary_targets(field):
         centralizer_step([Matrix.identity(field, 2)], Subspace.zero(field, (3, 3)))
 
 
+def _annihilator_by_inserts(builder):
+    """The annihilator as ``insert`` builds it from the kernel vectors."""
+    perp = SpanBuilder(builder.field, builder.length)
+    for _, v in builder.kernel():
+        perp.insert(v)
+    return perp
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + [ExtensionField(2, 17)], ids=repr)
+def test_unit_row_annihilator_equals_the_insert_path(field, monkeypatch):
+    """A builder whose rows each have a single entry (none, for the zero
+    span) takes its annihilator's unit rows without an ``insert``, and gets
+    the rows, their values and their order that the inserts give.  So the
+    zero span's annihilator, which seeds every level L_1, costs O(n^2), not
+    the O(n^4) of n^2 inserts."""
+    rng = rng_for("unit-row-annihilator", repr(field))
+    builders = []
+    for length in (0, 1, 4, 9):
+        builders.append(SpanBuilder(field, length))
+        for _ in range(3):
+            builder = SpanBuilder(field, length)
+            for j in rng.sample(range(length), rng.randint(1, length) if length else 0):
+                c = field.zero
+                while field.is_zero(c):
+                    c = field.random_scalar(rng)
+                builder.insert([c if i == j else field.zero for i in range(length)])
+            builders.append(builder)
+    expected = [_annihilator_by_inserts(builder) for builder in builders]
+    inserts = []
+    insert = SpanBuilder.insert
+
+    def counted(self, vec):
+        inserts.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(SpanBuilder, "insert", counted)
+    for builder, by_inserts in zip(builders, expected):
+        assert all(len(row) == 1 for row in builder.rows)
+        perp = builder.annihilator()
+        assert type(perp) is type(by_inserts) and perp.length == by_inserts.length
+        assert list(perp.by_pivot.items()) == list(by_inserts.by_pivot.items())
+    assert Subspace.zero(field, (5, 5)).annihilator() == Subspace.full(field, (5, 5))
+    assert not inserts
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF81], ids=repr)
+def test_level_one_applies_operators_only_to_the_units_they_move(field, monkeypatch):
+    """L_1 of {E11, E12} at n = 6 seeds each member's operator only with the
+    units it moves: E11ᵀ and E12ᵀ = E21 each have one nonzero row and one
+    nonzero column, so 2n - 1 units each, not n^2."""
+    n = 6
+    H = [matrix_unit(field, n, 1, 1), matrix_unit(field, n, 1, 2)]
+    expected = reference_next_level(H)
+    assert centralizer_chain(H).levels[0].rows == expected.rows
+    builder_class = type(SpanBuilder(field, 1))
+    applied = []
+    apply = builder_class.apply
+
+    def counted(self, op, vec):
+        applied.append(vec)
+        return apply(self, op, vec)
+
+    monkeypatch.setattr(builder_class, "apply", counted)
+    assert lie_centralizer(H, 1).rows == expected.rows
+    assert 0 < len(applied) <= 2 * (2 * n - 1)
+
+
+def test_scalar_members_get_no_operator(monkeypatch):
+    """[r, c·I] = 0, so no chain entry point builds the operator of a
+    scalar member; the oracle tests above show the answers are unchanged."""
+    eye = Matrix.identity(GF5, 3)
+    built = []
+    adjoint = lie.adjoint_operator
+
+    def recorded(h):
+        built.append(h)
+        return adjoint(h)
+
+    monkeypatch.setattr(lie, "adjoint_operator", recorded)
+    H = [eye, E(3, 1, 2, GF5), eye.scale(2), E(3, 2, 3, GF5), Matrix.zeros(GF5, 3)]
+    nilpotency_report(H)
+    centralizer_step(H, Subspace.zero(GF5, (3, 3)))
+    hereditary_centralizer(H, 2, "D")
+    hereditary_centralizer(H, 2, "L")
+    centralizer_intersection_check(H)
+    assert built and all(matrices.scalar_multiple_of_identity(h) is None for h in built)
+
+
 def _reference_hereditary(H, k, prop):
     field, n = H[0].field, H[0].nrows
 
@@ -263,6 +358,10 @@ def test_hereditary_matches_reference(field, prop):
     subjects = [
         [matrix_unit(field, 3, a, a) for a in (1, 2, 3)],
         [matrix_unit(field, 2, 1, 2), matrix_unit(field, 2, 2, 1), matrix_unit(field, 2, 1, 2)],
+        # the identity is the sum of the other three: a scalar member that
+        # still decides which tuples are independent
+        [matrix_unit(field, 3, a, a) for a in (1, 2, 3)] + [Matrix.identity(field, 3)],
+        [Matrix.identity(field, 2), matrix_unit(field, 2, 1, 2), matrix_unit(field, 2, 2, 1)],
     ]
     subjects += [
         [random_matrix(field, n, n, rng) for _ in range(rng.randint(2, 3))] for n in (2, 3)

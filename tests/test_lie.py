@@ -605,13 +605,19 @@ def test_centralizer_intersection_examples():
 
 @pytest.mark.parametrize("field", [Q, GF2, GF5, GF9, GF_LARGE, GF81], ids=repr)
 def test_centralizer_intersection_matches_reference(field):
+    two_i = Matrix.identity(field, 3).scale(field.add(field.one, field.one))  # 0 over GF(2)
     cases = [
         [upper_shift(field, 3), matrix_unit(field, 3, 3, 1)],
         [Matrix.identity(field, 3)],
         [matrix_unit(field, 2, 1, 1)],
+        [upper_shift(field, 3), two_i, matrix_unit(field, 3, 3, 1)],
+        [two_i, matrix_unit(field, 3, 1, 2)],
     ]
     for gens in cases:
         n = gens[0].nrows
         intersection, _ = centralizer_intersection_check(gens)
         expected = reference_ad_kernel([(g,) for g in gens], field, n)
         assert intersection.rows == expected.rows
+    # a scalar generator constrains nothing and still counts for generation
+    assert centralizer_intersection_check(cases[3]) == centralizer_intersection_check(cases[0])
+    assert centralizer_intersection_check(cases[0])[1]

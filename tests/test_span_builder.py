@@ -2,8 +2,12 @@
 keeps: integer rows over Q, residue rows over GF(p) and raw-value rows over
 GF(p^m), every one a sparse dict."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,28 @@ def test_rational_annihilator_clears_different_denominators():
     _check_annihilator(builder)
     perp = builder.annihilator()
     assert all(type(x) is int for row in perp.rows for x in row.values())
+
+
+REIMPORT = """
+import gc, importlib, sys
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "liemat" or m.startswith("liemat.")]:
+        del sys.modules[name]
+    importlib.import_module("liemat.cli")
+gc.collect()
+print(sum(isinstance(o, type) and o.__name__ == "SpanBuilder" for o in gc.get_objects()))
+"""
+
+
+def test_reimported_package_copies_are_freed():
+    """A copy of the package dropped from ``sys.modules`` is freed: nothing
+    cached at import time, such as a subscripted typing alias, keeps its
+    classes alive.  After three drop-and-reimport rounds, as a benchmark's
+    timed set-up does, one ``SpanBuilder`` class is left."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", REIMPORT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
