@@ -15,17 +15,21 @@ Levels are computed iteratively: r lies in L_{k+1}(H) exactly when every
 ad_h : r -> [r, h] is ad_{hᵀ}, so L_{k+1} is the annihilator of the
 images ad_{hᵀ}(f), for every member h and every f in a basis of the
 annihilator of L_k (``lie.ad_kernel``): the constraint rows that cut out
-L_k, kept with it, so each level takes one kernel.  Each ad_{hᵀ} is a
-sparse operator (``lie.adjoint_operator``) built once per chain for each
-member that is not a scalar c·I: [r, c·I] = 0, so a scalar member adds no
-constraint, and a hereditary tuple that holds one is dropped after its
-admissibility is decided (``lie._adjoint_operators``).  Hereditary
-centralizers apply the composed adjoint operators of the admissible tuples
-in the same way.  Level L_1 is seeded with only the units each operator
-moves and the annihilator of the zero span costs no elimination (see
-``lie`` and ``matrices``), so the levels are the same RREF with less work.
-``nilpotency_report`` still tests every member, scalars included: each is
-put in builder coordinates once and tested on each level's builder.
+L_k, kept with it, so each level takes one kernel.  Each member is
+scanned once, into builder coordinates (``_members``), and that scan
+serves every use.  Each ad_{hᵀ} is a sparse operator
+(``lie.adjoint_operator``) read off it once per chain, for each member
+that the same scan shows is not a scalar c·I: [r, c·I] = 0, so a scalar
+member adds no constraint, and a hereditary tuple that holds one is
+dropped after its admissibility is decided (``lie._adjoint_operators``).
+Hereditary centralizers apply the composed adjoint operators of the
+admissible tuples in the same way.  On every level each operator is
+seeded only with the constraint rows whose image can be nonzero, an image
+that is a unit already in the span is settled with no reduction, and the
+annihilator of the zero span costs no elimination (see ``lie`` and
+``matrices``), so the levels are the same RREF with less work.
+``nilpotency_report`` passes its scan on to ``centralizer_chain`` and
+tests every member, scalars included, on each level's builder.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .errors import (
     check_guard,
 )
 from .fields import Field
-from .lie import _adjoint_operators, ad_kernel, closure, left_normed
-from .matrices import Matrix, _sparse, matrix_unit
+from .lie import _adjoint_operators, _coordinates, ad_kernel, closure, left_normed
+from .matrices import Matrix, SparseVec, SpanBuilder, matrix_unit
 from .subspaces import Subspace
 
 # A string, so that no typing cache keeps this module's classes, and with them
@@ -53,15 +57,33 @@ from .subspaces import Subspace
 SubsetLike = "Sequence[Matrix] | Subspace"
 
 
-def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
-    """Matrices to quantify over, with the field and size n of the square
-    matrix space they live in: the elements of a finite set, or a basis of
-    a subspace (sufficient by multilinearity of the bracket).  A subspace
-    names its ambient space itself, so the zero subspace quantifies over
-    nothing and every level is the whole space.  An ambient space of more
-    than ``ENUMERATION_GUARD`` scalars is refused (``check_guard``)."""
+class _Scan:
+    """A quantifier set H scanned once: each member in the coordinates of a
+    ``SpanBuilder`` of the n x n matrices (``lie._coordinates``)."""
+
+    __slots__ = ("coords", "field", "n")
+
+    def __init__(self, coords: list[SparseVec], field: Field, n: int):
+        self.coords, self.field, self.n = coords, field, n
+
+    def operators(self):
+        """The members' ``adjoint_operator``s, scalars left out."""
+        return _adjoint_operators(self.field, self.n, self.coords).values()
+
+
+def _members(H: SubsetLike) -> _Scan:
+    """The members to quantify over, each scanned once, with the field and
+    size n of the square matrix space they live in: the elements of a
+    finite set, or a basis of a subspace (sufficient by multilinearity of
+    the bracket).  A subspace names its ambient space itself, so the zero
+    subspace quantifies over nothing and every level is the whole space.
+    An ambient space of more than ``ENUMERATION_GUARD`` scalars is refused
+    (``check_guard``) before any member is scanned.  A scan is returned as
+    it is, so a caller that scanned H passes the scan on."""
+    if isinstance(H, _Scan):
+        return H
     if isinstance(H, Subspace):
-        mats, field, (n, cols) = H.basis, H.field, H.shape
+        vectors, field, (n, cols) = H.rows, H.field, H.shape
         square = n == cols
     else:
         mats = list(H)
@@ -69,10 +91,11 @@ def _members(H: SubsetLike) -> tuple[list[Matrix], Field, int]:
             raise MixedShapes("H must contain at least one matrix")
         field, n = mats[0].field, mats[0].nrows
         square = all(m.field == field and m.is_square and m.nrows == n for m in mats)
+        vectors = map(Matrix.vectorize, mats)
     if not square:
         raise MixedShapes("H does not live in one square matrix space")
     check_guard(n * n, f"{n * n} scalars of a {n}x{n} matrix")
-    return mats, field, n
+    return _Scan(_coordinates(field, n, vectors), field, n)
 
 
 def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
@@ -81,13 +104,13 @@ def _next_level(ops, field, n, prev: Subspace | None) -> Subspace:
     return ad_kernel(field, n, [(op,) for op in ops], prev)
 
 
-def _levels_until(members, field, n, upto: int) -> tuple[list[Subspace], int | None]:
+def _levels_until(scan: _Scan, upto: int) -> tuple[list[Subspace], int | None]:
     """Levels L_1..: stops after the first repeat or after `upto` levels.
 
     Returns (levels, t) where t is the 1-based stabilization index if the
     repeat was reached (levels then ends with L_{t+1} = L_t).
     """
-    ops = _adjoint_operators(members).values()
+    ops, field, n = scan.operators(), scan.field, scan.n
     levels = [_next_level(ops, field, n, None)]
     while len(levels) < upto:
         nxt = _next_level(ops, field, n, levels[-1])
@@ -113,15 +136,14 @@ def centralizer_step(H: SubsetLike, target: Subspace) -> Subspace:
     Feeding a level back in computes the level above it; useful for
     checking persistence past the stabilization point directly.
     """
-    members, field, n = _members(H)
-    return _next_level(_adjoint_operators(members).values(), field, n, target)
+    scan = _members(H)
+    return _next_level(scan.operators(), scan.field, scan.n, target)
 
 
 def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
     """The k-th Lie centralizer of H."""
     _check_index(k)
-    members, field, n = _members(H)
-    levels, _ = _levels_until(members, field, n, k)
+    levels, _ = _levels_until(_members(H), k)
     return _level(levels, k)
 
 
@@ -152,13 +174,13 @@ def centralizer_chain(H: SubsetLike, max_k: int | None = None) -> CentralizerCha
     """
     if max_k is not None and max_k < 1:
         raise InvalidIndex(f"max_k must be at least 1, got {max_k}")
-    members, field, n = _members(H)
-    cap = (n * n if max_k is None else max_k) + 1
-    levels, t = _levels_until(members, field, n, cap)
+    scan = _members(H)
+    cap = (scan.n * scan.n if max_k is None else max_k) + 1
+    levels, t = _levels_until(scan, cap)
     if t is None:
         raise InvalidIndex(
             f"no stabilization within max_k={cap - 1} levels; "
-            f"the chain is guaranteed to stabilize by n^2 = {n * n}"
+            f"the chain is guaranteed to stabilize by n^2 = {scan.n * scan.n}"
         )
     return CentralizerChain(
         levels=tuple(levels), stabilization_index=t, omega=levels[t - 1]
@@ -202,8 +224,9 @@ def centralizer_product_check(
     """
     if p < 1 or q < 1:
         raise InvalidIndex(f"levels must be at least 1, got p={p}, q={q}")
-    members, field, n = _members(H)
-    levels, _ = _levels_until(members, field, n, p + q - 1)
+    scan = _members(H)
+    field, n = scan.field, scan.n
+    levels, _ = _levels_until(scan, p + q - 1)
     lp, lq, target = (_level(levels, k) for k in (p, q, p + q - 1))
     if samples is None:
         pairs = itertools.product(lp.basis, lq.basis)
@@ -247,7 +270,9 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
     except KeyError:
         raise ValueError(f"unknown hereditary property {prop!r}") from None
     _check_index(k)
-    members, field, n = _members(H)
+    members = list(H)
+    scan = _members(members)
+    field, n = scan.field, scan.n
     cap = min(k, ENUMERATION_GUARD.bit_length())  # 2^cap > the guard if cap < k
     check_guard(len(members) ** cap, f"{len(members)}^{k} tuples")
     if k > len(members):  # every k-tuple repeats a member: none is admissible
@@ -261,7 +286,7 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
         stacked = Matrix._make(field, tuple(x.vectorize() for x in tup))
         return stacked.rank() == k
 
-    ops = _adjoint_operators(members)  # a tuple with a scalar member constrains nothing
+    ops = _adjoint_operators(field, n, scan.coords)  # a tuple with a scalar member constrains nothing
     chains = [
         [ops[i] for i in tup]
         for tup in itertools.product(range(len(members)), repeat=k)
@@ -306,11 +331,9 @@ def nilpotency_report(subject: SubsetLike) -> NilpotencyReport:
     some index <= d, so "not found by stabilization" means "not
     Lie-nilpotent".
     """
-    members, field, n = _members(subject)
-    chain = centralizer_chain(subject)
-    # every member once in builder coordinates, tested on each level's builder
-    to_coords = chain.omega._span().coordinates
-    coords = [to_coords(_sparse(field, m.vectorize())) for m in members]
+    scan = _members(subject)
+    chain = centralizer_chain(scan)
+    field, n, coords = scan.field, scan.n, scan.coords
 
     def holds_members(level: Subspace) -> bool:
         return all(map(level._span().contains, coords))
@@ -325,7 +348,7 @@ def nilpotency_report(subject: SubsetLike) -> NilpotencyReport:
     if isinstance(subject, Subspace):
         dim = subject.dim
     else:
-        dim = Subspace.span(members).dim
+        dim = sum(map(SpanBuilder(field, n * n).insert, coords))
     g_bound = (
         nilpotent_subalgebra_dim_bound(n, index) if index is not None else None
     )

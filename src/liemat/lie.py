@@ -10,13 +10,17 @@ the unit index, so it is built in one pass over them; the image of a unit
 is read off its row and column of h when the operator is applied.
 ``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
 annihilator, as centralizer levels need, with the ``adjoint_operator`` of
-each x.  Two kinds of work whose result is known are skipped.
-``_adjoint_operators`` builds no operator for a scalar x = c·I, since
-[r, c·I] = 0 makes every chain through it constrain nothing.  When T = 0
-the seeds of T^⊥ are the units, and a chain's first operator moves only
-the E_ik whose row k or column i of its matrix is nonempty
-(``_moved_units``): ``ad_kernel`` seeds the chain with those alone, as the
-images of the others are 0 and were never inserted.
+each x.  Work whose result is known is skipped.  Each x is scanned once
+into builder coordinates (``_coordinates``).  Its operator is read off that
+scan, re-indexed to xᵀ, and a scalar x = c·I, recognized on the same scan,
+gets none (``_adjoint_operators``), since [r, c·I] = 0 makes every chain
+through it constrain nothing.  A chain's first operator sends E_ik to 0
+unless row k or column i of its matrix is nonempty, so a seed of T^⊥
+whose support meets none of those rows and columns has the image 0.
+``ad_kernel`` indexes the seeds by the rows and columns of their units
+(``_seed_index``) and seeds each chain with the others alone, in their
+order, so the same images are inserted in the same order; for T = 0 the
+seeds are the units themselves.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -48,11 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from itertools import compress
+from typing import Iterable, Literal, Sequence
 
 from .errors import DimensionMismatch, EmptySequence, MixedShapes
 from .fields import Field
-from .matrices import Matrix, SparseMap, SparseVec, _sparse, scalar_multiple_of_identity
+from .matrices import Matrix, SparseMap, SparseVec, _sparse
 from .subspaces import SpanBuilder, Subspace
 
 
@@ -101,31 +106,52 @@ def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
     return units, rows, cols
 
 
-def _moved_units(op: SparseMap) -> list[int]:
-    """The unit indices, in increasing order, that ``op`` may send to a
-    nonzero image: E_ik moves only if h's row k or column i is nonempty."""
-    units, rows, cols = op
-    return [idx for idx, (i, k) in enumerate(units) if rows[k] or cols[i]]
+def _coordinates(field: Field, n: int, vectors: Iterable[Sequence]) -> list[SparseVec]:
+    """Each row-major vectorized n x n matrix, scanned once, in the
+    coordinates of a ``SpanBuilder`` of the n x n matrices."""
+    to_coords = SpanBuilder(field, n * n).coordinates
+    return [to_coords(_sparse(field, vec)) for vec in vectors]
 
 
-def adjoint_operator(h: Matrix) -> SparseMap:
+def _is_scalar(h: SparseVec, n: int) -> bool:
+    """Whether h, in the coordinates of ``_coordinates``, is c·I for some c,
+    0 included: its entries are the n diagonal ones, all equal (the
+    coordinates scale the raw values by one nonzero factor)."""
+    if not h:
+        return True
+    c = h.get(0)
+    return c is not None and len(h) == n and all(h.get(i * (n + 1)) == c for i in range(n))
+
+
+def adjoint_operator(field: Field, n: int, h: SparseVec) -> SparseMap:
     """The adjoint of r -> [r, h] under <F, r> = sum F_ij r_ij, which is
-    r -> [r, hᵀ], in the coordinates of a ``SpanBuilder`` on h's field:
-    over Q a nonzero multiple of it, which spans the same images."""
-    field, n = h.field, h.nrows
-    coords = SpanBuilder(field, n * n).coordinates(_sparse(field, h.transpose().vectorize()))
-    return _operator(field, n, coords, True)
+    r -> [r, hᵀ], for h in the coordinates of ``_coordinates``: over Q a
+    nonzero multiple of it, which spans the same images.  hᵀ is h with
+    each E_ik re-indexed to E_ki; ``_operator`` visits the nonzeros of each
+    row and column of hᵀ in the order a scan of hᵀ would."""
+    return _operator(field, n, {idx % n * n + idx // n: a for idx, a in h.items()}, True)
 
 
-def _adjoint_operators(members: Sequence[Matrix]) -> dict[int, SparseMap]:
-    """The ``adjoint_operator`` of each member that is not a scalar c·I, by
-    the member's index: [r, c·I] = 0, so a scalar member constrains nothing
-    and gets no operator."""
-    return {
-        i: adjoint_operator(h)
-        for i, h in enumerate(members)
-        if scalar_multiple_of_identity(h) is None
-    }
+def _adjoint_operators(field: Field, n: int, members: Sequence[SparseVec]) -> dict[int, SparseMap]:
+    """The ``adjoint_operator`` of each member, given in the coordinates of
+    ``_coordinates``, that is not a scalar c·I, by the member's index:
+    [r, c·I] = 0, so a scalar member constrains nothing and gets no
+    operator."""
+    return {i: adjoint_operator(field, n, h) for i, h in enumerate(members) if not _is_scalar(h, n)}
+
+
+def _seed_index(seeds: Sequence[SparseVec], n: int) -> tuple[list[set], list[set]]:
+    """(by_row, by_col): the positions of the seeds with a unit E_ik in
+    their support, under its row i and under its column k."""
+    units = _units(n)
+    by_row = [set() for _ in range(n)]
+    by_col = [set() for _ in range(n)]
+    for pos, seed in enumerate(seeds):
+        for idx in seed:
+            i, k = units[idx]
+            by_row[i].add(pos)
+            by_col[k].add(pos)
+    return by_row, by_col
 
 
 def ad_kernel(
@@ -144,22 +170,32 @@ def ad_kernel(
     for a level the constraints that cut it out.  Each nonzero image is
     formed and inserted in the coordinates of one ``SpanBuilder`` of
     constraints, and the answer is their annihilator, which keeps them.
+
+    The first operator of a chain, of a matrix h, sends E_ik to 0 unless
+    h's row k or column i is nonempty, so a seed f whose support meets none
+    of those rows and columns has the image 0.  Each chain is seeded only
+    with the others (``_seed_index``), in the seeds' order, so the same
+    images are inserted in the same order; a chain whose image becomes 0
+    goes no further.
     """
     if target is None:
         target = Subspace.zero(field, (n, n))
     elif target.field != field or target.shape != (n, n):
         raise MixedShapes("target subspace outside the ambient space of the chains")
-    perp = target._perp_span().by_pivot
+    seeds = list(target._perp_span().by_pivot.values())
+    by_row, by_col = _seed_index(seeds, n)
     constraints = SpanBuilder(field, n * n)
-    apply = constraints.apply
+    apply, insert = constraints.apply, constraints.insert
     for chain in chains:
-        # the zero target's perp is the units: seed only those chain[-1] moves
-        seeds = perp.values() if target.dim else map(perp.get, _moved_units(chain[-1]))
-        for img in seeds:
+        _, rows, cols = chain[-1]
+        hit = set().union(*compress(by_col, rows), *compress(by_row, cols))
+        for img in map(seeds.__getitem__, sorted(hit)):
             for op in reversed(chain):
                 img = apply(op, img)
+                if not img:
+                    break
             if img:
-                constraints.insert(img)
+                insert(img)
     return Subspace._of(constraints.annihilator(), (n, n), perp=constraints)
 
 
@@ -223,8 +259,7 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     ceiling = full_dim - 1 if in_sl else full_dim
     builder = SpanBuilder(field, full_dim)
     # independent representatives, insertion order, in builder coordinates
-    coords = (builder.coordinates(_sparse(field, g.vectorize())) for g in gens)
-    basis = [u for u in coords if builder.insert(u)]
+    basis = [u for u in _coordinates(field, n, map(Matrix.vectorize, gens)) if builder.insert(u)]
     generator_ops = [_operator(field, n, u, lie) for u in basis]  # r -> [r, u] or r -> r·u
     ops = list(generator_ops)  # ops[j] of basis[j], built when a sweep first needs it
 
@@ -328,7 +363,8 @@ def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspa
     n = gens[0].nrows
     if any(g.field != field or not g.is_square or g.nrows != n for g in gens):
         raise MixedShapes("matrices do not share one ambient space")
-    inter = ad_kernel(field, n, [(op,) for op in _adjoint_operators(gens).values()])
+    ops = _adjoint_operators(field, n, _coordinates(field, n, map(Matrix.vectorize, gens)))
+    inter = ad_kernel(field, n, [(op,) for op in ops.values()])
     generates = closure(gens, "associative").subspace.is_full
     scalars = Subspace.span([Matrix.identity(field, n)])
     return inter, generates and inter == scalars

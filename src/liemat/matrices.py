@@ -327,7 +327,11 @@ class SpanBuilder:
     stay a reduced echelon basis at all times.  ``by_pivot`` holds them by
     pivot column, in insertion order; ``sorted_rows`` sorts them by pivot and
     reads the canonical basis off.  ``contains`` is the reduction alone, a
-    membership test that leaves the span as it is.
+    membership test that leaves the span as it is.  A one-entry sparse
+    vector whose column's row has one entry is a multiple of that row, a
+    unit in the span: ``insert`` and ``contains`` settle it with no copy and
+    no elimination (``_reduced``).  Most images of a centralizer level are
+    such units.
 
     A row is a sparse dict from column to nonzero coordinate.  The rows are
     in reduced echelon form, so subtracting one from a vector leaves the
@@ -384,7 +388,12 @@ class SpanBuilder:
         return not self._reduced(vec)
 
     def _reduced(self, vec: Sequence | SparseVec) -> SparseVec:
-        """``vec`` reduced against the rows; empty iff it lies in the span."""
+        """``vec`` reduced against the rows; empty iff it lies in the span.
+        A one-entry sparse vector whose column's row has one entry too is a
+        multiple of that row, a unit, so it is settled with no copy and no
+        elimination (``*vec`` is its one column)."""
+        if len(vec) == 1 and isinstance(vec, dict) and len(self.by_pivot.get(*vec, ())) == 1:
+            return {}
         return self._eliminate(
             dict(vec) if isinstance(vec, dict) else self.coordinates(_sparse(self.field, vec))
         )

@@ -1,6 +1,7 @@
 """Centralizer chains, nilpotency reports, hereditary variants, bounds."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -180,7 +181,8 @@ def test_index_errors_are_typed():
 
 # -- the stacked kernel against the fold of per-member preimages -------------
 
-ORACLE_FIELDS = [Q, GF2, GF5, GF9, GF_LARGE, GF81]
+GF2_17 = ExtensionField(2, 17)  # above the table limit: polynomial arithmetic
+ORACLE_FIELDS = [Q, GF2, GF5, GF9, GF_LARGE, GF81, GF2_17]
 
 
 def _reference_chain(H):
@@ -211,6 +213,14 @@ def _oracle_subjects(field):
         "block algebra (2,2) n=4": extremal_block_algebra(4, [2, 2], field),
         "only scalars n=3": [eye, Matrix.zeros(field, 3), eye.scale(two), eye],
         "subspace with identity n=3": Subspace.span([eye, e(3, 1, 2) + e(3, 2, 2), e(3, 2, 3)]),
+        # sums of units: the constraint rows, and so the seeds of every
+        # level above L_1, have several entries
+        "sums of units n=3": [e(3, 1, 2) + e(3, 2, 3), e(3, 1, 3) + e(3, 3, 1) + e(3, 2, 2)],
+        "sums of units n=4": [e(4, 1, 2) + e(4, 3, 4), e(4, 1, 3) + e(4, 2, 4), e(4, 4, 1) + e(4, 2, 2)],
+        "upper sums n=4": [e(4, 1, 2) + e(4, 2, 3), e(4, 2, 3) + e(4, 3, 4), e(4, 1, 4)],
+        # n entries, none on the diagonal: not a scalar
+        "E12+E21 n=2": [e(2, 1, 2) + e(2, 2, 1)],
+        "cyclic permutation n=3": [e(3, 1, 2) + e(3, 2, 3) + e(3, 3, 1)],
     }
     if two not in (field.zero, field.one):  # c·I with c outside {0, 1}
         subjects["2I,E12,E23 n=3"] = [eye.scale(two), e(3, 1, 2), e(3, 2, 3)]
@@ -241,12 +251,19 @@ def test_levels_match_reference_fold(field, name):
 def test_centralizer_step_matches_reference_on_arbitrary_targets(field):
     rng = rng_for("oracle-step", repr(field))
     for n in range(1, 5):
+        subjects = []
+        if n > 1:
+            # sums of units occupy a few rows and columns, so each chain is
+            # seeded with part of the target's constraint rows, which have
+            # many entries when the target is spanned by dense matrices
+            subjects.append([matrix_unit(field, n, 1, 2) + matrix_unit(field, n, 2, n), matrix_unit(field, n, n, 1)])
         for _ in range(3):
             members = [random_matrix(field, n, n, rng) for _ in range(rng.randint(1, 3))]
             gens = [random_matrix(field, n, n, rng) for _ in range(rng.randint(0, n * n))]
             target = Subspace.span(gens, field=field, shape=(n, n))
-            expected = reference_next_level(members, target)
-            assert centralizer_step(members, target).rows == expected.rows
+            for H in [members] + subjects:
+                expected = reference_next_level(H, target)
+                assert centralizer_step(H, target).rows == expected.rows
     with pytest.raises(MixedShapes):
         centralizer_step([Matrix.identity(field, 2)], Subspace.zero(field, (3, 3)))
 
@@ -259,7 +276,7 @@ def _annihilator_by_inserts(builder):
     return perp
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS + [ExtensionField(2, 17)], ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_unit_row_annihilator_equals_the_insert_path(field, monkeypatch):
     """A builder whose rows each have a single entry (none, for the zero
     span) takes its annihilator's unit rows without an ``insert``, and gets
@@ -318,16 +335,58 @@ def test_level_one_applies_operators_only_to_the_units_they_move(field, monkeypa
     assert 0 < len(applied) <= 2 * (2 * n - 1)
 
 
+@pytest.mark.parametrize("field", [Q, GF5, GF81], ids=repr)
+def test_pruned_seeds_insert_the_same_images_in_the_same_order(field, monkeypatch):
+    """``ad_kernel`` seeds each chain only with the seeds its first operator
+    does not send to 0, and stops a chain at an image that is 0.  The
+    constraint builder it keeps must hold the rows, values and order that
+    seeding every chain with every seed, in the seeds' order, gives."""
+    rng = rng_for("pruned-seed-order", repr(field))
+    n = 4
+    builder_class = type(SpanBuilder(field, 1))
+    apply = builder_class.apply
+
+    def apply_to_nonzero(self, op, vec):
+        assert vec, "an operator applied to an image that is already 0"
+        return apply(self, op, vec)
+
+    def e(i, j):
+        return matrix_unit(field, n, i, j)
+
+    members = [e(1, 2) + e(2, 3), e(3, 4), e(4, 1) + e(1, 1), random_matrix(field, n, n, rng)]
+    coords = lie._coordinates(field, n, [m.vectorize() for m in members])
+    ops = [lie.adjoint_operator(field, n, h) for h in coords]
+    chain_sets = ([(op,) for op in ops], [(ops[0], ops[1]), (ops[2],), (ops[1], ops[2], ops[0])])
+    targets = [None, Subspace.span([e(1, 2), e(3, 3)])]
+    targets += [Subspace.span([random_matrix(field, n, n, rng) for _ in range(d)]) for d in (3, 9)]
+    for chains in chain_sets:
+        for target in targets:
+            seeds = (target or Subspace.zero(field, (n, n)))._perp_span().by_pivot.values()
+            every = SpanBuilder(field, n * n)
+            for chain in chains:
+                for img in seeds:
+                    for op in reversed(chain):
+                        img = every.apply(op, img)
+                    if img:
+                        every.insert(img)
+            with monkeypatch.context() as patched:
+                patched.setattr(builder_class, "apply", apply_to_nonzero)
+                kept = lie.ad_kernel(field, n, chains, target)._perp_span()
+            assert list(kept.by_pivot.items()) == list(every.by_pivot.items())
+
+
 def test_scalar_members_get_no_operator(monkeypatch):
     """[r, c·I] = 0, so no chain entry point builds the operator of a
-    scalar member; the oracle tests above show the answers are unchanged."""
+    scalar member; the oracle tests above show the answers are unchanged.
+    A member reaches ``adjoint_operator`` in builder coordinates, which over
+    GF(5) are its residues, so it is rebuilt as a matrix to be checked."""
     eye = Matrix.identity(GF5, 3)
     built = []
     adjoint = lie.adjoint_operator
 
-    def recorded(h):
-        built.append(h)
-        return adjoint(h)
+    def recorded(field, n, h):
+        built.append(Matrix.from_vector(field, n, n, [h.get(idx, 0) for idx in range(n * n)]))
+        return adjoint(field, n, h)
 
     monkeypatch.setattr(lie, "adjoint_operator", recorded)
     H = [eye, E(3, 1, 2, GF5), eye.scale(2), E(3, 2, 3, GF5), Matrix.zeros(GF5, 3)]
@@ -337,6 +396,77 @@ def test_scalar_members_get_no_operator(monkeypatch):
     hereditary_centralizer(H, 2, "L")
     centralizer_intersection_check(H)
     assert built and all(matrices.scalar_multiple_of_identity(h) is None for h in built)
+
+
+@pytest.mark.parametrize("field", [Q, GF_LARGE], ids=repr)
+def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypatch):
+    """The report on the (4, 4) block algebra at n = 8, the largest chain
+    benchmark subject, counted rather than timed, so it does not depend on
+    the machine.  No operator is applied to a seed whose image is 0, each of
+    the 17 members is scanned once, and no vector that ``insert`` or
+    ``contains`` settles as a contained unit reaches an elimination.  The
+    counts repeat exactly and are pinned: 316 of the 405 inserts are
+    contained units."""
+    space = extremal_block_algebra(8, (4, 4), field)
+    counts = Counter()
+    builder_class = type(SpanBuilder(field, 1))
+    apply, eliminate, sparse = builder_class.apply, builder_class._eliminate, matrices._sparse
+    insert, contains = SpanBuilder.insert, SpanBuilder.contains
+
+    def contained_unit(builder, vec):
+        if not (isinstance(vec, dict) and len(vec) == 1):
+            return False
+        (column,) = vec
+        return column in builder.by_pivot and len(builder.by_pivot[column]) == 1
+
+    def counted_apply(self, op, vec):
+        image = apply(self, op, vec)
+        counts["apply"] += 1
+        counts["empty images"] += not image
+        return image
+
+    def counted_eliminate(self, w):
+        counts["eliminated"] += 1
+        counts["eliminated contained units"] += contained_unit(self, w)
+        return eliminate(self, w)
+
+    def counted_insert(self, vec):
+        counts["insert contained units"] += contained_unit(self, vec)
+        grew = insert(self, vec)
+        counts["insert"] += 1
+        counts["grew"] += grew
+        return grew
+
+    def counted_contains(self, vec):
+        counts["contains"] += 1
+        counts["contains contained units"] += contained_unit(self, vec)
+        return contains(self, vec)
+
+    def counted_sparse(field, vec):
+        counts["scans"] += 1
+        return sparse(field, vec)
+
+    monkeypatch.setattr(builder_class, "apply", counted_apply)
+    monkeypatch.setattr(builder_class, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(SpanBuilder, "insert", counted_insert)
+    monkeypatch.setattr(SpanBuilder, "contains", counted_contains)
+    for module in (matrices, subspaces, lie, centralizers):
+        if "_sparse" in vars(module):
+            monkeypatch.setattr(module, "_sparse", counted_sparse)
+    report = nilpotency_report(Subspace(space.field, space.shape, space.rows))
+    assert [lvl.dim for lvl in report.chain.levels] == [17, 48, 64, 64] and report.index == 1
+    assert counts == {
+        "scans": 17,
+        "apply": 388,
+        "empty images": 0,
+        "insert": 405,
+        "insert contained units": 316,
+        "grew": 80,
+        "contains": 34,
+        "contains contained units": 32,
+        "eliminated": 91,
+        "eliminated contained units": 0,
+    }
 
 
 def _reference_hereditary(H, k, prop):
@@ -362,6 +492,12 @@ def test_hereditary_matches_reference(field, prop):
         # still decides which tuples are independent
         [matrix_unit(field, 3, a, a) for a in (1, 2, 3)] + [Matrix.identity(field, 3)],
         [Matrix.identity(field, 2), matrix_unit(field, 2, 1, 2), matrix_unit(field, 2, 2, 1)],
+        # sums of units: the first operator of a 3-chain meets some seeds
+        [
+            matrix_unit(field, 3, 1, 2) + matrix_unit(field, 3, 2, 3),
+            matrix_unit(field, 3, 3, 1),
+            matrix_unit(field, 3, 1, 1) + matrix_unit(field, 3, 1, 3),
+        ],
     ]
     subjects += [
         [random_matrix(field, n, n, rng) for _ in range(rng.randint(2, 3))] for n in (2, 3)

@@ -389,7 +389,10 @@ def test_ad_kernel_follows_the_chain_order(field):
             x3 = x3 + E(n, n, n).scale(Fraction(7, 10**6))
         target = Subspace.span([random_matrix(field, n, n, rng) for _ in range(n)])
         for chains in ([(x1, x2)], [(x2, x3, x1)], [(x1, x2), (x3,), (x2, x3, x1)]):
-            ops = [[lie.adjoint_operator(x) for x in chain] for chain in chains]
+            ops = [
+                [lie.adjoint_operator(field, n, h) for h in lie._coordinates(field, n, [x.vectorize() for x in chain])]
+                for chain in chains
+            ]
             for t in (None, target):
                 expected = reference_ad_kernel(chains, field, n, t)
                 assert lie.ad_kernel(field, n, ops, t).rows == expected.rows

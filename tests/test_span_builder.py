@@ -10,6 +10,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liemat import ExtensionField, Matrix, Subspace
 from liemat.matrices import (
@@ -23,6 +24,7 @@ from support import (
     GF2,
     GF4,
     GF5,
+    GF9,
     GF81,
     GF_LARGE,
     Q,
@@ -259,6 +261,56 @@ def test_sparse_coordinates_act_like_the_dense_vector(field):
         assert sparse.insert(coords) == dense.insert(v)
         assert coords == kept
         assert sparse.sorted_rows() == dense.sorted_rows()
+
+
+def _coordinate(field):
+    """(builder coordinate, raw value) pairs of ``field``, zero included:
+    over Q any integer stands for a multiple of its raw value."""
+    if field == Q:
+        return st.integers(-6, 6).map(lambda x: (x, Fraction(x)))
+    if isinstance(field, ExtensionField):
+        coeffs = st.lists(st.integers(0, field.p - 1), min_size=field.m, max_size=field.m)
+        return coeffs.map(lambda c: (field.coerce(c),) * 2)
+    return st.integers(0, field.p - 1).map(lambda x: (x, x))
+
+
+@st.composite
+def _unit_path_cases(draw):
+    """A field, a length and a sequence of sparse vectors with their dense
+    raw forms: one-entry vectors (a zero value included) and vectors of
+    several nonzero entries, so the rows they leave have one entry or
+    several."""
+    field = draw(st.sampled_from([Q, GF5, GF_LARGE, GF9, GF2_17]))
+    length = draw(st.integers(1, 6))
+    column = st.integers(0, length - 1)
+    coordinate = _coordinate(field)
+    one = st.dictionaries(column, coordinate, min_size=1, max_size=1)
+    shapes = [one]
+    if length > 1:
+        nonzero = coordinate.filter(lambda pair: not field.is_zero(pair[1]))
+        shapes.append(st.dictionaries(column, nonzero, min_size=2))
+    vectors = []
+    for entries in draw(st.lists(st.one_of(shapes), min_size=1, max_size=14)):
+        dense = [field.zero] * length
+        for j, (_, raw) in entries.items():
+            dense[j] = raw
+        vectors.append(({j: c for j, (c, _) in entries.items()}, dense))
+    return field, length, vectors
+
+
+@settings(max_examples=300)
+@given(_unit_path_cases())
+def test_contained_units_answer_like_the_dense_path(case):
+    """``insert`` and ``contains`` settle a one-entry sparse vector whose
+    column's row has one entry with no reduction.  A twin builder fed each
+    vector's dense form, which never takes that path, gives the same answers
+    and keeps the same rows, values and order, on every builder class."""
+    field, length, vectors = case
+    fast, twin = SpanBuilder(field, length), SpanBuilder(field, length)
+    for sparse, dense in vectors:
+        assert fast.contains(sparse) == twin.contains(dense)
+        assert fast.insert(sparse) == twin.insert(dense)
+        assert list(fast.by_pivot.items()) == list(twin.by_pivot.items())
 
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=repr)
