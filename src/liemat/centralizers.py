@@ -25,9 +25,12 @@ dropped after its admissibility is decided (``lie._adjoint_operators``).
 Hereditary centralizers apply the composed adjoint operators of the
 admissible tuples in the same way.  On every level each operator is
 seeded only with the constraint rows whose image can be nonzero, an image
-that is a unit already in the span is settled with no reduction, and the
-annihilator of the zero span costs no elimination (see ``lie`` and
-``matrices``), so the levels are the same RREF with less work.
+that is a unit already in the span is settled with no reduction, and each
+one-entry kernel vector of a level's annihilator is taken as a row with no
+elimination, every one of them for the zero span (see ``lie`` and
+``matrices``).  The level above M_n is M_n itself, returned with no
+annihilator, so a chain that reaches M_n repeats it at no cost.  The
+levels are the same RREF with less work.
 ``nilpotency_report`` passes its scan on to ``centralizer_chain`` and
 tests every member, scalars included, on each level's builder.
 """

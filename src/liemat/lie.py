@@ -10,11 +10,12 @@ the unit index, so it is built in one pass over them; the image of a unit
 is read off its row and column of h when the operator is applied.
 ``ad_kernel`` solves {r : [r, x1, ..., xk] in T for every chain} as one
 annihilator, as centralizer levels need, with the ``adjoint_operator`` of
-each x.  Work whose result is known is skipped.  Each x is scanned once
-into builder coordinates (``_coordinates``).  Its operator is read off that
-scan, re-indexed to xᵀ, and a scalar x = c·I, recognized on the same scan,
-gets none (``_adjoint_operators``), since [r, c·I] = 0 makes every chain
-through it constrain nothing.  A chain's first operator sends E_ik to 0
+each x.  Work whose result is known is skipped.  A full target T = M_n
+is its own answer.  Each x is scanned once into builder coordinates
+(``_coordinates``).  Its operator is read off that scan, re-indexed to
+xᵀ, and a scalar x = c·I, recognized on the same scan, gets none
+(``_adjoint_operators``), since [r, c·I] = 0 makes every chain through
+it constrain nothing.  A chain's first operator sends E_ik to 0
 unless row k or column i of its matrix is nonempty, so a seed of T^⊥
 whose support meets none of those rows and columns has the image 0.
 ``ad_kernel`` indexes the seeds by the rows and columns of their units
@@ -171,17 +172,21 @@ def ad_kernel(
     formed and inserted in the coordinates of one ``SpanBuilder`` of
     constraints, and the answer is their annihilator, which keeps them.
 
-    The first operator of a chain, of a matrix h, sends E_ik to 0 unless
-    h's row k or column i is nonempty, so a seed f whose support meets none
-    of those rows and columns has the image 0.  Each chain is seeded only
-    with the others (``_seed_index``), in the seeds' order, so the same
-    images are inserted in the same order; a chain whose image becomes 0
-    goes no further.
+    A full target is returned as it is: every [r, x1, ..., xk] lies in
+    M_n, so there is nothing to solve, and the level above M_n costs no
+    annihilator and no dense rows.  Otherwise the first operator of a
+    chain, of a matrix h, sends E_ik to 0 unless h's row k or column i is
+    nonempty, so a seed f whose support meets none of those rows and
+    columns has the image 0.  Each chain is seeded only with the others
+    (``_seed_index``), in the seeds' order, so the same images are inserted
+    in the same order; a chain whose image becomes 0 goes no further.
     """
     if target is None:
         target = Subspace.zero(field, (n, n))
     elif target.field != field or target.shape != (n, n):
         raise MixedShapes("target subspace outside the ambient space of the chains")
+    elif target.is_full:
+        return target
     seeds = list(target._perp_span().by_pivot.values())
     by_row, by_col = _seed_index(seeds, n)
     constraints = SpanBuilder(field, n * n)

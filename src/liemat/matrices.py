@@ -14,12 +14,14 @@ products and the centralizer levels' images in the same coordinates, and
 ``SpanBuilder.kernel`` reads the kernel of the rows off them, the one
 kernel reader: ``annihilator`` keeps its vectors in a builder, while
 ``Matrix.kernel_vectors`` and ``subspaces.preimage`` take their raw
-values.  When every row has a single entry, as for the zero span whose
-annihilator seeds every centralizer level L_1, each kernel vector is the
-unit of its free column, already a reduced row with that pivot, so
-``annihilator`` takes them without an ``insert``: O(length), where inserts
-that each scan every earlier row for back-substitution cost O(length^2).
-Everywhere else Q entries are ``Fraction``s.
+values.  A kernel vector with a single entry is the unit of a free column
+that no row touches, already a reduced row with that pivot, and no other
+kernel vector has an entry there, so ``annihilator`` takes it as it is and
+``insert``s only the others.  For the zero span, whose annihilator seeds
+every centralizer level L_1, that is every kernel vector: O(length), where
+inserts that each scan every earlier row for back-substitution cost
+O(length^2).  Everywhere else Q entries are ``Fraction``s; a row over
+denominator 1 becomes them with no gcd (``_raw_items``).
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -41,7 +43,7 @@ from .errors import (
     OddDimension,
     SingularMatrix,
 )
-from .fields import Field, FieldAutomorphism, PrimeField, Rationals, Scalar
+from .fields import _FRAC_ONE, Field, FieldAutomorphism, PrimeField, Rationals, Scalar
 
 
 class Matrix:
@@ -453,15 +455,19 @@ class SpanBuilder:
 
     def annihilator(self) -> "SpanBuilder":
         """A builder of the same class spanning the ``kernel`` vectors, in
-        the same coordinates.  When every row has a single entry (no row at
-        all, for the zero span), each kernel vector is the unit of its free
-        column, already a reduced row with that pivot: the builder takes
-        them as they are, in the order ``insert`` would have kept them."""
+        the same coordinates.  A kernel vector with a single entry is the
+        unit e_f of a free column f that no row touches, so no other kernel
+        vector has an entry at f: e_f is a reduced row with pivot f, and
+        inserting the others neither changes it nor reduces them by it.
+        The builder takes each such vector as it is and inserts the others,
+        in kernel order, so it keeps the rows, and their order, that
+        inserting every kernel vector gives; for the zero span, no row at
+        all, every kernel vector is a unit."""
         perp = SpanBuilder(self.field, self.length)
-        if all(len(row) == 1 for row in self.by_pivot.values()):
-            perp.by_pivot = dict(self.kernel())
-        else:
-            for _, v in self.kernel():
+        for f, v in self.kernel():
+            if len(v) == 1:
+                perp.by_pivot[f] = v
+            else:
                 perp.insert(v)
         return perp
 
@@ -545,7 +551,9 @@ class _RationalSpanBuilder(SpanBuilder):
     divided by its content once, when it becomes a row.  Back-substitution
     into the existing rows works the same way, and divides each changed
     row by its content.  ``_raw_items`` is the one place where entries
-    become ``Fraction``s.
+    become ``Fraction``s: a row over denominator 1 holds its values as
+    they are, so they need no gcd, and its ±1 entries share one
+    ``Fraction`` each.
     """
 
     def coordinates(self, vec: SparseVec) -> SparseVec:
@@ -608,6 +616,8 @@ class _RationalSpanBuilder(SpanBuilder):
 
     def _raw_items(self, row: SparseVec, pivot: int):
         d = row[pivot]
+        if d == 1:  # integer entries: no gcd, and the units shared
+            return ((j, _UNIT_FRACTIONS.get(x) or Fraction(x)) for j, x in row.items())
         return ((j, Fraction(x, d)) for j, x in row.items())
 
 
@@ -632,6 +642,7 @@ def _primitive(w: SparseVec) -> SparseVec:
 
 
 _denominator = attrgetter("_denominator")  # Fraction's slot, behind its property
+_UNIT_FRACTIONS = {1: _FRAC_ONE, -1: -_FRAC_ONE}
 
 
 # ---------------------------------------------------------------------------

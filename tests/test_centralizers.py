@@ -44,6 +44,7 @@ from liemat.experiments import (
 
 from support import (
     GF2,
+    GF4,
     GF5,
     GF7,
     GF9,
@@ -313,6 +314,108 @@ def test_unit_row_annihilator_equals_the_insert_path(field, monkeypatch):
     assert not inserts
 
 
+FIVE_FIELDS = [Q, GF5, GF_LARGE, GF4, GF81]
+
+
+def _nonzero(field, rng):
+    c = field.zero
+    while field.is_zero(c):
+        c = field.random_scalar(rng)
+    return c
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=repr)
+def test_mixed_row_annihilator_inserts_only_the_multi_entry_kernel_vectors(field, monkeypatch):
+    """Builders whose rows mix one entry and several, sparse and dense.  A
+    kernel vector with one entry is the unit e_f of a free column f that no
+    row touches, so no other kernel vector has an entry at f: it is taken
+    as a row as it is, and only the others reach ``insert``.  The rows,
+    their values and their order are those that inserting every kernel
+    vector gives, and (V^⊥)^⊥ = V."""
+    rng = rng_for("mixed-row-annihilator", repr(field))
+    builders = []
+    for length in (0, 1, 4, 9):
+        builders.append(SpanBuilder(field, length))
+        for _ in range(8):
+            # unit rows on some columns, two-entry and dense rows among some
+            # others, and the rest untouched: free columns of both kinds
+            columns = rng.sample(range(length), length)
+            units = columns[: rng.randint(length > 3, length // 3)]
+            block = columns[len(units) : rng.randint(len(units), max(length - 1, len(units)))]
+            supports = [[j] for j in units]
+            for _ in range(rng.randint(len(block) > 1, max(len(block) - 1, 0))):
+                supports.append(rng.sample(block, rng.choice([2, len(block)])))
+            builder = SpanBuilder(field, length)
+            for support in rng.sample(supports, len(supports)):
+                builder.insert([_nonzero(field, rng) if i in support else field.zero for i in range(length)])
+            builders.append(builder)
+    expected = [_annihilator_by_inserts(builder) for builder in builders]
+    kernels = [list(builder.kernel()) for builder in builders]
+    assert any(
+        {len(v) == 1 for _, v in kernel} == {True, False} and {len(row) == 1 for row in builder.rows} == {True, False}
+        for builder, kernel in zip(builders, kernels)
+    )
+    inserts = []
+    insert = SpanBuilder.insert
+
+    def counted(self, vec):
+        inserts.append(vec)
+        return insert(self, vec)
+
+    for builder, by_inserts, kernel in zip(builders, expected, kernels):
+        inserts.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(SpanBuilder, "insert", counted)
+            perp = builder.annihilator()
+        assert inserts == [v for _, v in kernel if len(v) > 1]
+        assert type(perp) is type(by_inserts) and perp.length == by_inserts.length
+        assert perp.sorted_rows() == by_inserts.sorted_rows()
+        assert list(perp.by_pivot.items()) == list(by_inserts.by_pivot.items())
+        assert perp.annihilator().sorted_rows() == builder.sorted_rows()
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF81], ids=repr)
+def test_full_target_is_returned_with_no_application(field, monkeypatch):
+    """{r : [r, x1, ..., xk] in M_n} = M_n, so a full target comes back as
+    it is, with no operator applied, for any chains."""
+    rng = rng_for("full-target", repr(field))
+    n = 3
+    full = Subspace.full(field, (n, n))
+    H = [matrix_unit(field, n, 1, 2), matrix_unit(field, n, 2, 3) + matrix_unit(field, n, 3, 1)]
+    H.append(random_matrix(field, n, n, rng))
+    assert reference_next_level(H, full) == full
+    coords = lie._coordinates(field, n, [m.vectorize() for m in H])
+    ops = [lie.adjoint_operator(field, n, h) for h in coords]
+    builder_class = type(SpanBuilder(field, 1))
+    applied = []
+    apply = builder_class.apply
+
+    def counted(self, op, vec):
+        applied.append(vec)
+        return apply(self, op, vec)
+
+    monkeypatch.setattr(builder_class, "apply", counted)
+    for chains in ([(op,) for op in ops], [(ops[0], ops[1]), (ops[2], ops[0], ops[1])], []):
+        assert lie.ad_kernel(field, n, chains, full) is full
+    assert centralizer_step(H, full) is full
+    assert not applied
+
+
+@pytest.mark.parametrize("n,parts,index", [(6, (2, 2, 2), 5), (8, (4, 4), 3)])
+def test_block_algebra_chain_ends_at_the_full_space(n, parts, index):
+    """A chain that reaches M_n repeats it as the full target, with the
+    stabilization index and every level of the level-by-level oracle."""
+    space = extremal_block_algebra(n, parts)
+    chain = centralizer_chain(space)
+    assert chain.levels[-1] == chain.levels[-2] and chain.levels[-1].is_full
+    assert chain.stabilization_index == index and len(chain.levels) == index + 1
+    members = space.basis
+    prev = None
+    for level in chain.levels:
+        prev = reference_next_level(members, prev)
+        assert level.rows == prev.rows
+
+
 @pytest.mark.parametrize("field", [Q, GF5, GF81], ids=repr)
 def test_level_one_applies_operators_only_to_the_units_they_move(field, monkeypatch):
     """L_1 of {E11, E12} at n = 6 seeds each member's operator only with the
@@ -405,8 +508,10 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
     the machine.  No operator is applied to a seed whose image is 0, each of
     the 17 members is scanned once, and no vector that ``insert`` or
     ``contains`` settles as a contained unit reaches an elimination.  The
-    counts repeat exactly and are pinned: 316 of the 405 inserts are
-    contained units."""
+    counts repeat exactly and are pinned: 316 of the 389 inserts are
+    contained units.  16 of the 17 kernel vectors that span L_1 have one
+    entry and are taken as rows with no ``insert``, and the repeat level
+    L_4 = M_n is the full target returned as it is."""
     space = extremal_block_algebra(8, (4, 4), field)
     counts = Counter()
     builder_class = type(SpanBuilder(field, 1))
@@ -459,12 +564,12 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
         "scans": 17,
         "apply": 388,
         "empty images": 0,
-        "insert": 405,
+        "insert": 389,
         "insert contained units": 316,
-        "grew": 80,
+        "grew": 64,
         "contains": 34,
         "contains contained units": 32,
-        "eliminated": 91,
+        "eliminated": 75,
         "eliminated contained units": 0,
     }
 

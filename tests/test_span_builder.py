@@ -2,6 +2,7 @@
 keeps: integer rows over Q, residue rows over GF(p) and raw-value rows over
 GF(p^m), every one a sparse dict."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemat import ExtensionField, Matrix, Subspace
+from liemat import ExtensionField, Matrix, Subspace, jsonio
 from liemat.matrices import (
     SpanBuilder,
     _RationalSpanBuilder,
@@ -383,6 +384,43 @@ def test_rational_annihilator_clears_different_denominators():
     _check_annihilator(builder)
     perp = builder.annihilator()
     assert all(type(x) is int for row in perp.rows for x in row.values())
+
+
+def test_rational_raw_values_are_fractions_in_lowest_terms():
+    """A Q row whose denominator is 1 is read off with no gcd, and ±1
+    shared: the raw values of every Q ``Subspace``, kernel vector and
+    inverse are still ``Fraction``s in lowest terms, never ints, whatever
+    the pivot entry of the builder row.  The JSON text of a fixed subject
+    with entries 1, -1, 2 and 7/3 is as before."""
+    rng = rng_for("rational-raw-values")
+    gens = [
+        Matrix(Q, [[2, 0, -2], [4, 0, 0]]),
+        Matrix(Q, [[1, 3, 6], [2, 0, 0]]),
+        Matrix(Q, [[0, 0, 0], [0, -1, 1]]),
+        Matrix(Q, [[0, 3, 7], [0, 0, 0]]),
+    ]
+    space = Subspace.span(gens)
+    assert sorted(row[p] for p, row in space._span().by_pivot.items()) == [1, 1, 3]
+    assert json.dumps(jsonio.subspace_to_json(space)) == (
+        '{"ambient": {"field": {"kind": "Q"}, "rows": 2, "cols": 3}, "basis": ['
+        '{"field": {"kind": "Q"}, "rows": 2, "cols": 3, "entries": [["1", "0", "-1"], ["2", "0", "0"]]}, '
+        '{"field": {"kind": "Q"}, "rows": 2, "cols": 3, "entries": [["0", "1", "7/3"], ["0", "0", "0"]]}, '
+        '{"field": {"kind": "Q"}, "rows": 2, "cols": 3, "entries": [["0", "0", "0"], ["0", "1", "-1"]]}]}'
+    )
+    raws = [space.rows, space.annihilator().rows]
+    denominators = set()
+    for _ in range(6):
+        m = Matrix(Q, [[rng.randint(-3, 3) * (rng.random() < 0.5) for _ in range(4)] for _ in range(4)])
+        span = Subspace.span([m, m * m])
+        denominators.update(row[p] for p, row in span._span().by_pivot.items())
+        raws += [span.rows, span.annihilator().rows, m.rref()[0].entries]
+        raws.append([v.vectorize() for v in m.kernel_vectors()])
+    raws.append(Matrix(Q, [[2, 1], [1, 1]]).inverse().entries)
+    raws.append(Matrix(Q, [[3, 1], [1, 1]]).inverse().entries)
+    assert 1 in denominators and len(denominators) > 1
+    for rows in raws:
+        for x in (x for row in rows for x in row):
+            assert type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
 REIMPORT = """
