@@ -21,7 +21,10 @@ whose support meets none of those rows and columns has the image 0.
 ``ad_kernel`` indexes the seeds by the rows and columns of their units
 (``_seed_index``) and seeds each chain with the others alone, in their
 order, so the same images are inserted in the same order; for T = 0 the
-seeds are the units themselves.
+seeds are the units themselves.  Each later operator of a chain is
+applied only to an image whose support meets one of its rows and columns
+(``_meets``), and the last one's images go straight to
+``SpanBuilder.insert_image``.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -34,7 +37,7 @@ every characteristic.  Before each sweep the span V is tested against the
 generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the spanning lemma a pass
 proves that V is the closure (see ``_certify_closed``), so no sweep that
 adds nothing is ever run.  The test asks the sweep's own ``SpanBuilder``
-whether each product lies in V (``SpanBuilder.contains``), so no
+whether each product lies in V (``SpanBuilder.contains_image``), so no
 ``Subspace`` is built until the closure is returned.  An element's
 operator is built when a sweep first needs it, so the elements added by the
 last sweep get none.
@@ -43,10 +46,13 @@ The closure keeps its elements in the coordinates of its ``SpanBuilder``
 (``SpanBuilder.coordinates``): primitive integer vectors over Q (a nonzero
 multiple spans the same line, so the spans, the sweep order and ``rounds``
 are those of the raw values), residues over GF(p) and raw values over
-GF(p^m).  The builder forms every product in them (``SpanBuilder.apply``)
-and takes the result as it is.  ``ad_kernel`` works in them too, with
-operators built on the coordinates of xᵀ (``adjoint_operator``): each
-image is one constraint row, so a nonzero multiple serves as well.
+GF(p^m).  A sweep hands each product to the builder as its (operator,
+vector) pair (``_sweep``): ``SpanBuilder.insert_image`` reduces the image
+as it forms it, with no finished image made first, and only a product
+that grows the span is formed again (``SpanBuilder.apply``) to be kept.
+``ad_kernel`` works in them too, with operators built on the coordinates
+of xᵀ (``adjoint_operator``): each image is one constraint row, so a
+nonzero multiple serves as well.
 """
 
 from __future__ import annotations
@@ -168,9 +174,10 @@ def ad_kernel(
     of r -> [r, h] is F -> [F, hᵀ], so r meets a chain exactly when it is
     orthogonal to ad_{x1ᵀ}(...ad_{xkᵀ}(f)) for every f in a basis of
     target^⊥: the rows of the builder ``target`` keeps for its annihilator,
-    for a level the constraints that cut it out.  Each nonzero image is
-    formed and inserted in the coordinates of one ``SpanBuilder`` of
-    constraints, and the answer is their annihilator, which keeps them.
+    for a level the constraints that cut it out.  Each image is inserted
+    in the coordinates of one ``SpanBuilder`` of constraints, by the
+    fused ``insert_image`` of the chain's last operator, and the answer
+    is their annihilator, which keeps them.
 
     A full target is returned as it is: every [r, x1, ..., xk] lies in
     M_n, so there is nothing to solve, and the level above M_n costs no
@@ -179,7 +186,10 @@ def ad_kernel(
     nonempty, so a seed f whose support meets none of those rows and
     columns has the image 0.  Each chain is seeded only with the others
     (``_seed_index``), in the seeds' order, so the same images are inserted
-    in the same order; a chain whose image becomes 0 goes no further.
+    in the same order.  Each later operator is applied only to an image
+    that meets one of its nonempty rows and columns (``_meets``), as it
+    sends the others to 0, so an image that meets none, 0 included, goes
+    no further.
     """
     if target is None:
         target = Subspace.zero(field, (n, n))
@@ -190,18 +200,28 @@ def ad_kernel(
     seeds = list(target._perp_span().by_pivot.values())
     by_row, by_col = _seed_index(seeds, n)
     constraints = SpanBuilder(field, n * n)
-    apply, insert = constraints.apply, constraints.insert
+    apply, insert_image = constraints.apply, constraints.insert_image
     for chain in chains:
         _, rows, cols = chain[-1]
         hit = set().union(*compress(by_col, rows), *compress(by_row, cols))
+        # each operator but the last, in the order applied, with the next one
+        steps = tuple(zip(chain[:0:-1], chain[-2::-1]))
         for img in map(seeds.__getitem__, sorted(hit)):
-            for op in reversed(chain):
+            for op, after in steps:
                 img = apply(op, img)
-                if not img:
+                if not _meets(after, img):
                     break
-            if img:
-                insert(img)
+            else:
+                insert_image(chain[0], img)
     return Subspace._of(constraints.annihilator(), (n, n), perp=constraints)
+
+
+def _meets(op: SparseMap, vec: SparseVec) -> bool:
+    """Whether some unit E_ik in the support of ``vec`` has row k or column
+    i of op's matrix nonempty; if none does, op(vec) = 0.  This is the test
+    ``_seed_index`` makes for the seeds, one image at a time."""
+    units, rows, cols = op
+    return any(rows[k] or cols[i] for i, k in map(units.__getitem__, vec))
 
 
 ProductKind = Literal["lie", "associative"]
@@ -275,9 +295,9 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
             break
         frontier_end = len(basis)
         ops += [_operator(field, n, u, lie) for u in basis[len(ops):]]
-        for prod in _sweep(builder.apply, basis, ops, frontier_start, frontier_end, lie):
-            if prod and builder.insert(prod):
-                basis.append(prod)
+        for op, u in _sweep(basis, ops, frontier_start, frontier_end, lie):
+            if builder.insert_image(op, u):
+                basis.append(builder.apply(op, u))
                 if builder.dim == ceiling:
                     break
         if len(basis) == frontier_end:
@@ -288,20 +308,21 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     return ClosureResult(Subspace._of(builder, (n, n)), rounds, kind)
 
 
-def _sweep(apply, basis: list[SparseVec], ops: list[SparseMap], start: int, end: int, lie: bool):
+def _sweep(basis: list[SparseVec], ops: list[SparseMap], start: int, end: int, lie: bool):
     """Products of each frontier element basis[i], start <= i < end, with
-    basis[j] for j < i, and for the associative kind also j = i.
+    basis[j] for j < i, and for the associative kind also j = i, each as
+    the (operator, vector) pair whose application forms it.
 
     Every other product of two elements of basis[:end] is zero, the
     negative of one of these, or was formed by an earlier sweep.
     """
     for i, u in enumerate(basis[start:end], start):
         for j in range(i):
-            yield apply(ops[j], u)  # [u, v] or u·v, v = basis[j]
+            yield ops[j], u  # [u, v] or u·v, v = basis[j]
             if not lie:
-                yield apply(ops[i], basis[j])  # v·u
+                yield ops[i], basis[j]  # v·u
         if not lie:
-            yield apply(ops[i], u)  # u·u
+            yield ops[i], u  # u·u
 
 
 def _certify_closed(
@@ -309,8 +330,8 @@ def _certify_closed(
 ) -> bool:
     """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
     the span of ``builder``, spanned by ``basis``, and X is given by its
-    operators.  Each product is formed by ``SpanBuilder.apply`` and tested
-    with ``SpanBuilder.contains``, on the builder's own rows.
+    operators.  Each product is tested, as it is formed, with
+    ``SpanBuilder.contains_image`` on the builder's own rows.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
     [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
@@ -321,11 +342,10 @@ def _certify_closed(
     The newest elements are tested first, so a span that is not yet closed
     fails fast.
     """
-    apply = builder.apply
+    contains_image = builder.contains_image
     for u in reversed(basis):
         for op in generator_ops:
-            prod = apply(op, u)
-            if prod and not builder.contains(prod):
+            if not contains_image(op, u):
                 return False
     return True
 

@@ -5,23 +5,25 @@ symplectic involution.
 
 ``SpanBuilder`` is the package's one Gauss-Jordan elimination: RREF,
 kernels, inverses and every canonical span in ``subspaces`` run on it, and
-``SpanBuilder.contains`` tests membership against its rows, as the closure
-certificate and every ``Subspace`` do.  Its rows are sparse dicts in the
-builder's coordinates: fraction-free integers over Q
-(``_RationalSpanBuilder``), residues over GF(p) (``_ResidueSpanBuilder``)
-and raw values over GF(p^m).  ``SpanBuilder.apply`` forms the closure's
-products and the centralizer levels' images in the same coordinates, and
-``SpanBuilder.kernel`` reads the kernel of the rows off them, the one
-kernel reader: ``annihilator`` keeps its vectors in a builder, while
-``Matrix.kernel_vectors`` and ``subspaces.preimage`` take their raw
-values.  A kernel vector with a single entry is the unit of a free column
-that no row touches, already a reduced row with that pivot, and no other
-kernel vector has an entry there, so ``annihilator`` takes it as it is and
-``insert``s only the others.  For the zero span, whose annihilator seeds
-every centralizer level L_1, that is every kernel vector: O(length), where
-inserts that each scan every earlier row for back-substitution cost
-O(length^2).  Everywhere else Q entries are ``Fraction``s; a row over
-denominator 1 becomes them with no gcd (``_raw_items``).
+``SpanBuilder.contains`` tests membership against its rows, as every
+``Subspace`` does.  Its rows are sparse dicts in the builder's
+coordinates: fraction-free integers over Q (``_RationalSpanBuilder``),
+residues over GF(p) (``_ResidueSpanBuilder``) and raw values over
+GF(p^m).  ``SpanBuilder.apply`` forms an operator's image in the same
+coordinates, and ``insert_image`` and ``contains_image`` reduce it as
+they form it: the closure's products and certificate and the centralizer
+levels' images go through them.  ``SpanBuilder.kernel`` reads the kernel
+of the rows off them, the one kernel reader: ``annihilator`` keeps its
+vectors in a builder, while ``Matrix.kernel_vectors`` and
+``subspaces.preimage`` take their raw values.  A kernel vector with a
+single entry is the unit of a free column that no row touches, already a
+reduced row with that pivot, and no other kernel vector has an entry
+there, so ``annihilator`` takes it as it is and ``insert``s only the
+others.  For the zero span, whose annihilator seeds every centralizer
+level L_1, that is every kernel vector: O(length), where inserts that
+each scan every earlier row for back-substitution cost O(length^2).
+Everywhere else Q entries are ``Fraction``s; a row over denominator 1
+becomes them with no gcd (``_raw_items``).
 
 Entries are stored as raw field values in nested tuples; a matrix never
 mutates after construction.  Matrix units use the 1-based mathematical
@@ -321,6 +323,20 @@ def _apply(field: Field, op: SparseMap, vec: SparseVec) -> SparseVec:
     return {key: a for key, a in out.items() if not field.is_zero(a)}
 
 
+def _int_sums(op: SparseMap, vec: SparseVec) -> SparseVec:
+    """op(vec) as plain int sums, zeros included, for an ``op`` on integer
+    coordinates."""
+    units, rows, cols = op
+    out: SparseVec = {}
+    get = out.get
+    for idx, a in vec.items():
+        i, k = units[idx]
+        for d, b in rows[k] + cols[i]:
+            key = idx + d
+            out[key] = get(key, 0) + a * b
+    return out
+
+
 class SpanBuilder:
     """Incrementally maintained RREF span of vectors.
 
@@ -344,8 +360,15 @@ class SpanBuilder:
     A vector is a dense sequence of raw values, or a sparse dict in the
     builder's own coordinates (``coordinates``); ``apply`` forms an
     operator's image in the same coordinates, so the closure engine works in
-    them throughout.  ``SpanBuilder(field, length)``
-    picks the coordinates from the field:
+    them throughout.  ``insert_image(op, vec)`` and ``contains_image(op,
+    vec)`` are ``insert`` and ``contains`` of ``apply(op, vec)`` with the
+    image reduced from the fresh dict of ``_image``: over Q and GF(p) the
+    operator's int sums as they are, with no mod-p pass, zero filter or
+    content gcd and no copy, which ``_eliminate`` takes as well as the
+    finished image (over Q a multiple of it spans the same line); over
+    GF(p^m) the image itself, not copied.  A sum of one entry settles as
+    a one-entry vector does, and a zero sum is the zero image.
+    ``SpanBuilder(field, length)`` picks the coordinates from the field:
 
     - Q: ``_RationalSpanBuilder``, fraction-free integer rows;
     - GF(p): ``_ResidueSpanBuilder``, residue rows and int arithmetic;
@@ -389,6 +412,26 @@ class SpanBuilder:
         """Whether ``vec`` lies in the span; the span does not change."""
         return not self._reduced(vec)
 
+    def insert_image(self, op: SparseMap, vec: SparseVec) -> bool:
+        """``insert(apply(op, vec))``, with the fresh dict of ``_image``
+        reduced as it is, not finished and copied first.  A one-entry dict
+        whose column's row has one entry is settled as ``_reduced`` settles
+        it: a contained unit, or a zero image."""
+        w = self._image(op, vec)
+        if len(w) == 1 and len(self.by_pivot.get(*w, ())) == 1:
+            return False
+        w = self._eliminate(w)
+        if not w:
+            return False
+        self._add_row(w, min(w))
+        return True
+
+    def contains_image(self, op: SparseMap, vec: SparseVec) -> bool:
+        """``contains(apply(op, vec))``, reduced as ``insert_image``
+        reduces it; the span does not change."""
+        w = self._image(op, vec)
+        return len(w) == 1 and len(self.by_pivot.get(*w, ())) == 1 or not self._eliminate(w)
+
     def _reduced(self, vec: Sequence | SparseVec) -> SparseVec:
         """``vec`` reduced against the rows; empty iff it lies in the span.
         A one-entry sparse vector whose column's row has one entry too is a
@@ -409,6 +452,10 @@ class SpanBuilder:
         """op(vec) in the builder's coordinates, for an ``op`` with
         coefficients in those coordinates too."""
         return _apply(self.field, op, vec)
+
+    # op(vec) as a fresh dict that ``_eliminate`` may take as it is: here
+    # the image itself
+    _image = apply
 
     def _eliminate(self, w: SparseVec) -> SparseVec:
         F, by_pivot = self.field, self.by_pivot
@@ -498,12 +545,15 @@ class _ResidueSpanBuilder(SpanBuilder):
 
     A vector is reduced with plain int arithmetic, w[j] - c·y for each
     nonzero y of a row, and taken mod p once per coordinate at the end;
-    ``apply`` sums as ints too and takes each sum mod p once.
+    ``apply`` sums as ints too and takes each sum mod p once, and
+    ``_image`` leaves the sums as they are, for ``_eliminate``'s one pass.
     """
 
     def apply(self, op: SparseMap, vec: SparseVec) -> SparseVec:
         p = self.field.p
         return {key: r for key, x in _int_sums(op, vec).items() if (r := x % p)}
+
+    _image = staticmethod(_int_sums)
 
     def _kernel_vector(self, f: int, entries) -> SparseVec:
         p = self.field.p
@@ -566,6 +616,8 @@ class _RationalSpanBuilder(SpanBuilder):
         """op(vec) divided by its content."""
         return _primitive({key: x for key, x in _int_sums(op, vec).items() if x})
 
+    _image = staticmethod(_int_sums)  # a multiple of the image serves as well
+
     def _kernel_vector(self, f: int, entries) -> SparseVec:
         """Scaled by the lcm L of the rows' denominators d_q = row_q[q], so
         its entry L at f is its denominator, as a row's pivot entry is."""
@@ -619,20 +671,6 @@ class _RationalSpanBuilder(SpanBuilder):
         if d == 1:  # integer entries: no gcd, and the units shared
             return ((j, _UNIT_FRACTIONS.get(x) or Fraction(x)) for j, x in row.items())
         return ((j, Fraction(x, d)) for j, x in row.items())
-
-
-def _int_sums(op: SparseMap, vec: SparseVec) -> SparseVec:
-    """op(vec) as plain int sums, zeros included, for an ``op`` on integer
-    coordinates."""
-    units, rows, cols = op
-    out: SparseVec = {}
-    get = out.get
-    for idx, a in vec.items():
-        i, k = units[idx]
-        for d, b in rows[k] + cols[i]:
-            key = idx + d
-            out[key] = get(key, 0) + a * b
-    return out
 
 
 def _primitive(w: SparseVec) -> SparseVec:

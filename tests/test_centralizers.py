@@ -374,6 +374,23 @@ def test_mixed_row_annihilator_inserts_only_the_multi_entry_kernel_vectors(field
         assert perp.annihilator().sorted_rows() == builder.sorted_rows()
 
 
+def _count_applications(field, monkeypatch):
+    """The vectors that operators are applied to from now on, by
+    ``SpanBuilder.apply`` or by the fused ``insert_image`` and
+    ``contains_image``, in order."""
+    hooks = [(type(SpanBuilder(field, 1)), "apply")]
+    hooks += [(SpanBuilder, "insert_image"), (SpanBuilder, "contains_image")]
+    applied = []
+    for cls, name in hooks:
+
+        def counted(self, op, vec, method=getattr(cls, name)):
+            applied.append(vec)
+            return method(self, op, vec)
+
+        monkeypatch.setattr(cls, name, counted)
+    return applied
+
+
 @pytest.mark.parametrize("field", [Q, GF5, GF81], ids=repr)
 def test_full_target_is_returned_with_no_application(field, monkeypatch):
     """{r : [r, x1, ..., xk] in M_n} = M_n, so a full target comes back as
@@ -386,15 +403,7 @@ def test_full_target_is_returned_with_no_application(field, monkeypatch):
     assert reference_next_level(H, full) == full
     coords = lie._coordinates(field, n, [m.vectorize() for m in H])
     ops = [lie.adjoint_operator(field, n, h) for h in coords]
-    builder_class = type(SpanBuilder(field, 1))
-    applied = []
-    apply = builder_class.apply
-
-    def counted(self, op, vec):
-        applied.append(vec)
-        return apply(self, op, vec)
-
-    monkeypatch.setattr(builder_class, "apply", counted)
+    applied = _count_applications(field, monkeypatch)
     for chains in ([(op,) for op in ops], [(ops[0], ops[1]), (ops[2], ops[0], ops[1])], []):
         assert lie.ad_kernel(field, n, chains, full) is full
     assert centralizer_step(H, full) is full
@@ -425,15 +434,7 @@ def test_level_one_applies_operators_only_to_the_units_they_move(field, monkeypa
     H = [matrix_unit(field, n, 1, 1), matrix_unit(field, n, 1, 2)]
     expected = reference_next_level(H)
     assert centralizer_chain(H).levels[0].rows == expected.rows
-    builder_class = type(SpanBuilder(field, 1))
-    applied = []
-    apply = builder_class.apply
-
-    def counted(self, op, vec):
-        applied.append(vec)
-        return apply(self, op, vec)
-
-    monkeypatch.setattr(builder_class, "apply", counted)
+    applied = _count_applications(field, monkeypatch)
     assert lie_centralizer(H, 1).rows == expected.rows
     assert 0 < len(applied) <= 2 * (2 * n - 1)
 
@@ -447,11 +448,15 @@ def test_pruned_seeds_insert_the_same_images_in_the_same_order(field, monkeypatc
     rng = rng_for("pruned-seed-order", repr(field))
     n = 4
     builder_class = type(SpanBuilder(field, 1))
-    apply = builder_class.apply
+    apply, insert_image = builder_class.apply, SpanBuilder.insert_image
 
     def apply_to_nonzero(self, op, vec):
         assert vec, "an operator applied to an image that is already 0"
         return apply(self, op, vec)
+
+    def insert_nonzero_image(self, op, vec):
+        assert vec, "an operator applied to an image that is already 0"
+        return insert_image(self, op, vec)
 
     def e(i, j):
         return matrix_unit(field, n, i, j)
@@ -474,6 +479,7 @@ def test_pruned_seeds_insert_the_same_images_in_the_same_order(field, monkeypatc
                         every.insert(img)
             with monkeypatch.context() as patched:
                 patched.setattr(builder_class, "apply", apply_to_nonzero)
+                patched.setattr(SpanBuilder, "insert_image", insert_nonzero_image)
                 kept = lie.ad_kernel(field, n, chains, target)._perp_span()
             assert list(kept.by_pivot.items()) == list(every.by_pivot.items())
 
@@ -507,9 +513,11 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
     benchmark subject, counted rather than timed, so it does not depend on
     the machine.  No operator is applied to a seed whose image is 0, each of
     the 17 members is scanned once, and no vector that ``insert`` or
-    ``contains`` settles as a contained unit reaches an elimination.  The
-    counts repeat exactly and are pinned: 316 of the 389 inserts are
-    contained units.  16 of the 17 kernel vectors that span L_1 have one
+    ``contains`` settles as a contained unit reaches an elimination.  Every
+    image goes through the fused ``insert_image``; its hook forms the image
+    on the side, with the unhooked ``apply``, to count it as ``insert``
+    would.  The counts repeat exactly and are pinned: 316 of the 389 inserts
+    are contained units.  16 of the 17 kernel vectors that span L_1 have one
     entry and are taken as rows with no ``insert``, and the repeat level
     L_4 = M_n is the full target returned as it is."""
     space = extremal_block_algebra(8, (4, 4), field)
@@ -517,6 +525,7 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
     builder_class = type(SpanBuilder(field, 1))
     apply, eliminate, sparse = builder_class.apply, builder_class._eliminate, matrices._sparse
     insert, contains = SpanBuilder.insert, SpanBuilder.contains
+    insert_image, contains_image = SpanBuilder.insert_image, SpanBuilder.contains_image
 
     def contained_unit(builder, vec):
         if not (isinstance(vec, dict) and len(vec) == 1):
@@ -542,10 +551,22 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
         counts["grew"] += grew
         return grew
 
+    def counted_insert_image(self, op, vec):
+        counts["insert contained units"] += contained_unit(self, counted_apply(self, op, vec))
+        grew = insert_image(self, op, vec)
+        counts["insert"] += 1
+        counts["grew"] += grew
+        return grew
+
     def counted_contains(self, vec):
         counts["contains"] += 1
         counts["contains contained units"] += contained_unit(self, vec)
         return contains(self, vec)
+
+    def counted_contains_image(self, op, vec):
+        counts["contains"] += 1
+        counts["contains contained units"] += contained_unit(self, counted_apply(self, op, vec))
+        return contains_image(self, op, vec)
 
     def counted_sparse(field, vec):
         counts["scans"] += 1
@@ -555,6 +576,8 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
     monkeypatch.setattr(builder_class, "_eliminate", counted_eliminate)
     monkeypatch.setattr(SpanBuilder, "insert", counted_insert)
     monkeypatch.setattr(SpanBuilder, "contains", counted_contains)
+    monkeypatch.setattr(SpanBuilder, "insert_image", counted_insert_image)
+    monkeypatch.setattr(SpanBuilder, "contains_image", counted_contains_image)
     for module in (matrices, subspaces, lie, centralizers):
         if "_sparse" in vars(module):
             monkeypatch.setattr(module, "_sparse", counted_sparse)
@@ -616,6 +639,44 @@ def test_hereditary_matches_reference(field, prop):
     for k in (2, 3):
         space = hereditary_centralizer(single, k, prop)
         assert space.is_full and space == _reference_hereditary(single, k, prop)
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF81], ids=repr)
+def test_hereditary_chains_skip_images_the_next_operator_sends_to_zero(field, monkeypatch):
+    """The hereditary benchmark subject, D at k = 2 over {E11, E22, E33} at
+    n = 6, counted.  Each chain's first operator, r -> [r, E_bb], is
+    applied to the 2n - 1 = 11 units of row and column b, and sends only
+    E_bb to 0, by cancellation.  The second, r -> [r, E_aa], moves only E_ab
+    and E_ba of the other ten images ±E_ik, so only those reach the fused
+    ``insert_image``: 78 applications, 6 of them 0, none at the second
+    operator."""
+    n = 6
+    H = [matrix_unit(field, n, a, a) for a in (1, 2, 3)]
+    expected = _reference_hereditary(H, 2, "D")
+    builder_class = type(SpanBuilder(field, 1))
+    apply, insert_image = builder_class.apply, SpanBuilder.insert_image
+    counts = Counter()
+
+    def counted_apply(self, op, vec):
+        image = apply(self, op, vec)
+        counts["apply"] += 1
+        counts["empty images"] += not image
+        return image
+
+    def counted_insert_image(self, op, vec):
+        counts["last operator"] += 1
+        counts["last operator empty images"] += not counted_apply(self, op, vec)
+        return insert_image(self, op, vec)
+
+    monkeypatch.setattr(builder_class, "apply", counted_apply)
+    monkeypatch.setattr(SpanBuilder, "insert_image", counted_insert_image)
+    assert hereditary_centralizer(H, 2, "D").rows == expected.rows
+    assert counts == {
+        "apply": 78,
+        "empty images": 6,
+        "last operator": 12,
+        "last operator empty images": 0,
+    }
 
 
 @pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF81], ids=repr)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemat import ExtensionField, Matrix, Subspace, jsonio
+from liemat import ExtensionField, Matrix, Subspace, jsonio, lie
 from liemat.matrices import (
     SpanBuilder,
     _RationalSpanBuilder,
@@ -312,6 +313,84 @@ def test_contained_units_answer_like_the_dense_path(case):
         assert fast.contains(sparse) == twin.contains(dense)
         assert fast.insert(sparse) == twin.insert(dense)
         assert list(fast.by_pivot.items()) == list(twin.by_pivot.items())
+
+
+def _small_matrix(field, n, rng, size):
+    """An n x n matrix whose ``size`` random positions (repeats add up) hold
+    1, -1 or 2, so that sums of products of its entries cancel often."""
+    one = field.one
+    small = [one, field.neg(one), field.add(one, one)]
+    entries = [[field.zero] * n for _ in range(n)]
+    for _ in range(size):
+        i, k = rng.randrange(n), rng.randrange(n)
+        entries[i][k] = field.add(entries[i][k], rng.choice(small))
+    return Matrix(field, entries)
+
+
+def _sum_cases(builder, sums):
+    """The cases that the fresh dict of ``_image`` falls in, for counting."""
+    field = builder.field
+    if isinstance(field, ExtensionField):  # the finished image
+        zero = not sums
+    else:
+        modulus = getattr(field, "p", 0)
+        zero = sums and all((x % modulus if modulus else x) == 0 for x in sums.values())
+        if len(sums) == 1 and zero and any(sums.values()):
+            yield "one-entry sum, a nonzero multiple of p"
+        if any(x < 0 or (modulus and x >= modulus) for x in sums.values()):
+            yield "unreduced sum"
+        if not modulus and gcd(*sums.values()) > 1:
+            yield "common factor"
+    if zero:
+        yield "zero image"
+    if len(sums) == 1 and len(builder.by_pivot.get(*sums, ())) == 1:
+        yield "contained unit"
+
+
+@pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF9], ids=repr)
+def test_fused_images_match_the_finished_images(field):
+    """``insert_image`` and ``contains_image`` reduce an operator's image
+    from the fresh dict of ``_image`` (over Q and GF(p) the int sums as
+    they are: zeros, negatives, multiples of p and of a common factor),
+    ``insert`` and ``contains`` the finished image of ``apply``.  Twin
+    builders fed the same bracket and product images from ``lie._operator``
+    give the same answers and keep the same rows, values and order, and
+    the fused calls leave their vector as it was.  The cases the sums fall
+    in are counted, so each one is met."""
+    rng = rng_for("fused-images", repr(field))
+    n = 3
+    mats = [_small_matrix(field, n, rng, rng.randint(1, 4)) for _ in range(24)]
+    # (a·E11 - a·E12)·(E11 + E21) is the one-entry sum a - a at E11: 0 over
+    # Q, and over GF(p) the residues add up to p
+    a = field.add(field.one, field.one)
+    mats.append(Matrix(field, [[a, field.neg(a), field.zero]] + [[field.zero] * n] * (n - 1)))
+    mats.append(Matrix(field, [[field.one] + [field.zero] * (n - 1)] * 2 + [[field.zero] * n]))
+    coords = lie._coordinates(field, n, [m.vectorize() for m in mats])
+    ops = [lie._operator(field, n, h, kind) for h in coords for kind in (True, False)]
+    cancelling = (ops[-1], coords[-2])  # the product operator of E11 + E21
+    unit = SpanBuilder(field, 1).coordinates({0: field.one})[0]
+    cases = Counter()
+    for _ in range(16):
+        fused, plain = SpanBuilder(field, n * n), SpanBuilder(field, n * n)
+        for j in rng.sample(range(n * n), 3):
+            assert fused.insert({j: unit}) == plain.insert({j: unit})
+        steps = [(rng.choice(ops), rng.choice(coords)) for _ in range(14)] + [cancelling]
+        for op, vec in steps:
+            kept = dict(vec)
+            cases.update(_sum_cases(fused, fused._image(op, vec)))
+            image = plain.apply(op, vec)
+            if rng.random() < 0.3:
+                assert fused.contains_image(op, vec) == plain.contains(image)
+            else:
+                assert fused.insert_image(op, vec) == plain.insert(image)
+            assert vec == kept
+            assert list(fused.by_pivot.items()) == list(plain.by_pivot.items())
+    expected = {"zero image", "contained unit"}
+    if field == Q:
+        expected |= {"unreduced sum", "common factor"}
+    elif not isinstance(field, ExtensionField):
+        expected |= {"unreduced sum", "one-entry sum, a nonzero multiple of p"}
+    assert expected <= set(cases), cases
 
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=repr)
