@@ -24,7 +24,7 @@ order, so the same images are inserted in the same order; for T = 0 the
 seeds are the units themselves.  Each later operator of a chain is
 applied only to an image whose support meets one of its rows and columns
 (``_meets``), and the last one's images go straight to
-``SpanBuilder.insert_image``.
+``SpanBuilder.insert`` with that operator.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -37,7 +37,7 @@ every characteristic.  Before each sweep the span V is tested against the
 generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the spanning lemma a pass
 proves that V is the closure (see ``_certify_closed``), so no sweep that
 adds nothing is ever run.  The test asks the sweep's own ``SpanBuilder``
-whether each product lies in V (``SpanBuilder.contains_image``), so no
+whether each product lies in V (``SpanBuilder.contains``), so no
 ``Subspace`` is built until the closure is returned.  An element's
 operator is built when a sweep first needs it, so the elements added by the
 last sweep get none.
@@ -47,7 +47,7 @@ The closure keeps its elements in the coordinates of its ``SpanBuilder``
 multiple spans the same line, so the spans, the sweep order and ``rounds``
 are those of the raw values), residues over GF(p) and raw values over
 GF(p^m).  A sweep hands each product to the builder as its (operator,
-vector) pair (``_sweep``): ``SpanBuilder.insert_image`` reduces the image
+vector) pair (``_sweep``): ``SpanBuilder.insert`` reduces the image
 as it forms it, with no finished image made first, and only a product
 that grows the span is formed again (``SpanBuilder.apply``) to be kept.
 ``ad_kernel`` works in them too, with operators built on the coordinates
@@ -175,9 +175,9 @@ def ad_kernel(
     orthogonal to ad_{x1ᵀ}(...ad_{xkᵀ}(f)) for every f in a basis of
     target^⊥: the rows of the builder ``target`` keeps for its annihilator,
     for a level the constraints that cut it out.  Each image is inserted
-    in the coordinates of one ``SpanBuilder`` of constraints, by the
-    fused ``insert_image`` of the chain's last operator, and the answer
-    is their annihilator, which keeps them.
+    in the coordinates of one ``SpanBuilder`` of constraints, which
+    applies the chain's last operator as it inserts, and the answer is
+    their annihilator, which keeps them.
 
     A full target is returned as it is: every [r, x1, ..., xk] lies in
     M_n, so there is nothing to solve, and the level above M_n costs no
@@ -200,7 +200,7 @@ def ad_kernel(
     seeds = list(target._perp_span().by_pivot.values())
     by_row, by_col = _seed_index(seeds, n)
     constraints = SpanBuilder(field, n * n)
-    apply, insert_image = constraints.apply, constraints.insert_image
+    apply, insert = constraints.apply, constraints.insert
     for chain in chains:
         _, rows, cols = chain[-1]
         hit = set().union(*compress(by_col, rows), *compress(by_row, cols))
@@ -212,7 +212,7 @@ def ad_kernel(
                 if not _meets(after, img):
                     break
             else:
-                insert_image(chain[0], img)
+                insert(img, chain[0])
     return Subspace._of(constraints.annihilator(), (n, n), perp=constraints)
 
 
@@ -296,7 +296,7 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
         frontier_end = len(basis)
         ops += [_operator(field, n, u, lie) for u in basis[len(ops):]]
         for op, u in _sweep(basis, ops, frontier_start, frontier_end, lie):
-            if builder.insert_image(op, u):
+            if builder.insert(u, op):
                 basis.append(builder.apply(op, u))
                 if builder.dim == ceiling:
                     break
@@ -331,7 +331,7 @@ def _certify_closed(
     """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
     the span of ``builder``, spanned by ``basis``, and X is given by its
     operators.  Each product is tested, as it is formed, with
-    ``SpanBuilder.contains_image`` on the builder's own rows.
+    ``SpanBuilder.contains`` on the builder's own rows.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
     [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
@@ -342,10 +342,10 @@ def _certify_closed(
     The newest elements are tested first, so a span that is not yet closed
     fails fast.
     """
-    contains_image = builder.contains_image
+    contains = builder.contains
     for u in reversed(basis):
         for op in generator_ops:
-            if not contains_image(op, u):
+            if not contains(u, op):
                 return False
     return True
 

@@ -10,18 +10,19 @@ kernels, inverses and every canonical span in ``subspaces`` run on it, and
 coordinates: fraction-free integers over Q (``_RationalSpanBuilder``),
 residues over GF(p) (``_ResidueSpanBuilder``) and raw values over
 GF(p^m).  ``SpanBuilder.apply`` forms an operator's image in the same
-coordinates, and ``insert_image`` and ``contains_image`` reduce it as
-they form it: the closure's products and certificate and the centralizer
-levels' images go through them.  ``SpanBuilder.kernel`` reads the kernel
-of the rows off them, the one kernel reader: ``annihilator`` keeps its
-vectors in a builder, while ``Matrix.kernel_vectors`` and
-``subspaces.preimage`` take their raw values.  A kernel vector with a
-single entry is the unit of a free column that no row touches, already a
-reduced row with that pivot, and no other kernel vector has an entry
-there, so ``annihilator`` takes it as it is and ``insert``s only the
-others.  For the zero span, whose annihilator seeds every centralizer
-level L_1, that is every kernel vector: O(length), where inserts that
-each scan every earlier row for back-substitution cost O(length^2).
+coordinates, and ``insert(vec, op)`` and ``contains(vec, op)`` reduce it
+as they form it: the closure's products and certificate and the
+centralizer levels' images go through them.  ``SpanBuilder.kernel``
+reads the kernel of the rows off them, the one kernel reader:
+``annihilator`` keeps its vectors in a builder, while
+``Matrix.kernel_vectors`` and ``subspaces.preimage`` take their raw
+values.  A kernel vector with a single entry is the unit of a free
+column that no row touches, already a reduced row with that pivot, and
+no other kernel vector has an entry there, so ``annihilator`` takes it
+as it is and ``insert``s only the others.  For the zero span, whose
+annihilator seeds every centralizer level L_1, that is every kernel
+vector: O(length), where inserts that each scan every earlier row for
+back-substitution cost O(length^2).
 Everywhere else Q entries are ``Fraction``s; a row over denominator 1
 becomes them with no gcd (``_raw_items``).
 
@@ -345,11 +346,11 @@ class SpanBuilder:
     stay a reduced echelon basis at all times.  ``by_pivot`` holds them by
     pivot column, in insertion order; ``sorted_rows`` sorts them by pivot and
     reads the canonical basis off.  ``contains`` is the reduction alone, a
-    membership test that leaves the span as it is.  A one-entry sparse
-    vector whose column's row has one entry is a multiple of that row, a
-    unit in the span: ``insert`` and ``contains`` settle it with no copy and
-    no elimination (``_reduced``).  Most images of a centralizer level are
-    such units.
+    membership test that leaves the span as it is.  A vector with one
+    nonzero entry whose column's row has one entry is a multiple of that
+    row, a unit in the span: ``insert`` and ``contains`` settle it with no
+    copy and no elimination (``_reduced``).  Most images of a centralizer
+    level are such units.
 
     A row is a sparse dict from column to nonzero coordinate.  The rows are
     in reduced echelon form, so subtracting one from a vector leaves the
@@ -360,14 +361,14 @@ class SpanBuilder:
     A vector is a dense sequence of raw values, or a sparse dict in the
     builder's own coordinates (``coordinates``); ``apply`` forms an
     operator's image in the same coordinates, so the closure engine works in
-    them throughout.  ``insert_image(op, vec)`` and ``contains_image(op,
-    vec)`` are ``insert`` and ``contains`` of ``apply(op, vec)`` with the
-    image reduced from the fresh dict of ``_image``: over Q and GF(p) the
-    operator's int sums as they are, with no mod-p pass, zero filter or
-    content gcd and no copy, which ``_eliminate`` takes as well as the
-    finished image (over Q a multiple of it spans the same line); over
-    GF(p^m) the image itself, not copied.  A sum of one entry settles as
-    a one-entry vector does, and a zero sum is the zero image.
+    them throughout.  Given an operator too, ``insert(vec, op)`` and
+    ``contains(vec, op)`` work on ``apply(op, vec)``, reduced from the fresh
+    dict of ``_image``: over Q and GF(p) the operator's int sums as they
+    are, with no mod-p pass, zero filter or content gcd and no copy, which
+    ``_eliminate`` takes as well as the finished image (over Q a multiple
+    of it spans the same line); over GF(p^m) the image itself, not copied.
+    A sum of one entry settles as a one-entry vector does, and a zero sum
+    is the zero image.
     ``SpanBuilder(field, length)`` picks the coordinates from the field:
 
     - Q: ``_RationalSpanBuilder``, fraction-free integer rows;
@@ -400,48 +401,36 @@ class SpanBuilder:
     def pivots(self) -> list[int]:
         return list(self.by_pivot)
 
-    def insert(self, vec: Sequence | SparseVec) -> bool:
-        """Add a vector to the span; True if the dimension grew."""
-        w = self._reduced(vec)
+    def insert(self, vec: Sequence | SparseVec, op: SparseMap | None = None) -> bool:
+        """Add ``vec``, or ``op(vec)``, to the span; True if the dimension
+        grew."""
+        w = self._reduced(vec, op)
         if not w:
             return False
         self._add_row(w, min(w))
         return True
 
-    def contains(self, vec: Sequence | SparseVec) -> bool:
-        """Whether ``vec`` lies in the span; the span does not change."""
-        return not self._reduced(vec)
+    def contains(self, vec: Sequence | SparseVec, op: SparseMap | None = None) -> bool:
+        """Whether ``vec``, or ``op(vec)``, lies in the span; the span does
+        not change."""
+        return not self._reduced(vec, op)
 
-    def insert_image(self, op: SparseMap, vec: SparseVec) -> bool:
-        """``insert(apply(op, vec))``, with the fresh dict of ``_image``
-        reduced as it is, not finished and copied first.  A one-entry dict
-        whose column's row has one entry is settled as ``_reduced`` settles
-        it: a contained unit, or a zero image."""
-        w = self._image(op, vec)
+    def _reduced(self, vec: Sequence | SparseVec, op: SparseMap | None) -> SparseVec:
+        """``vec``, or ``op(vec)``, reduced against the rows; empty iff it
+        lies in the span.  The image is ``_image``'s fresh dict and a dense
+        vector is scanned into a fresh one, both reduced as they are; a
+        caller's dict is copied first.  A one-entry vector whose column's
+        row has one entry too is a multiple of that row, a unit, so it is
+        settled with no copy and no elimination (``*w`` is its one column)."""
+        if op is not None:
+            w = self._image(op, vec)
+        elif isinstance(vec, dict):
+            w = vec
+        else:
+            w = self.coordinates(_sparse(self.field, vec))
         if len(w) == 1 and len(self.by_pivot.get(*w, ())) == 1:
-            return False
-        w = self._eliminate(w)
-        if not w:
-            return False
-        self._add_row(w, min(w))
-        return True
-
-    def contains_image(self, op: SparseMap, vec: SparseVec) -> bool:
-        """``contains(apply(op, vec))``, reduced as ``insert_image``
-        reduces it; the span does not change."""
-        w = self._image(op, vec)
-        return len(w) == 1 and len(self.by_pivot.get(*w, ())) == 1 or not self._eliminate(w)
-
-    def _reduced(self, vec: Sequence | SparseVec) -> SparseVec:
-        """``vec`` reduced against the rows; empty iff it lies in the span.
-        A one-entry sparse vector whose column's row has one entry too is a
-        multiple of that row, a unit, so it is settled with no copy and no
-        elimination (``*vec`` is its one column)."""
-        if len(vec) == 1 and isinstance(vec, dict) and len(self.by_pivot.get(*vec, ())) == 1:
             return {}
-        return self._eliminate(
-            dict(vec) if isinstance(vec, dict) else self.coordinates(_sparse(self.field, vec))
-        )
+        return self._eliminate(dict(w) if w is vec else w)
 
     def coordinates(self, vec: SparseVec) -> SparseVec:
         """The builder's coordinates of a sparse vector of raw values: here

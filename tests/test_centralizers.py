@@ -376,18 +376,25 @@ def test_mixed_row_annihilator_inserts_only_the_multi_entry_kernel_vectors(field
 
 def _count_applications(field, monkeypatch):
     """The vectors that operators are applied to from now on, by
-    ``SpanBuilder.apply`` or by the fused ``insert_image`` and
-    ``contains_image``, in order."""
-    hooks = [(type(SpanBuilder(field, 1)), "apply")]
-    hooks += [(SpanBuilder, "insert_image"), (SpanBuilder, "contains_image")]
+    ``SpanBuilder.apply`` or by ``insert`` and ``contains`` given an
+    operator, in order."""
+    builder_class = type(SpanBuilder(field, 1))
+    apply = builder_class.apply
     applied = []
-    for cls, name in hooks:
 
-        def counted(self, op, vec, method=getattr(cls, name)):
-            applied.append(vec)
-            return method(self, op, vec)
+    def counted_apply(self, op, vec):
+        applied.append(vec)
+        return apply(self, op, vec)
 
-        monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(builder_class, "apply", counted_apply)
+    for name in ("insert", "contains"):
+
+        def counted(self, vec, op=None, method=getattr(SpanBuilder, name)):
+            if op is not None:
+                applied.append(vec)
+            return method(self, vec, op)
+
+        monkeypatch.setattr(SpanBuilder, name, counted)
     return applied
 
 
@@ -448,15 +455,15 @@ def test_pruned_seeds_insert_the_same_images_in_the_same_order(field, monkeypatc
     rng = rng_for("pruned-seed-order", repr(field))
     n = 4
     builder_class = type(SpanBuilder(field, 1))
-    apply, insert_image = builder_class.apply, SpanBuilder.insert_image
+    apply, insert = builder_class.apply, SpanBuilder.insert
 
     def apply_to_nonzero(self, op, vec):
         assert vec, "an operator applied to an image that is already 0"
         return apply(self, op, vec)
 
-    def insert_nonzero_image(self, op, vec):
-        assert vec, "an operator applied to an image that is already 0"
-        return insert_image(self, op, vec)
+    def insert_nonzero_image(self, vec, op=None):
+        assert op is None or vec, "an operator applied to an image that is already 0"
+        return insert(self, vec, op)
 
     def e(i, j):
         return matrix_unit(field, n, i, j)
@@ -479,7 +486,7 @@ def test_pruned_seeds_insert_the_same_images_in_the_same_order(field, monkeypatc
                         every.insert(img)
             with monkeypatch.context() as patched:
                 patched.setattr(builder_class, "apply", apply_to_nonzero)
-                patched.setattr(SpanBuilder, "insert_image", insert_nonzero_image)
+                patched.setattr(SpanBuilder, "insert", insert_nonzero_image)
                 kept = lie.ad_kernel(field, n, chains, target)._perp_span()
             assert list(kept.by_pivot.items()) == list(every.by_pivot.items())
 
@@ -514,18 +521,17 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
     the machine.  No operator is applied to a seed whose image is 0, each of
     the 17 members is scanned once, and no vector that ``insert`` or
     ``contains`` settles as a contained unit reaches an elimination.  Every
-    image goes through the fused ``insert_image``; its hook forms the image
-    on the side, with the unhooked ``apply``, to count it as ``insert``
-    would.  The counts repeat exactly and are pinned: 316 of the 389 inserts
-    are contained units.  16 of the 17 kernel vectors that span L_1 have one
-    entry and are taken as rows with no ``insert``, and the repeat level
-    L_4 = M_n is the full target returned as it is."""
+    image goes to ``insert`` with its operator; the hook forms the image on
+    the side, with the unhooked ``apply``, to count it as a finished image
+    is counted.  The counts repeat exactly and are pinned: 316 of the 389
+    inserts are contained units.  16 of the 17 kernel vectors that span L_1
+    have one entry and are taken as rows with no ``insert``, and the repeat
+    level L_4 = M_n is the full target returned as it is."""
     space = extremal_block_algebra(8, (4, 4), field)
     counts = Counter()
     builder_class = type(SpanBuilder(field, 1))
     apply, eliminate, sparse = builder_class.apply, builder_class._eliminate, matrices._sparse
     insert, contains = SpanBuilder.insert, SpanBuilder.contains
-    insert_image, contains_image = SpanBuilder.insert_image, SpanBuilder.contains_image
 
     def contained_unit(builder, vec):
         if not (isinstance(vec, dict) and len(vec) == 1):
@@ -544,29 +550,20 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
         counts["eliminated contained units"] += contained_unit(self, w)
         return eliminate(self, w)
 
-    def counted_insert(self, vec):
-        counts["insert contained units"] += contained_unit(self, vec)
-        grew = insert(self, vec)
+    def image(self, vec, op):
+        return vec if op is None else counted_apply(self, op, vec)
+
+    def counted_insert(self, vec, op=None):
+        counts["insert contained units"] += contained_unit(self, image(self, vec, op))
+        grew = insert(self, vec, op)
         counts["insert"] += 1
         counts["grew"] += grew
         return grew
 
-    def counted_insert_image(self, op, vec):
-        counts["insert contained units"] += contained_unit(self, counted_apply(self, op, vec))
-        grew = insert_image(self, op, vec)
-        counts["insert"] += 1
-        counts["grew"] += grew
-        return grew
-
-    def counted_contains(self, vec):
+    def counted_contains(self, vec, op=None):
         counts["contains"] += 1
-        counts["contains contained units"] += contained_unit(self, vec)
-        return contains(self, vec)
-
-    def counted_contains_image(self, op, vec):
-        counts["contains"] += 1
-        counts["contains contained units"] += contained_unit(self, counted_apply(self, op, vec))
-        return contains_image(self, op, vec)
+        counts["contains contained units"] += contained_unit(self, image(self, vec, op))
+        return contains(self, vec, op)
 
     def counted_sparse(field, vec):
         counts["scans"] += 1
@@ -576,8 +573,6 @@ def test_block_algebra_report_does_only_the_work_sparsity_leaves(field, monkeypa
     monkeypatch.setattr(builder_class, "_eliminate", counted_eliminate)
     monkeypatch.setattr(SpanBuilder, "insert", counted_insert)
     monkeypatch.setattr(SpanBuilder, "contains", counted_contains)
-    monkeypatch.setattr(SpanBuilder, "insert_image", counted_insert_image)
-    monkeypatch.setattr(SpanBuilder, "contains_image", counted_contains_image)
     for module in (matrices, subspaces, lie, centralizers):
         if "_sparse" in vars(module):
             monkeypatch.setattr(module, "_sparse", counted_sparse)
@@ -647,14 +642,13 @@ def test_hereditary_chains_skip_images_the_next_operator_sends_to_zero(field, mo
     n = 6, counted.  Each chain's first operator, r -> [r, E_bb], is
     applied to the 2n - 1 = 11 units of row and column b, and sends only
     E_bb to 0, by cancellation.  The second, r -> [r, E_aa], moves only E_ab
-    and E_ba of the other ten images ±E_ik, so only those reach the fused
-    ``insert_image``: 78 applications, 6 of them 0, none at the second
-    operator."""
+    and E_ba of the other ten images ±E_ik, so only those reach ``insert``
+    with it: 78 applications, 6 of them 0, none at the second operator."""
     n = 6
     H = [matrix_unit(field, n, a, a) for a in (1, 2, 3)]
     expected = _reference_hereditary(H, 2, "D")
     builder_class = type(SpanBuilder(field, 1))
-    apply, insert_image = builder_class.apply, SpanBuilder.insert_image
+    apply, insert = builder_class.apply, SpanBuilder.insert
     counts = Counter()
 
     def counted_apply(self, op, vec):
@@ -663,13 +657,14 @@ def test_hereditary_chains_skip_images_the_next_operator_sends_to_zero(field, mo
         counts["empty images"] += not image
         return image
 
-    def counted_insert_image(self, op, vec):
-        counts["last operator"] += 1
-        counts["last operator empty images"] += not counted_apply(self, op, vec)
-        return insert_image(self, op, vec)
+    def counted_insert(self, vec, op=None):
+        if op is not None:
+            counts["last operator"] += 1
+            counts["last operator empty images"] += not counted_apply(self, op, vec)
+        return insert(self, vec, op)
 
     monkeypatch.setattr(builder_class, "apply", counted_apply)
-    monkeypatch.setattr(SpanBuilder, "insert_image", counted_insert_image)
+    monkeypatch.setattr(SpanBuilder, "insert", counted_insert)
     assert hereditary_centralizer(H, 2, "D").rows == expected.rows
     assert counts == {
         "apply": 78,

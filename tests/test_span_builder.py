@@ -349,48 +349,74 @@ def _sum_cases(builder, sums):
 
 @pytest.mark.parametrize("field", [Q, GF5, GF_LARGE, GF9], ids=repr)
 def test_fused_images_match_the_finished_images(field):
-    """``insert_image`` and ``contains_image`` reduce an operator's image
-    from the fresh dict of ``_image`` (over Q and GF(p) the int sums as
-    they are: zeros, negatives, multiples of p and of a common factor),
-    ``insert`` and ``contains`` the finished image of ``apply``.  Twin
-    builders fed the same bracket and product images from ``lie._operator``
-    give the same answers and keep the same rows, values and order, and
-    the fused calls leave their vector as it was.  The cases the sums fall
-    in are counted, so each one is met."""
+    """``insert(vec, op)`` and ``contains(vec, op)`` reduce an operator's
+    image from the fresh dict of ``_image`` (over Q and GF(p) the int sums
+    as they are: zeros, negatives, multiples of p and of a common factor),
+    ``insert`` and ``contains`` of ``apply(op, vec)`` the finished image.
+    Twin builders fed the same bracket and product images of n x n
+    matrices from ``lie._operator``, at n = 1 and n = 3, give the same
+    answers and keep the same rows, values and order, and the operator
+    calls leave their vector as it was.  One builder gets each image as
+    its operator and vector, or as the dense raw values of the matrix
+    product, of length n^2.  The cases the sums and the dense vectors
+    fall in are counted, so each one is met."""
     rng = rng_for("fused-images", repr(field))
-    n = 3
-    mats = [_small_matrix(field, n, rng, rng.randint(1, 4)) for _ in range(24)]
-    # (a·E11 - a·E12)·(E11 + E21) is the one-entry sum a - a at E11: 0 over
-    # Q, and over GF(p) the residues add up to p
-    a = field.add(field.one, field.one)
-    mats.append(Matrix(field, [[a, field.neg(a), field.zero]] + [[field.zero] * n] * (n - 1)))
-    mats.append(Matrix(field, [[field.one] + [field.zero] * (n - 1)] * 2 + [[field.zero] * n]))
-    coords = lie._coordinates(field, n, [m.vectorize() for m in mats])
-    ops = [lie._operator(field, n, h, kind) for h in coords for kind in (True, False)]
-    cancelling = (ops[-1], coords[-2])  # the product operator of E11 + E21
-    unit = SpanBuilder(field, 1).coordinates({0: field.one})[0]
     cases = Counter()
-    for _ in range(16):
-        fused, plain = SpanBuilder(field, n * n), SpanBuilder(field, n * n)
-        for j in rng.sample(range(n * n), 3):
-            assert fused.insert({j: unit}) == plain.insert({j: unit})
-        steps = [(rng.choice(ops), rng.choice(coords)) for _ in range(14)] + [cancelling]
-        for op, vec in steps:
-            kept = dict(vec)
-            cases.update(_sum_cases(fused, fused._image(op, vec)))
-            image = plain.apply(op, vec)
-            if rng.random() < 0.3:
-                assert fused.contains_image(op, vec) == plain.contains(image)
-            else:
-                assert fused.insert_image(op, vec) == plain.insert(image)
-            assert vec == kept
-            assert list(fused.by_pivot.items()) == list(plain.by_pivot.items())
-    expected = {"zero image", "contained unit"}
+    for n in (1, 3):
+        mats = [_small_matrix(field, n, rng, rng.randint(1, 4)) for _ in range(24)]
+        if n == 3:
+            # (a·E11 - a·E12)·(E11 + E21) is the one-entry sum a - a at E11:
+            # 0 over Q, and over GF(p) the residues add up to p
+            a = field.add(field.one, field.one)
+            mats.append(Matrix(field, [[a, field.neg(a), field.zero]] + [[field.zero] * n] * 2))
+            mats.append(Matrix(field, [[field.one] + [field.zero] * 2] * 2 + [[field.zero] * n]))
+        coords = lie._coordinates(field, n, [m.vectorize() for m in mats])
+        # op(coords[x]) is a multiple of [mats[x], mats[y]], or of mats[x]·mats[y]
+        ops = {(y, kind): lie._operator(field, n, coords[y], kind)
+               for y in range(len(mats)) for kind in (True, False)}
+        keys = list(ops)
+        unit = SpanBuilder(field, 1).coordinates({0: field.one})[0]
+        for _ in range(16):
+            fused, plain = SpanBuilder(field, n * n), SpanBuilder(field, n * n)
+            for j in rng.sample(range(n * n), rng.randint(0, min(3, n * n))):
+                assert fused.insert({j: unit}) == plain.insert({j: unit})
+            steps = [(rng.choice(keys), rng.randrange(len(mats))) for _ in range(14)]
+            if n == 3:
+                steps.append(((len(mats) - 1, False), len(mats) - 2))  # the cancelling product
+            for (y, kind), x in steps:
+                op, vec = ops[y, kind], coords[x]
+                kept = dict(vec)
+                image = plain.apply(op, vec)
+                if rng.random() < 0.25:
+                    left, right = mats[x], mats[y]
+                    given = ((lie.bracket(left, right) if kind else left * right).vectorize(),)
+                    cases.update(_dense_cases(fused, *given))
+                else:
+                    given = vec, op
+                    cases.update(_sum_cases(fused, fused._image(op, vec)))
+                if rng.random() < 0.3:
+                    assert fused.contains(*given) == plain.contains(image)
+                else:
+                    assert fused.insert(*given) == plain.insert(image)
+                assert vec == kept
+                assert list(fused.by_pivot.items()) == list(plain.by_pivot.items())
+    expected = {"zero image", "contained unit", "dense zero", "dense contained unit", "dense other"}
     if field == Q:
         expected |= {"unreduced sum", "common factor"}
     elif not isinstance(field, ExtensionField):
         expected |= {"unreduced sum", "one-entry sum, a nonzero multiple of p"}
     assert expected <= set(cases), cases
+
+
+def _dense_cases(builder, dense):
+    """The case a dense vector of raw values falls in, for counting."""
+    support = [j for j, x in enumerate(dense) if not builder.field.is_zero(x)]
+    if not support:
+        yield "dense zero"
+    elif len(support) == 1 and len(builder.by_pivot.get(*support, ())) == 1:
+        yield "dense contained unit"
+    else:
+        yield "dense other"
 
 
 @pytest.mark.parametrize("field", EXTENSION_FIELDS, ids=repr)

@@ -42,9 +42,47 @@ def test_every_field_kernel_is_defined_on_a_field_class(tracing):
 
 def test_insert_is_defined_on_span_builder_only():
     """The tracer wraps ``SpanBuilder.insert``; an override in a subclass
-    would run unwrapped."""
-    assert "insert" in vars(SpanBuilder)
-    assert not [cls.__name__ for cls in _subclasses(SpanBuilder) if "insert" in vars(cls)]
+    would run unwrapped.  ``contains`` is the same reduction and is kept
+    on the base class too."""
+    for name in ("insert", "contains"):
+        assert name in vars(SpanBuilder)
+        assert not [cls.__name__ for cls in _subclasses(SpanBuilder) if name in vars(cls)]
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=repr)
+def test_every_closure_insert_is_traced(tracing, field, monkeypatch):
+    """Every vector a closure adds to its span, each generator and each
+    product a sweep yields, goes through ``SpanBuilder.insert``, the one
+    insert the tracer wraps: a plain hook on an untraced run counts one
+    call for each, and the traced run of the same closure counts as many."""
+    gens = [cyclic_permutation(field, 4), matrix_unit(field, 4, 1, 1)]
+    counts = {"insert": 0, "products": 0}
+    insert, sweep = SpanBuilder.insert, lie._sweep
+
+    def counted_insert(self, *args):
+        counts["insert"] += 1
+        return insert(self, *args)
+
+    def counted_sweep(*args):
+        for pair in sweep(*args):
+            counts["products"] += 1
+            yield pair
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SpanBuilder, "insert", counted_insert)
+        patched.setattr(lie, "_sweep", counted_sweep)
+        hooked = lie.closure(gens)
+    assert counts["insert"] == len(gens) + counts["products"] > hooked.subspace.dim
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_job(0)
+        traced = lie.closure(gens)
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert traced == hooked
+    assert tracer.counts["subspaces.insert.calls"] == counts["insert"]
 
 
 @pytest.mark.parametrize(
