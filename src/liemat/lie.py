@@ -28,28 +28,29 @@ applied only to an image whose support meets one of its rows and columns
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
-application.  Each sweep pairs the elements added by the previous sweep
-with every element before them (one order per pair for the bracket, both
-orders and the square for the associative product), and stops as soon as
-the span reaches its ceiling: the whole matrix space, or sl_n = ker tr for
-the Lie closure of traceless generators (n > 1), since tr[x, y] = 0 in
+application.  The associative closure is a spin (the MeatAxe's, Parker
+1984): each level multiplies the vectors that the level before it added
+by every generator (``_spin``), |X|·dim products in all.  A level that
+adds nothing is the certificate V·X ⊆ V, as every vector of V has then
+been multiplied by every generator.  Each Lie sweep brackets the
+elements added by the previous sweep with every element before them, and
+stops as soon as the span reaches its ceiling: the whole matrix space, or
+sl_n = ker tr for traceless generators (n > 1), since tr[x, y] = 0 in
 every characteristic.  Before each sweep the span V is tested against the
-generators alone: [V, X] ⊆ V, or V·X ⊆ V.  By the spanning lemma a pass
-proves that V is the closure (see ``_certify_closed``), so no sweep that
-adds nothing is ever run.  The test asks the sweep's own ``SpanBuilder``
-whether each product lies in V (``SpanBuilder.contains``), so no
-``Subspace`` is built until the closure is returned.  An element's
-operator is built when a sweep first needs it, so the elements added by the
-last sweep get none.
+generators alone: by the spanning lemma, [V, X] ⊆ V proves that V is the
+closure (see ``_certify_closed``), so no sweep that adds nothing is ever
+run.  Both ask the closure's own ``SpanBuilder`` whether a product lies in
+V, so no ``Subspace`` is built until the closure is returned.  An
+element's operator is built when a sweep first needs it.
 
 The closure keeps its elements in the coordinates of its ``SpanBuilder``
 (``SpanBuilder.coordinates``): primitive integer vectors over Q (a nonzero
-multiple spans the same line, so the spans, the sweep order and ``rounds``
-are those of the raw values), residues over GF(p) and raw values over
-GF(p^m).  A sweep hands each product to the builder as its (operator,
-vector) pair (``_sweep``): ``SpanBuilder.insert`` reduces the image
-as it forms it, with no finished image made first, and only a product
-that grows the span is formed again (``SpanBuilder.apply``) to be kept.
+multiple spans the same line, so the spans, the product order and
+``rounds`` are those of the raw values), residues over GF(p) and raw
+values over GF(p^m).  Each product goes to the builder as its (operator,
+vector) pair: ``SpanBuilder.insert`` reduces the image as it forms it,
+with no finished image made first, and only a product that grows the span
+is formed again (``SpanBuilder.apply``) to be kept.
 ``ad_kernel`` works in them too, with operators built on the coordinates
 of xᵀ (``adjoint_operator``): each image is one constraint row, so a
 nonzero multiple serves as well.
@@ -235,15 +236,17 @@ class ClosureResult:
     B_{k-1}·B_{k-1} for the associative kind), starting from B_0 = span(X),
     until B_k is the whole matrix space or equals B_{k-1}.  It is 0 when
     span(X) is already full or zero, and 1 when span(X) is a proper, nonzero
-    closed subspace.
+    closed subspace.  The spin forms no B_k, but B_k spans the words of
+    length <= 2^k and spin level j those of length <= j + 1: if D levels
+    added something, B_k is the closure from k = D.bit_length() on.
 
     A closure that is not the whole space was certified before it was
-    returned.  Either [V, X] ⊆ V (V·X ⊆ V) holds for V = ``subspace``,
-    which is spanned by products of generators and contains X; or the
-    generators are traceless, n > 1, and the Lie closure V reached
-    dimension n^2 - 1.  Then V = sl_n, which contains Lie(X) because
-    tr[x, y] = 0, and is closed, so B_k = B_{k-1} one round after the
-    sweep that reached it: ``rounds`` counts that round too.
+    returned.  Either [V, X] ⊆ V (V·X ⊆ V: a spin level added nothing)
+    holds for V = ``subspace``, which is spanned by products of generators
+    and contains X; or the generators are traceless, n > 1, and the Lie
+    closure V reached dimension n^2 - 1.  Then V = sl_n, which contains
+    Lie(X) because tr[x, y] = 0, and is closed, so B_k = B_{k-1} one round
+    after the sweep that reached it: ``rounds`` counts that round too.
 
     Every product is formed on sparse vectors by the operator r -> [r, h]
     (r -> r·h) of its right factor h, which holds h's nonzeros by row and
@@ -286,6 +289,9 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     # independent representatives, insertion order, in builder coordinates
     basis = [u for u in _coordinates(field, n, map(Matrix.vectorize, gens)) if builder.insert(u)]
     generator_ops = [_operator(field, n, u, lie) for u in basis]  # r -> [r, u] or r -> r·u
+    if not lie:
+        rounds = _spin(builder, basis, generator_ops)
+        return ClosureResult(Subspace._of(builder, (n, n)), rounds, kind)
     ops = list(generator_ops)  # ops[j] of basis[j], built when a sweep first needs it
 
     rounds = frontier_start = 0
@@ -295,7 +301,7 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
             break
         frontier_end = len(basis)
         ops += [_operator(field, n, u, lie) for u in basis[len(ops):]]
-        for op, u in _sweep(basis, ops, frontier_start, frontier_end, lie):
+        for op, u in _sweep(basis, ops, frontier_start, frontier_end):
             if builder.insert(u, op):
                 basis.append(builder.apply(op, u))
                 if builder.dim == ceiling:
@@ -308,36 +314,44 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     return ClosureResult(Subspace._of(builder, (n, n)), rounds, kind)
 
 
-def _sweep(basis: list[SparseVec], ops: list[SparseMap], start: int, end: int, lie: bool):
-    """Products of each frontier element basis[i], start <= i < end, with
-    basis[j] for j < i, and for the associative kind also j = i, each as
-    the (operator, vector) pair whose application forms it.
+def _spin(builder: SpanBuilder, level: list[SparseVec], generator_ops: list[SparseMap]) -> int:
+    """Spin ``builder``'s span of ``level`` = X under the operators r -> r·x:
+    each level keeps the products u·x, u added by the level before it, that
+    grow the span, until it is full (mid-level too) or a level adds nothing.
+    Returns ``rounds`` from the D levels that added something."""
+    full_dim, depth = builder.length, 0
+    while level and builder.dim < full_dim:
+        level = [builder.apply(op, u) for u in level for op in generator_ops
+                 if builder.dim < full_dim and builder.insert(u, op)]
+        depth += bool(level)
+    return depth.bit_length() + (0 < builder.dim < full_dim)
 
-    Every other product of two elements of basis[:end] is zero, the
+
+def _sweep(basis: list[SparseVec], ops: list[SparseMap], start: int, end: int):
+    """Brackets of each frontier element basis[i], start <= i < end, with
+    basis[j] for j < i, each as the (operator, vector) pair whose
+    application forms it.
+
+    Every other bracket of two elements of basis[:end] is zero, the
     negative of one of these, or was formed by an earlier sweep.
     """
     for i, u in enumerate(basis[start:end], start):
         for j in range(i):
-            yield ops[j], u  # [u, v] or u·v, v = basis[j]
-            if not lie:
-                yield ops[i], basis[j]  # v·u
-        if not lie:
-            yield ops[i], u  # u·u
+            yield ops[j], u  # [u, basis[j]]
 
 
 def _certify_closed(
     builder: SpanBuilder, basis: list[SparseVec], generator_ops: list[SparseMap]
 ) -> bool:
-    """Whether [V, X] ⊆ V, or V·X ⊆ V for the associative kind, where V is
-    the span of ``builder``, spanned by ``basis``, and X is given by its
-    operators.  Each product is tested, as it is formed, with
-    ``SpanBuilder.contains`` on the builder's own rows.
+    """Whether [V, X] ⊆ V, where V is the span of ``builder``, spanned by
+    ``basis``, and X is given by its operators.  Each bracket is tested, as
+    it is formed, with ``SpanBuilder.contains`` on the builder's own rows.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
-    [x1, ..., xk] and Alg(X) by the words x1...xk, with each xi in X.  The
-    closure engine builds V from products of generators, so V lies in the
-    closure, and V contains X.  If the test passes, induction on k puts
-    every left-normed bracket (every word) in V, so V is the closure.
+    [x1, ..., xk] with each xi in X.  The closure engine builds V from
+    brackets of generators, so V lies in the closure, and V contains X.  If
+    the test passes, induction on k puts every left-normed bracket in V, so
+    V is the closure.
 
     The newest elements are tested first, so a span that is not yet closed
     fails fast.

@@ -1,12 +1,13 @@
 """Named matrices and maps addressable from the command line.
 
-Preset tokens (single-digit indices, which covers the CLI's scope):
+Preset tokens:
 
 * ``I``            identity
 * ``S``            superdiagonal shift
 * ``St``           its transpose (subdiagonal shift)
 * ``P``            full-cycle permutation (shift plus E(n,1))
-* ``E<i><j>``      matrix unit, e.g. ``E11``, ``E21``
+* ``E<i><j>``      matrix unit with single-digit indices, e.g. ``E11``, ``E21``
+* ``E<i>_<j>``     matrix unit with any positive indices, e.g. ``E10_1``
 
 Map presets build full unit-image tables: ``transpose``, ``symplectic``
 (even n), ``identity``, and ``trace-shift`` (X + tr(X) I, a bracket-
@@ -28,7 +29,7 @@ from .matrices import (
 )
 from .recovery import AlgebraMap
 
-_UNIT_RE = re.compile(r"^E([1-9])([1-9])$")
+_UNIT_RE = re.compile(r"^E(?:([1-9])([1-9])|([1-9][0-9]*)_([1-9][0-9]*))$")
 
 
 def _check_size(n: int) -> None:
@@ -50,7 +51,8 @@ def preset_matrix(token: str, field: Field, n: int) -> Matrix:
         return cyclic_permutation(field, n)
     m = _UNIT_RE.match(token)
     if m:
-        return matrix_unit(field, n, int(m.group(1)), int(m.group(2)))
+        i, j = (int(g) for g in m.groups() if g)
+        return matrix_unit(field, n, i, j)
     raise MalformedJSON(f"unknown matrix preset {token!r}")
 
 

@@ -66,6 +66,21 @@ def test_closure_preset(capsys):
     assert report["outcome"]["dim"] == 16
 
 
+def test_unit_presets_with_two_digit_indices(capsys):
+    """``E<i>_<j>`` names any unit, so the generating pair {S, E(n,1)} can be
+    given for n >= 10; ``E<i><j>`` keeps its single-digit meaning."""
+    code, out = run_cli(["closure", "--kind", "associative", "--preset", "S,E10_1", "--n", "10"], capsys)
+    assert code == 0 and json.loads(out)["outcome"]["dim"] == 100
+    assert presets.preset_matrix("E10_12", Q, 12) == matrix_unit(Q, 12, 10, 12)
+    assert presets.preset_matrix("E1_2", Q, 2) == presets.preset_matrix("E12", Q, 2)
+    for token, n in (("E11_1", "10"), ("E1_11", "10"), ("E3_1", "2")):
+        assert dispatch(["closure", "--preset", token, "--n", n]) == 1
+        assert capsys.readouterr().err.startswith("IndexOutOfRange: ")
+    for token in ("E101", "E0_1", "E1_0", "E1_", "E_1", "E01_1", "E1__1", "E1_2_3"):
+        assert dispatch(["closure", "--preset", token, "--n", "10"]) == 2
+        assert capsys.readouterr().err.startswith(f"MalformedJSON: unknown matrix preset '{token}'")
+
+
 def test_bracket_round_trip(tmp_path, capsys):
     out_file = tmp_path / "bracket.json"
     code, out = run_cli(

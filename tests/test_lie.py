@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from liemat import (
     Matrix,
+    PrimeField,
     Subspace,
     bracket,
     centralizer_intersection_check,
@@ -488,6 +489,99 @@ def test_closure_rounds_edge_cases():
     assert closure(units, "associative").rounds == 0
     for kind in ("lie", "associative"):
         assert closure([E(3, 1, 1)], kind).rounds == 1
+
+
+def test_spin_rounds_of_the_shift_cross_every_power_of_two():
+    """The associative closure of {S} is {S, ..., S^(n-1)}: n - 2 spin levels
+    add something, so ``rounds`` is (n - 2).bit_length() + 1, which passes
+    the powers of two at n = 3, 4, 6 and 10."""
+    for n in range(2, 13):
+        gens = [upper_shift(Q, n)]
+        result = closure(gens, "associative")
+        subspace, rounds = reference_closure(gens, "associative")
+        assert result.subspace.rows == subspace.rows and result.subspace.dim == n - 1
+        assert result.rounds == rounds == (n - 2).bit_length() + 1
+
+
+def _random_generator_sets(count):
+    """Seeded sets of 1-3 n x n generators, n = 1..5, over GF(2), GF(3),
+    GF(2^2) and Q.  Each generator is dense, strictly upper, sparse (one or
+    two entries), zero, a duplicate of an earlier one, or a combination of
+    the earlier ones."""
+    rng = rng_for("spin-random-sets")
+    fields = (GF2, PrimeField(3), GF4, Q)
+    sets = []
+    for t in range(count):
+        field, n = fields[t % len(fields)], rng.randint(1, 5)
+        if field == Q:
+            def scalar():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        else:
+            def scalar():
+                return field.random_scalar(rng)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            shapes = ("dense", "upper", "sparse", "zero") + (("duplicate", "dependent") if gens else ())
+            shape = rng.choice(shapes)
+            if shape == "duplicate":
+                gens.append(rng.choice(gens))
+            elif shape == "dependent":
+                gens.append(sum((g.scale(scalar()) for g in gens[1:]), gens[0].scale(scalar())))
+            else:
+                cells = {
+                    "dense": [(i, j) for i in range(n) for j in range(n)],
+                    "upper": [(i, j) for i in range(n) for j in range(i + 1, n)],
+                    "sparse": [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2))],
+                    "zero": [],
+                }[shape]
+                entries = [[0] * n for _ in range(n)]
+                for i, j in cells:
+                    entries[i][j] = scalar()
+                gens.append(Matrix(field, entries))
+        sets.append(gens)
+    return sets
+
+
+def test_spin_matches_the_reference_sweep_on_random_sets():
+    for gens in _random_generator_sets(300):
+        result = closure(gens, "associative")
+        subspace, rounds = reference_closure(gens, "associative")
+        assert result.subspace.rows == subspace.rows, gens
+        assert result.rounds == rounds, gens
+
+
+def test_spin_work_is_pinned(monkeypatch):
+    """The spin forms |X|·dim products: 125 inserts for the associative
+    closure of {S, E(8,1)} over GF(5), where the pairwise sweep made 841.
+    It never sweeps or runs the separate certificate; the Lie closure does
+    both."""
+    counts = {"insert": 0, "_sweep": 0, "_certify_closed": 0}
+    insert = SpanBuilder.insert
+
+    def counted_insert(self, *args):
+        counts["insert"] += 1
+        return insert(self, *args)
+
+    def refuse(*args):
+        raise AssertionError("sweep or certificate on the associative path")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SpanBuilder, "insert", counted_insert)
+        patched.setattr(lie, "_sweep", refuse)
+        patched.setattr(lie, "_certify_closed", refuse)
+        result = closure([upper_shift(GF5, 8), E(8, 8, 1, GF5)], "associative")
+    assert result.subspace.is_full and counts["insert"] == 125
+
+    def counted(name, fn):
+        def hook(*args):
+            counts[name] += 1
+            return fn(*args)
+        return hook
+
+    for name in ("_sweep", "_certify_closed"):
+        monkeypatch.setattr(lie, name, counted(name, getattr(lie, name)))
+    assert closure([cyclic_permutation(GF5, 4), E(4, 1, 1, GF5)], "lie").subspace.is_full
+    assert counts["_sweep"] and counts["_certify_closed"]
 
 
 def _sl_basis(field, n):

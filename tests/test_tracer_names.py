@@ -49,12 +49,14 @@ def test_insert_is_defined_on_span_builder_only():
         assert not [cls.__name__ for cls in _subclasses(SpanBuilder) if name in vars(cls)]
 
 
+@pytest.mark.parametrize("kind", ["lie", "associative"])
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=repr)
-def test_every_closure_insert_is_traced(tracing, field, monkeypatch):
+def test_every_closure_insert_is_traced(tracing, field, kind, monkeypatch):
     """Every vector a closure adds to its span, each generator and each
-    product a sweep yields, goes through ``SpanBuilder.insert``, the one
-    insert the tracer wraps: a plain hook on an untraced run counts one
-    call for each, and the traced run of the same closure counts as many."""
+    product a Lie sweep yields or the associative spin forms, goes through
+    ``SpanBuilder.insert``, the one insert the tracer wraps: a plain hook on
+    an untraced run counts one call for each, and the traced run of the same
+    closure counts as many."""
     gens = [cyclic_permutation(field, 4), matrix_unit(field, 4, 1, 1)]
     counts = {"insert": 0, "products": 0}
     insert, sweep = SpanBuilder.insert, lie._sweep
@@ -71,13 +73,15 @@ def test_every_closure_insert_is_traced(tracing, field, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(SpanBuilder, "insert", counted_insert)
         patched.setattr(lie, "_sweep", counted_sweep)
-        hooked = lie.closure(gens)
-    assert counts["insert"] == len(gens) + counts["products"] > hooked.subspace.dim
+        hooked = lie.closure(gens, kind)
+    assert counts["insert"] > hooked.subspace.dim
+    if kind == "lie":
+        assert counts["insert"] == len(gens) + counts["products"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.start_job(0)
-        traced = lie.closure(gens)
+        traced = lie.closure(gens, kind)
         tracer.end_job()
     finally:
         tracer.uninstall()
