@@ -4,7 +4,9 @@ The k-th Lie centralizer of a set H of matrices is
 
     L_k(H) = { r : [r, x1, ..., xk] = 0 for all choices of x_i in H },
 
-using left-normed brackets.  The levels ascend, stabilize at some index
+using left-normed brackets.  L_1(H) is the intersection of the
+centralizers of the members, which ``centralizer_intersection_check``
+compares with the scalars.  The levels ascend, stabilize at some index
 t bounded by the ambient dimension, and their union (the omega level)
 equals the stabilized level.  H may be given either as a finite set of
 matrices or as a subspace; in the subspace case the brackets are
@@ -51,7 +53,7 @@ from .errors import (
     check_guard,
 )
 from .fields import Field
-from .lie import _adjoint_operators, _coordinates, ad_kernel, closure, left_normed
+from .lie import _adjoint_operators, _ambient, _coordinates, ad_kernel, closure, left_normed
 from .matrices import Matrix, SparseVec, SpanBuilder, matrix_unit
 from .subspaces import Subspace
 
@@ -87,16 +89,12 @@ def _members(H: SubsetLike) -> _Scan:
         return H
     if isinstance(H, Subspace):
         vectors, field, (n, cols) = H.rows, H.field, H.shape
-        square = n == cols
+        if n != cols:
+            raise MixedShapes("H does not live in one square matrix space")
     else:
         mats = list(H)
-        if not mats:
-            raise MixedShapes("H must contain at least one matrix")
-        field, n = mats[0].field, mats[0].nrows
-        square = all(m.field == field and m.is_square and m.nrows == n for m in mats)
+        field, n = _ambient(mats)
         vectors = map(Matrix.vectorize, mats)
-    if not square:
-        raise MixedShapes("H does not live in one square matrix space")
     check_guard(n * n, f"{n * n} scalars of a {n}x{n} matrix")
     return _Scan(_coordinates(field, n, vectors), field, n)
 
@@ -148,6 +146,16 @@ def lie_centralizer(H: SubsetLike, k: int) -> Subspace:
     _check_index(k)
     levels, _ = _levels_until(_members(H), k)
     return _level(levels, k)
+
+
+def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspace, bool]:
+    """The intersection of the centralizers of the generators, their L_1,
+    and whether it is exactly the scalars *because* the generators generate
+    the full matrix algebra associatively (False claims nothing about it)."""
+    gens = list(generators)
+    inter = lie_centralizer(gens, 1)
+    scalars = Subspace.span([Matrix.identity(inter.field, inter.shape[0])])
+    return inter, inter == scalars and closure(gens, "associative").subspace.is_full
 
 
 @dataclass(frozen=True)

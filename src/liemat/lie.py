@@ -24,7 +24,9 @@ order, so the same images are inserted in the same order; for T = 0 the
 seeds are the units themselves.  Each later operator of a chain is
 applied only to an image whose support meets one of its rows and columns
 (``_meets``), and the last one's images go straight to
-``SpanBuilder.insert`` with that operator.
+``SpanBuilder.insert`` with that operator.  The common centralizer of a
+set X, {r : [r, x] = 0 for x in X}, is the first level L_1(X) of its
+chain: one ``ad_kernel`` of the one-operator chains of X.
 
 The closure engine keeps each of its independent products of a generator
 set X sparse, with its operator, so every product it forms is one operator
@@ -36,12 +38,13 @@ been multiplied by every generator.  Each Lie sweep brackets the
 elements added by the previous sweep with every element before them, and
 stops as soon as the span reaches its ceiling: the whole matrix space, or
 sl_n = ker tr for traceless generators (n > 1), since tr[x, y] = 0 in
-every characteristic.  Before each sweep the span V is tested against the
-generators alone: by the spanning lemma, [V, X] ⊆ V proves that V is the
-closure (see ``_certify_closed``), so no sweep that adds nothing is ever
-run.  Both ask the closure's own ``SpanBuilder`` whether a product lies in
-V, so no ``Subspace`` is built until the closure is returned.  An
-element's operator is built when a sweep first needs it.
+every characteristic.  Before each sweep the elements the last sweep
+added (X, before the first) are bracketed with the generators alone: by
+the spanning lemma, [V, X] ⊆ V proves that V is the closure (see
+``_certify_closed``), so no sweep that adds nothing is ever run.  Both
+ask the closure's own ``SpanBuilder`` whether a product lies in V, so no
+``Subspace`` is built until the closure is returned.  An element's
+operator is built when a sweep first needs it.
 
 The closure keeps its elements in the coordinates of its ``SpanBuilder``
 (``SpanBuilder.coordinates``): primitive integer vectors over Q (a nonzero
@@ -112,6 +115,16 @@ def _operator(field: Field, n: int, h: SparseVec, lie: bool) -> SparseMap:
         if lie:
             cols[l] += (((k - l) * n, neg(a)),)
     return units, rows, cols
+
+
+def _ambient(mats: Sequence[Matrix]) -> tuple[Field, int]:
+    """The field and size n of the one n x n matrix space that holds every
+    matrix of a nonempty list; ``MixedShapes`` otherwise."""
+    if mats:
+        field, n = mats[0].field, mats[0].nrows
+        if all(m.field == field and m.nrows == m.ncols == n for m in mats):
+            return field, n
+    raise MixedShapes("need one or more matrices of one square matrix space")
 
 
 def _coordinates(field: Field, n: int, vectors: Iterable[Sequence]) -> list[SparseVec]:
@@ -269,14 +282,7 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     set is supposed to produce 1, that must emerge from the products.
     """
     gens = list(generators)
-    if not gens:
-        raise MixedShapes("closure needs at least one generator")
-    field = gens[0].field
-    n = gens[0].nrows
-    if any(not g.is_square for g in gens):
-        raise DimensionMismatch("closure needs square matrices")
-    if any(g.field != field or g.nrows != n for g in gens):
-        raise MixedShapes("generators do not share one ambient space")
+    field, n = _ambient(gens)
     if kind not in ("lie", "associative"):
         raise ValueError(f"unknown product kind {kind!r}")
 
@@ -297,7 +303,7 @@ def closure(generators: Sequence[Matrix], kind: ProductKind = "lie") -> ClosureR
     rounds = frontier_start = 0
     while basis and builder.dim < ceiling:
         rounds += 1
-        if _certify_closed(builder, basis, generator_ops):
+        if _certify_closed(builder, basis[frontier_start:], generator_ops):
             break
         frontier_end = len(basis)
         ops += [_operator(field, n, u, lie) for u in basis[len(ops):]]
@@ -341,11 +347,15 @@ def _sweep(basis: list[SparseVec], ops: list[SparseMap], start: int, end: int):
 
 
 def _certify_closed(
-    builder: SpanBuilder, basis: list[SparseVec], generator_ops: list[SparseMap]
+    builder: SpanBuilder, frontier: list[SparseVec], generator_ops: list[SparseMap]
 ) -> bool:
-    """Whether [V, X] ⊆ V, where V is the span of ``builder``, spanned by
-    ``basis``, and X is given by its operators.  Each bracket is tested, as
-    it is formed, with ``SpanBuilder.contains`` on the builder's own rows.
+    """Whether [V, X] ⊆ V, where V is the span of ``builder`` and X is given
+    by its operators, tested on the ``frontier``: the elements the newest
+    sweep added (X itself before the first).  Precondition: an earlier sweep
+    bracketed every other element of V's basis with each generator, into V,
+    as each sweep does with its frontier and every element before it, X
+    included.  Each bracket is tested, as it is formed, with
+    ``SpanBuilder.contains`` on the builder's own rows.
 
     Spanning lemma: Lie(X) is spanned by the left-normed brackets
     [x1, ..., xk] with each xi in X.  The closure engine builds V from
@@ -357,7 +367,7 @@ def _certify_closed(
     fails fast.
     """
     contains = builder.contains
-    for u in reversed(basis):
+    for u in reversed(frontier):
         for op in generator_ops:
             if not contains(u, op):
                 return False
@@ -385,25 +395,3 @@ def leibniz_expansion_check(r: Matrix, s: Matrix, xs: Sequence[Matrix]) -> bool:
         term = left_normed(left_args) * left_normed(right_args)
         rhs = term if rhs is None else rhs + term
     return lhs == rhs
-
-
-def centralizer_intersection_check(generators: Sequence[Matrix]) -> tuple[Subspace, bool]:
-    """Intersection of the centralizers of the given matrices, and whether
-    that intersection is exactly the scalar matrices *because* the
-    generators generate the full matrix algebra associatively.
-
-    The second component is False whenever the generators fail to generate
-    (then nothing is claimed about the intersection).
-    """
-    gens = list(generators)
-    if not gens:
-        raise MixedShapes("need at least one matrix")
-    field = gens[0].field
-    n = gens[0].nrows
-    if any(g.field != field or not g.is_square or g.nrows != n for g in gens):
-        raise MixedShapes("matrices do not share one ambient space")
-    ops = _adjoint_operators(field, n, _coordinates(field, n, map(Matrix.vectorize, gens)))
-    inter = ad_kernel(field, n, [(op,) for op in ops.values()])
-    generates = closure(gens, "associative").subspace.is_full
-    scalars = Subspace.span([Matrix.identity(field, n)])
-    return inter, generates and inter == scalars

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import MalformedJSON, check_guard
+from .errors import IndexOutOfRange, MalformedJSON, check_guard
 from .fields import Field
 from .matrices import (
     Matrix,
@@ -51,8 +51,10 @@ def preset_matrix(token: str, field: Field, n: int) -> Matrix:
         return cyclic_permutation(field, n)
     m = _UNIT_RE.match(token)
     if m:
-        i, j = (int(g) for g in m.groups() if g)
-        return matrix_unit(field, n, i, j)
+        digits = [g for g in m.groups() if g]
+        if (longest := max(map(len, digits))) > len(str(n)):  # int() may refuse it
+            raise IndexOutOfRange(f"unit index of {longest} digits outside [1,{n}]")
+        return matrix_unit(field, n, *map(int, digits))
     raise MalformedJSON(f"unknown matrix preset {token!r}")
 
 

@@ -14,6 +14,7 @@ from typing import Callable
 from .centralizers import (
     balanced_parts,
     centralizer_chain,
+    centralizer_intersection_check,
     centralizer_product_check,
     extremal_block_algebra,
     nilpotency_report,
@@ -22,7 +23,7 @@ from .centralizers import (
 from .errors import SingularMatrix
 from .experiments import char2_generation_dims
 from .fields import ExtensionField, FieldAutomorphism, PrimeField, Rationals
-from .lie import bracket, centralizer_intersection_check, closure, leibniz_expansion_check
+from .lie import bracket, closure, leibniz_expansion_check
 from .matrices import (
     Matrix,
     cyclic_permutation,

@@ -15,6 +15,7 @@ from liemat import (
     centralizer_intersection_check,
     centralizer_product_check,
     centralizer_step,
+    closure,
     conjectured_dim_bound,
     extremal_block_algebra,
     hereditary_centralizer,
@@ -139,6 +140,30 @@ def test_zero_subspace_is_vacuous():
         centralizer_chain([])
     with pytest.raises(MixedShapes):
         centralizer_chain(Subspace.zero(Q, (2, 3)))
+
+
+_MATRIX_SET_ENTRIES = {
+    "closure lie": lambda H: closure(H, "lie"),
+    "closure associative": lambda H: closure(H, "associative"),
+    "centralizer_chain": centralizer_chain,
+    "nilpotency_report": nilpotency_report,
+    "hereditary_centralizer": lambda H: hereditary_centralizer(H, 1, "D"),
+    "centralizer_intersection_check": centralizer_intersection_check,
+}
+
+
+@pytest.mark.parametrize("entry", _MATRIX_SET_ENTRIES.values(), ids=_MATRIX_SET_ENTRIES)
+@pytest.mark.parametrize(
+    "H",
+    [[], [Matrix.zeros(Q, 2, 3)], [Matrix.identity(Q, 2), Matrix.identity(Q, 3)],
+     [Matrix.identity(Q, 2), Matrix.identity(GF5, 2)]],
+    ids=["empty", "2x3", "sizes 2 and 3", "Q and GF(5)"],
+)
+def test_a_matrix_set_outside_one_square_space_is_mixed_shapes(entry, H):
+    """Every entry point that takes a finite matrix set checks it in one
+    place, with one error and one message."""
+    with pytest.raises(MixedShapes, match="^need one or more matrices of one square matrix space$"):
+        entry(H)
 
 
 def test_chain_over_extension_field():

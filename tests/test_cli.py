@@ -73,7 +73,7 @@ def test_unit_presets_with_two_digit_indices(capsys):
     assert code == 0 and json.loads(out)["outcome"]["dim"] == 100
     assert presets.preset_matrix("E10_12", Q, 12) == matrix_unit(Q, 12, 10, 12)
     assert presets.preset_matrix("E1_2", Q, 2) == presets.preset_matrix("E12", Q, 2)
-    for token, n in (("E11_1", "10"), ("E1_11", "10"), ("E3_1", "2")):
+    for token, n in (("E11_1", "10"), ("E1_11", "10"), ("E3_1", "2"), (f"E{'1' * 5000}_1", "3")):
         assert dispatch(["closure", "--preset", token, "--n", n]) == 1
         assert capsys.readouterr().err.startswith("IndexOutOfRange: ")
     for token in ("E101", "E0_1", "E1_0", "E1_", "E_1", "E01_1", "E1__1", "E1_2_3"):

@@ -584,6 +584,55 @@ def test_spin_work_is_pinned(monkeypatch):
     assert counts["_sweep"] and counts["_certify_closed"]
 
 
+def test_lie_certificate_tests_the_newest_sweep(monkeypatch):
+    """Before each sweep the certificate brackets only the elements that
+    the last sweep added (X, before the first) with the generators: each
+    older element was bracketed with them by its own sweep.  A failing
+    certificate makes the same calls as a test of the whole basis, newest
+    first, so the benchmark's full and sl_n closures keep their counts; a
+    passing one makes fewer.  (inserts, contains, rounds, dim) per Lie
+    closure; a test of the whole basis made 21, 18 and 808 contains on the
+    last three."""
+    P = cyclic_permutation
+    counts = {"insert": 0, "contains": 0}
+
+    def counted(name):
+        method = getattr(SpanBuilder, name)
+
+        def hook(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return hook
+
+    for name in counts:
+        monkeypatch.setattr(SpanBuilder, name, counted(name))
+
+    def work(sets):
+        counts.update(insert=0, contains=0)
+        results = [closure(gens, "lie") for gens in sets]
+        return counts["insert"], counts["contains"], results
+
+    cases = [
+        ([P(Q, 8), E(8, 1, 1)], (1315, 9, 9, 64)),
+        ([P(GF5, 8), E(8, 1, 1, GF5)], (1315, 9, 9, 64)),
+        ([P(GF81, 6), E(6, 1, 1, GF81)], (345, 7, 7, 36)),
+        ([P(Q, 7), E(7, 1, 2)], (526, 10, 11, 48)),
+        ([P(GF5, 7), E(7, 1, 2, GF5)], (493, 12, 11, 48)),
+        ([E(4, 1, 2), E(4, 2, 3), E(4, 3, 4)], (13, 6, 3, 6)),
+        ([P(GF2, 4), E(4, 1, 1, GF2)], (17, 6, 5, 7)),
+    ]
+    for gens, expected in cases:
+        inserts, contains, (result,) = work([gens])
+        assert (inserts, contains, result.rounds, result.subspace.dim) == expected, gens
+    sets = _random_generator_sets(400)
+    inserts, contains, results = work(sets)
+    assert (inserts, contains) == (1865, 584)
+    monkeypatch.undo()
+    for gens, result in zip(sets, results):
+        subspace, rounds = reference_closure(gens, "lie")
+        assert (result.subspace.rows, result.rounds) == (subspace.rows, rounds), gens
+
+
 def _sl_basis(field, n):
     """E(i, j) for i != j and E(i, i) - E(n, n): a basis of sl_n."""
     units = [E(n, i, j, field) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
