@@ -257,13 +257,6 @@ def centralizer_product_check(
     return all(target.contains(r * s) for r, s in pairs)
 
 
-_HEREDITARY_PROPS = {
-    "D": "D",
-    "distinct": "D",
-    "L": "L",
-    "independent": "L",
-}
-
 def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
     """Centralizer quantified only over k-tuples from a finite H that
     satisfy a hereditary property: pairwise-distinct entries ("D") or
@@ -276,10 +269,8 @@ def hereditary_centralizer(H: Sequence[Matrix], k: int, prop: str) -> Subspace:
     """
     if isinstance(H, Subspace):
         raise TypeError("hereditary centralizers are defined for finite sets only")
-    try:
-        prop = _HEREDITARY_PROPS[prop]
-    except KeyError:
-        raise ValueError(f"unknown hereditary property {prop!r}") from None
+    if prop not in ("D", "L"):
+        raise ValueError(f"unknown hereditary property {prop!r}")
     _check_index(k)
     members = list(H)
     scan = _members(members)

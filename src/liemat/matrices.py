@@ -236,10 +236,6 @@ class Matrix:
             F, tuple(tuple(apply(F, a) for a in row) for row in self.entries)
         )
 
-    def column(self, j: int) -> "Matrix":
-        """Column j (0-based) as an n-by-1 matrix."""
-        return Matrix._make(self.field, tuple((row[j],) for row in self.entries))
-
     # -- eliminations -----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, list[int]]:

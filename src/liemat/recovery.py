@@ -21,17 +21,18 @@ rows of A^(-1), so a verified recovery does no elimination at all.
 Anti-automorphisms run the same pipeline on the transposed generators
 S^T and E_{1,n} and conjugate X^T.  Since S, E_{n,1}, S^T, E_{1,n} have
 only 0/1 entries, an entrywise twist is invisible on the inputs and the
-construction carries over verbatim.  ``recover`` is that one pipeline;
-the four ``recover_*`` functions are thin aliases that fix the direction
-and the typed error.
+construction carries over verbatim.  ``recover`` is that one pipeline,
+and the four ``recover_*`` functions are aliases that call it with their
+direction; the two untwisted ones refuse a twisted map first.
 
-Every recovery re-verifies the conjugation formula on all n^2 units; the
-``verified`` flag is never assumed.  Row r of A E(i,j) A^(-1) is A[r][i]
-times row j of A^(-1), so the n^4-entry unit table has at most n*d
-distinct rows, d the number of distinct entries of A.  The check
-certifies the first image row of each with ``is_scaled`` and compares the
-repeats with it; ``conjugation_map`` forms each row once and shares it.
-Conjugators are unique only up to a nonzero scalar.
+Every recovery re-verifies the conjugation formula on all n^2 units once
+the two generator images verify; the ``verified`` flag is never assumed.
+Row r of A E(i,j) A^(-1) is A[r][i] times row j of A^(-1), so the
+n^4-entry unit table has at most n*d distinct rows, d the number of
+distinct entries of A.  The check certifies the first image row of each
+with ``is_scaled`` and compares the repeats with it; ``conjugation_map``
+forms each row once and shares it.  Conjugators are unique only up to a
+nonzero scalar.
 
 A map document as read (``jsonio.UnparsedMap``) goes through the same
 pipeline: only the n images that phi(S) and phi(E(n,1)) need are parsed,
@@ -337,26 +338,6 @@ def _verify_all_units(
     return True
 
 
-def _recover(
-    m: AlgebraMap | UnparsedMap, anti: bool, error: type[Exception]
-) -> RecoveryResult:
-    n = m.n
-    phi_gen_shift = _extract_shift_image(m, transposed=anti)
-    phi_gen_unit = m.image(1, n) if anti else m.image(n, 1)
-    try:
-        result, conj_inv = conjugator_from_images(
-            phi_gen_shift, phi_gen_unit, n, return_inverse=True
-        )
-    except NotAnAutomorphismImagePair as exc:
-        raise error(str(exc)) from exc
-    conjugator = result.conjugator
-    if not _verify_all_units(m, conjugator, conj_inv, anti):
-        raise error("conjugation does not reproduce all unit images")
-    return RecoveryResult(
-        conjugator=conjugator, kernel_vector=result.kernel_vector, verified=True
-    )
-
-
 # (anti, identity twist) -> the typed error of a failed recovery
 _RECOVERY_ERRORS = {
     (False, True): NotAnAutomorphism,
@@ -370,21 +351,37 @@ _RECOVERY_FAILURES = tuple(_RECOVERY_ERRORS.values())
 def recover(m: AlgebraMap | UnparsedMap, anti: bool) -> RecoveryResult:
     """Conjugator A with phi(X) = A X_f A^(-1), or A X_f^T A^(-1) if ``anti``.
 
-    The one recovery pipeline behind the CLI, the decomposition and the
-    ``recover_*`` aliases.  A failure raises NotAnAutomorphism or
-    NotAnAntiAutomorphism for an untwisted map, and the NotATwisted...
-    error of the same direction for a twisted one.  On an unparsed map
-    any failure, an invalid twist included, first parses the whole
-    document, so its first bad scalar text raises MalformedJSON instead.
+    The one recovery pipeline behind the CLI, the decomposition, the
+    classification and the four ``recover_*`` aliases, in three stages:
+
+    1. the generator images phi(S) and phi(E(n,1)), or phi(S^T) and
+       phi(E(1,n)) if ``anti``;
+    2. ``conjugator_from_images`` on them, with its inverse;
+    3. the unit check ``_verify_all_units``, only once the two-image
+       certificate ``verified`` holds: phi(S) is a sum of unit images and
+       phi(E(n,1)) is one, so an unverified A cannot reproduce them all.
+
+    A failure raises NotAnAutomorphism or NotAnAntiAutomorphism for an
+    untwisted map, and the NotATwisted... error of the same direction for
+    a twisted one.  On an unparsed map any failure, an invalid twist
+    included, first parses the whole document, so its first bad scalar
+    text raises MalformedJSON instead.
     """
     error = _RECOVERY_ERRORS[anti, m.twist.is_identity_kind]
-    if isinstance(m, AlgebraMap):
-        return _recover(m, anti, error)
     try:
         m.twist.check_field(m.field)
-        return _recover(m, anti, error)
+        n, phi_shift = m.n, _extract_shift_image(m, transposed=anti)
+        phi_unit = m.image(1, n) if anti else m.image(n, 1)
+        try:
+            result, conj_inv = conjugator_from_images(phi_shift, phi_unit, n, return_inverse=True)
+        except NotAnAutomorphismImagePair as exc:
+            raise error(str(exc)) from exc
+        if not result.verified or not _verify_all_units(m, result.conjugator, conj_inv, anti):
+            raise error("conjugation does not reproduce all unit images")
+        return result
     except LiematError:
-        m.parsed()
+        if not isinstance(m, AlgebraMap):
+            m.parsed()
         raise
 
 
@@ -398,13 +395,10 @@ def recover_automorphism(m: AlgebraMap) -> RecoveryResult:
 
 
 def recover_twisted_automorphism(m: AlgebraMap) -> RecoveryResult:
-    """Conjugator for a twisted (semilinear) ring automorphism.
-
-    The pipeline is identical to the untwisted one: the generator images
-    and the unit verification only ever see 0/1-entried matrices, on which
-    the twist acts trivially.
-    """
-    return _recover(m, False, NotATwistedAutomorphism)
+    """Conjugator for a twisted (semilinear) ring automorphism: ``recover``
+    as it is, since its stages only ever see 0/1-entried inputs, on which
+    the twist acts trivially."""
+    return recover(m, False)
 
 
 def recover_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
@@ -418,7 +412,7 @@ def recover_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
 
 def recover_twisted_antiautomorphism(m: AlgebraMap) -> RecoveryResult:
     """Conjugator for a twisted anti-automorphism, phi(X) = A X_f^T A^(-1)."""
-    return _recover(m, True, NotATwistedAntiAutomorphism)
+    return recover(m, True)
 
 
 # ---------------------------------------------------------------------------

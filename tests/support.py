@@ -39,6 +39,20 @@ def mat(field, rows) -> Matrix:
     return Matrix(field, rows)
 
 
+def partitions(n, max_parts, largest=None):
+    """All partitions of n into at most max_parts positive parts."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
 def _products(u, v, kind):
     if kind == "lie":
         yield bracket(u, v)

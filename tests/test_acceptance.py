@@ -48,7 +48,7 @@ from liemat.experiments import (
     write_evidence_csv,
 )
 
-from support import GF4, GF5, GF7, Q, random_invertible, random_matrix, rng_for
+from support import GF4, GF5, GF7, Q, partitions, random_invertible, random_matrix, rng_for
 
 
 def announce(num, name, ok, detail=""):
@@ -281,19 +281,6 @@ def test_criterion_7_insertions_vanish(capsys):
     assert ok
 
 
-def _partitions(n, max_parts, largest=None):
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
 def test_criterion_8_dimension_bounds(capsys):
     started = time.perf_counter()
     ok = True
@@ -303,7 +290,7 @@ def test_criterion_8_dimension_bounds(capsys):
         for k in range(1, n + 1):
             brute = max(
                 (n * n - sum(p * p for p in parts)) // 2 + 1
-                for parts in _partitions(n, k + 1)
+                for parts in partitions(n, k + 1)
             )
             ok &= brute == nilpotent_subalgebra_dim_bound(n, k)
     # sharpness witnesses: balanced block algebras hit the bound and are

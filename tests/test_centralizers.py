@@ -53,6 +53,7 @@ from support import (
     GF_LARGE,
     Q,
     mat,
+    partitions,
     random_matrix,
     reference_ad_kernel,
     reference_next_level,
@@ -808,8 +809,9 @@ def test_hereditary_centralizers():
     assert mixed == lie_centralizer([E(2, 1, 1)], 2)
     with pytest.raises(TypeError):
         hereditary_centralizer(diagonals_m2(), 1, "D")
-    with pytest.raises(ValueError):
-        hereditary_centralizer([E(2, 1, 1)], 1, "Z")
+    for prop in ("Z", "distinct", "independent"):
+        with pytest.raises(ValueError, match=f"^unknown hereditary property '{prop}'$"):
+            hereditary_centralizer([E(2, 1, 1)], 1, prop)
 
 
 def test_hereditary_contains_plain_centralizer():
@@ -887,20 +889,6 @@ def test_dim_bound_examples():
     assert nilpotent_subalgebra_dim_bound(3, 2) == 4
     assert nilpotent_subalgebra_dim_bound(2, 1) == 2
     assert conjectured_dim_bound(3) == 4
-
-
-def partitions(n, max_parts, largest=None):
-    """All partitions of n into at most max_parts positive parts."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in partitions(n - first, max_parts - 1, first):
-            yield (first,) + rest
 
 
 def test_dim_bound_closed_form_equals_brute_force():

@@ -34,6 +34,7 @@ from liemat.errors import (
     CharacteristicDividesN,
     EnumerationTooLarge,
     IncompatibleAutomorphism,
+    MalformedJSON,
     NotAnAntiAutomorphism,
     NotAnAutomorphism,
     NotAnAutomorphismImagePair,
@@ -351,6 +352,11 @@ def test_recover_takes_the_error_from_direction_and_twist():
             recover(anti, anti=False)
         with pytest.raises(anti_error):
             recover(auto, anti=True)
+        # the twisted aliases are recover itself, errors included
+        with pytest.raises(auto_error):
+            recover_twisted_automorphism(anti)
+        with pytest.raises(anti_error):
+            recover_twisted_antiautomorphism(auto)
 
 
 def test_recover_antiautomorphism_transpose_m2():
@@ -987,3 +993,77 @@ def test_unit_table_work_is_per_distinct_row(monkeypatch):
     assert recover_automorphism(m).verified
     assert calls["is_scaled"] <= n * d + n
     assert calls["vec_scale"] <= calls["is_scaled"] + n + 1
+
+
+def _unverified_pair_map():
+    """Conjugation by a seeded matrix over GF(5) at n = 3, with 1 added to
+    one entry of phi(E(1,2)): the first seed whose generator images build
+    an invertible conjugator that does not verify."""
+    n = 3
+    for seed in range(200):
+        rng = rng_for("unverified-pair", seed)
+        m = conjugation_map(random_invertible(GF5, n, rng))
+        bad = _perturbed(m, 1, rng.randrange(n))
+        try:
+            pair = conjugator_from_images(*generator_pair(bad), n, return_inverse=True)
+        except NotAnAutomorphismImagePair:
+            continue
+        if not pair[0].verified:
+            return bad, pair
+    raise AssertionError("no seed gives an invertible pair that does not verify")
+
+
+def test_an_unverified_pair_fails_without_the_unit_check(monkeypatch):
+    # phi(S) is a sum of unit images and phi(E(n,1)) is one, so the unit
+    # check could only fail on a pair that does not verify: recover skips it
+    bad, (result, conj_inv) = _unverified_pair_map()
+    assert not recovery._verify_all_units(bad, result.conjugator, conj_inv, False)
+
+    def refuse(*args):
+        raise AssertionError("the unit check ran on an unverified pair")
+
+    monkeypatch.setattr(recovery, "_verify_all_units", refuse)
+    doc = jsonio.algebra_map_to_json(bad)
+    for m in (bad, jsonio.unparsed_map_from_json(doc)):
+        with pytest.raises(NotAnAutomorphism, match=_UNIT_CHECK_FAILS):
+            recover(m, False)
+    doc["images"]["2,2"]["entries"][2][2] = "not a scalar"
+    with pytest.raises(MalformedJSON, match="bad scalar text"):
+        recover(jsonio.unparsed_map_from_json(doc), False)
+
+
+GF2_17 = ExtensionField(2, 17)  # above the table limit: polynomial arithmetic
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_recovery_above_the_table_limit(n):
+    # texts_scaled cannot tell, so every row of a document is parsed
+    F = GF2_17
+    assert F.texts_scaled([F.format_scalar(F.one)], F.one, [F.one]) is None
+    b = random_invertible(F, n, rng_for("untabled-recovery", n))
+    for twist in (None, FieldAutomorphism.frobenius(1)):
+        for anti in (False, True):
+            m = reference_conjugation_map(b, anti, twist)
+            doc = jsonio.algebra_map_to_json(m)
+            for source in (m, jsonio.unparsed_map_from_json(doc)):
+                result = recover(source, anti)
+                assert result.verified
+                assert scalar_multiple_of_identity(b.inverse() * result.conjugator) is not None
+                make = transpose_conjugation_map if anti else conjugation_map
+                assert make(result.conjugator, twist) == m
+
+
+def test_decompose_above_the_table_limit():
+    F = GF2_17
+    b = random_invertible(F, 3, rng_for("untabled-decompose"))
+    c = F.coerce((0, 1))
+    for twist in (None, FieldAutomorphism.frobenius(1)):
+        auto = reference_conjugation_map(b, False, twist)
+        neg_anti = negated(reference_conjugation_map(b, True, twist))
+        for sigma, kind in ((auto, "automorphism"), (neg_anti, "negative-anti-automorphism")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dec = decompose_lie_automorphism(plus_trace(sigma, c))
+            assert dec.sigma_kind == kind and dec.tau_coefficient == F.scalar(c)
+            assert scalar_multiple_of_identity(b.inverse() * dec.sigma_conjugator) is not None
+            assert dec.sigma_map() == sigma
